@@ -555,7 +555,8 @@ def cross_check_bounds(
 
     - the vectorized ``fast`` result equal, field for field, to the scalar
       ``fast-ref`` reference (the vectorization equality oracle — any
-      drift is a bug in the numpy kernel or the pre-decode),
+      drift is a bug in the numpy kernel or in the decode it reads, which
+      lowering builds directly),
     - ``LB <= fast <= UB`` exactly (a violation in either direction is a
       bug in the bounds, the scheduler, or the fast model), and
     - the analytic estimate within its documented

@@ -13,9 +13,14 @@ Writer indices are the key design move: they eliminate the per-design
 ``tile_ready`` / ``scalar_ready`` register scoreboards entirely.  At run
 time a reader's operand-readiness is simply ``complete[writer]``, so the
 decoded form is design-independent and one decode is shared by all designs
-(and by both the vectorized kernel and any future consumer).  The decode is
-memoized on program identity, riding the same object-reuse discipline as
-:func:`repro.runtime.session.cached_program`.
+(and by both the vectorized kernel and any future consumer).
+
+Generated GEMM programs never need the walk: the code generator builds
+their decode directly from the loop nest
+(:mod:`repro.workloads.array_lowering`) and the program carries it, so
+:func:`decode_program` returns it as is.  The walk remains for every other
+program (hand-built, assembled, sliced or concatenated), memoized on
+program identity.
 
 This module sits on the deterministic simulation path: no wall clock, no
 randomness (enforced by ``tools/lint_invariants.py``).
@@ -39,8 +44,7 @@ KIND_STORE = 1
 KIND_MM = 2
 KIND_ALU = 3
 
-#: Decodes retained; matches the program memo so a decode lives exactly as
-#: long as sweeps keep handing out the same :class:`Program` object.
+#: Walked decodes retained (programs that carry no decode of their own).
 DECODE_CACHE_SIZE = 256
 
 
@@ -52,7 +56,8 @@ class DecodedProgram:
     ascending); all ``*_writer`` arrays hold the program-order index of the
     instruction that produced the operand's value, or ``-1`` for the reset
     value (readiness 0.0).  Equality is identity (``eq=False``): decodes
-    are cached per program object and never compared by content.
+    belong to one program object (carried or memoized) and are never
+    compared by content.
     """
 
     n: int
@@ -164,13 +169,25 @@ def _decode(program: Program) -> DecodedProgram:
 
 
 @functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
-def decode_program(program: Program) -> DecodedProgram:
-    """Memoized :class:`DecodedProgram` for ``program``.
-
-    Keyed on program *identity*: :class:`repro.isa.program.Program` hashes
-    by object, and the session layer (``cached_program``) hands every design
-    the same object per distinct (shape, codegen) point, so all 8 designs
-    share one decode.  A logically equal program built twice decodes twice —
-    wasteful but correct.
-    """
+def _walked(program: Program) -> DecodedProgram:
     return _decode(program)
+
+
+def decode_program(program: Program) -> DecodedProgram:
+    """The :class:`DecodedProgram` of ``program``.
+
+    A program that carries its decode (every generated GEMM program) gets
+    it back without a walk, and is not retained here.  Any other program is
+    walked once and memoized on *identity*: :class:`repro.isa.program.Program`
+    hashes by object, so a logically equal program built twice is walked
+    twice — wasteful but correct.  Introspect/reset the walk memo via
+    ``decode_program.cache_info()`` / ``decode_program.cache_clear()``.
+    """
+    carried = program.decoded
+    if isinstance(carried, DecodedProgram):
+        return carried
+    return _walked(program)
+
+
+decode_program.cache_info = _walked.cache_info  # type: ignore[attr-defined]
+decode_program.cache_clear = _walked.cache_clear  # type: ignore[attr-defined]

@@ -22,6 +22,11 @@ from repro.isa.instructions import (
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 
+#: The repeating scalar mix of :meth:`ProgramBuilder.loop_overhead`: adds
+#: bump the loop counter ``r0`` (read and write), the compare reads ``r0``
+#: into ``r1``, the branch touches no register.
+LOOP_OVERHEAD_PATTERN = (Opcode.ADD, Opcode.ADD, Opcode.CMP, Opcode.BRANCH)
+
 
 class ProgramBuilder:
     """Incrementally build a :class:`Program`.
@@ -82,7 +87,7 @@ class ProgramBuilder:
         """
         if count < 0:
             raise IsaError(f"loop_overhead count must be >= 0, got {count}")
-        pattern = (Opcode.ADD, Opcode.ADD, Opcode.CMP, Opcode.BRANCH)
+        pattern = LOOP_OVERHEAD_PATTERN
         counter = ScalarReg(0)
         for i in range(count):
             op = pattern[i % len(pattern)]

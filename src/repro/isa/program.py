@@ -1,10 +1,22 @@
-"""Program container: an ordered instruction stream plus summary statistics."""
+"""Program container: an ordered instruction stream plus summary statistics.
+
+A program is either built from its instructions, or *deferred*: it knows
+its length and name up front and builds its :class:`Instruction` objects
+on first iteration or indexing.  The code generator hands out deferred
+programs that carry their structure-of-arrays decode
+(:mod:`repro.cpu.decode`), so consumers that only read the decode (the
+vectorized fast model) never build the objects.
+
+This module sits on the deterministic path: no wall clock, no randomness
+(enforced by ``tools/lint_invariants.py``).
+"""
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, List, Union, overload
+from typing import Callable, Iterable, Iterator, List, Optional, Union, overload
 
+from repro.errors import IsaError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 
@@ -32,15 +44,60 @@ class Program:
 
     Programs are what the code generator emits and what both CPU models
     consume.  They behave like immutable sequences; use
-    :class:`repro.isa.builder.ProgramBuilder` to construct them.
+    :class:`repro.isa.builder.ProgramBuilder` to construct them, or
+    :meth:`deferred` to build the instructions only when first needed.
     """
 
     def __init__(self, instructions: Iterable[Instruction], name: str = "program") -> None:
-        self._instructions: List[Instruction] = list(instructions)
+        self._built: Optional[List[Instruction]] = list(instructions)
+        self._emit: Optional[Callable[[], Iterable[Instruction]]] = None
+        self._length = len(self._built)
         self.name = name
+        #: A decode its producer already holds (a
+        #: :class:`repro.cpu.decode.DecodedProgram`), or ``None``.
+        self.decoded: Optional[object] = None
+
+    @classmethod
+    def deferred(
+        cls,
+        length: int,
+        emit: Callable[[], Iterable[Instruction]],
+        name: str,
+        decoded: Optional[object] = None,
+    ) -> "Program":
+        """A program of ``length`` instructions that ``emit`` builds on first use.
+
+        ``len``, ``name`` and ``decoded`` never call ``emit``; iterating,
+        indexing, slicing and the statistics call it once and keep the
+        result.  ``emit`` must yield exactly ``length`` instructions.
+        """
+        program = cls((), name=name)
+        program._built = None
+        program._emit = emit
+        program._length = length
+        program.decoded = decoded
+        return program
+
+    @property
+    def built(self) -> bool:
+        """Whether the :class:`Instruction` objects exist yet."""
+        return self._built is not None
+
+    @property
+    def _instructions(self) -> List[Instruction]:
+        if self._built is None:
+            assert self._emit is not None
+            built = list(self._emit())
+            if len(built) != self._length:
+                raise IsaError(
+                    f"program {self.name!r} emitted {len(built)} instructions, "
+                    f"declared {self._length}"
+                )
+            self._built, self._emit = built, None
+        return self._built
 
     def __len__(self) -> int:
-        return len(self._instructions)
+        return self._length
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self._instructions)

@@ -47,7 +47,11 @@ which is what lets one plan fan out across hosts.
 Program generation is itself memoized per process keyed on the *unlabeled*
 ``(shape, codegen)`` (bounded by :data:`PROGRAM_CACHE_SIZE`): the usual
 grid runs every design on the same programs, so each worker lowers each
-distinct GEMM only once.
+distinct GEMM only once.  Lowering builds the program's structure-of-arrays
+decode directly and defers its ``Instruction`` objects to the first
+iteration (see :mod:`repro.workloads.codegen`): a cold ``fast`` sweep
+builds none, while fidelities that walk objects (``fast-ref``, ``ooo``,
+``engine``) build them once per memoized program.
 """
 
 from __future__ import annotations
@@ -57,7 +61,16 @@ import multiprocessing
 import multiprocessing.pool
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.bounds import BoundsReport, BoundsSweep
@@ -93,8 +106,8 @@ def cached_program(shape: GemmShape, codegen: CodegenOptions) -> Program:
     return _unlabeled_program(shape.unlabeled(), codegen)
 
 
-cached_program.cache_info = _unlabeled_program.cache_info
-cached_program.cache_clear = _unlabeled_program.cache_clear
+cached_program.cache_info = _unlabeled_program.cache_info  # type: ignore[attr-defined]
+cached_program.cache_clear = _unlabeled_program.cache_clear  # type: ignore[attr-defined]
 
 
 def _execute_job(job: SweepJob) -> SimResult:

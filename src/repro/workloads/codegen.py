@@ -9,11 +9,19 @@ loop overhead standing in for the pointer arithmetic between tile ops.
 The generator also lays the three operand matrices out in simulation memory
 (A row-major BF16, B VNNI-packed BF16, C row-major FP32) so the very same
 program can be executed functionally and checked against the NumPy oracle.
+
+Lowering builds the stream's structure-of-arrays decode directly
+(:mod:`repro.workloads.array_lowering`) and returns a *deferred*
+:class:`~repro.isa.program.Program` carrying it: the ``Instruction``
+objects are emitted by :func:`_emit_block` only when a consumer first
+iterates or indexes the program (asm/disasm, the verifier, bounds and the
+object-walking models), never for the vectorized ``fast`` model.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional
 
 import numpy as np
@@ -24,6 +32,7 @@ from repro.isa.program import Program
 from repro.tile.hostmem import HostMatrix, layout_gemm_operands
 from repro.tile.memory import TileMemory
 from repro.tile.vnni import pack_b_vnni
+from repro.workloads.array_lowering import lower_gemm_arrays
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import Block, BlockingConfig, TileLoopNest
 
@@ -136,22 +145,42 @@ def _emit_block(
     builder.loop_overhead(options.scalar_overhead_per_block, tag="block")
 
 
+def _emit_program(
+    name: str,
+    padded: GemmShape,
+    options: CodegenOptions,
+    a_host: HostMatrix,
+    b_host: HostMatrix,
+    c_host: HostMatrix,
+) -> Program:
+    """Emit every block's instructions: the deferred program's objects."""
+    builder = ProgramBuilder(name=name)
+    for block in TileLoopNest(padded, options.blocking).blocks():
+        _emit_block(builder, block, padded, options, a_host, b_host, c_host)
+    return builder.build()
+
+
 def build_gemm_kernel(
     shape: GemmShape,
     options: CodegenOptions = CodegenOptions(),
     base_address: int = 0x10000,
 ) -> GemmKernel:
-    """Generate the full kernel (program + operand layout) for ``shape``."""
+    """Generate the full kernel (program + operand layout) for ``shape``.
+
+    The program carries its decode and builds its instructions on first use
+    (see the module docstring).
+    """
     padded = GemmShape(
         m=shape.padded_m, n=shape.padded_n, k=shape.padded_k, name=shape.name
     )
     a_host, b_host, c_host = layout_gemm_operands(
         padded.m, padded.n, padded.k, base=base_address
     )
-    builder = ProgramBuilder(name=shape.name or f"gemm_{shape.m}x{shape.n}x{shape.k}")
-    nest = TileLoopNest(padded, options.blocking)
-    for block in nest.blocks():
-        _emit_block(builder, block, padded, options, a_host, b_host, c_host)
+    name = shape.name or f"gemm_{shape.m}x{shape.n}x{shape.k}"
+    decoded = lower_gemm_arrays(padded, options, a_host, b_host, c_host)
+    emit = functools.partial(
+        _emit_program, name, padded, options, a_host, b_host, c_host
+    )
     return GemmKernel(
         shape=shape,
         padded=padded,
@@ -159,7 +188,7 @@ def build_gemm_kernel(
         a_host=a_host,
         b_host=b_host,
         c_host=c_host,
-        program=builder.build(),
+        program=Program.deferred(decoded.n, emit, name=name, decoded=decoded),
     )
 
 

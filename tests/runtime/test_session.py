@@ -106,6 +106,18 @@ class TestSessionRun:
         assert session.cache is not None
         assert session.cache.directory == tmp_path
 
+    def test_fidelities_that_iterate_programs_see_the_whole_stream(
+        self, poison_fidelity
+    ):
+        # Lowered programs build their instruction objects on first
+        # iteration; a registered backend walking them must see them all.
+        plan = grid_plan(designs=("baseline",), fidelity="poison-test")
+        grid = Session(workers=1).run(plan).grid()
+        for name, shape in (("small", SMALL), ("tall", TALL)):
+            result = grid[name]["baseline"]
+            assert result.mm_count == shape.mm_count
+            assert result.instructions == len(generate_gemm_program(shape))
+
     @pytest.mark.parametrize("workers", [0, -3, 2.5, "4"])
     def test_bad_worker_counts_rejected(self, workers):
         with pytest.raises(ExperimentError, match="workers"):

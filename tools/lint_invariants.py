@@ -54,11 +54,13 @@ SCOPED_MODULES: Tuple[str, ...] = (
     "repro/workloads/gemm.py",
     "repro/workloads/tiling.py",
     "repro/workloads/codegen.py",
+    "repro/workloads/array_lowering.py",
     "repro/workloads/ops.py",
     "repro/workloads/lowering.py",
     "repro/workloads/suites.py",
     "repro/workloads/layers.py",
     "repro/workloads/training.py",
+    "repro/isa/program.py",
     "repro/cpu/config.py",
     "repro/cpu/decode.py",
     "repro/cpu/fastvec.py",
