@@ -1,4 +1,4 @@
-"""Static cycle-bound analyzer: provable bounds that sandwich the simulators.
+"""Static cycle-bound analyzer: provable lower bounds under the simulators.
 
 PR 7's verifier proved the *counters* identical across the static, analytic
 and fast models; this module does the same for *cycles* — the paper's
@@ -29,32 +29,26 @@ any legal execution under the fast model's machine description can achieve:
     ``ceil(count / P)`` back-to-back transfers.
   - *frontend* / *retire* — pipeline pacing on the instruction count.
 
-- an **upper bound**: a greedy program-order list schedule of the same DAG
-  onto the full resource model (frontend pacing, ROB window, ALU/load/store
-  ports, the per-policy engine overlap recurrence, in-order retire).  The
-  recurrence is written out here independently of
-  :class:`repro.engine.scheduler.EngineScheduler` — a transcription of the
-  documented policy floors, not a call into the scheduler — so the bound
-  doubles as a cross-check of the scheduler itself.  Greedy program-order
-  issue is exactly the fast model's discipline, so on the runtime's default
-  ideal memory the UB lands exactly on the fast model's cycles; any
-  divergence in either direction is a bug in one of the two.
-
 - **bottleneck attribution**: the binding resource is the largest lower
   bound — the static roofline naming what limits each design on each
   program — with tightness ratios against achieved cycles.
 
-:func:`cross_check_bounds` is the cycle-level three-way oracle (the cycles
-analogue of :func:`repro.analysis.verifier.cross_check_counters`): per
-design it asserts ``LB <= fast <= UB`` exactly, and holds the analytic
-tier's cycle estimate to its documented contract
-(:data:`repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND`) against the fast
-cycles and against both bounds.  CI gates it over every suite times all
-eight designs.
+There is no static upper bound: a greedy list schedule of the full
+resource model *is* the fast model, so the achieved cycles come from
+:class:`repro.cpu.fast.FastCoreModel` (``fast-ref``), whose engine timing is
+the one reference recurrence, :class:`repro.engine.scheduler.EngineScheduler`.
+
+:func:`cross_check_bounds` is the cycle-level oracle (the cycles analogue
+of :func:`repro.analysis.verifier.cross_check_counters`): per design it
+asserts the vectorized ``fast`` result equal to ``fast-ref``,
+``LB <= fast`` exactly, and holds the analytic tier's cycle estimate to its
+documented contract (:data:`repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND`)
+against the fast cycles and the lower bound.  CI gates it over every suite
+times all eight designs.
 
 Like the analytic tier, the bounds assume the runtime's default ideal
 memory (fixed-latency tile loads); custom memory hierarchies change the
-fast model's load latencies and void the sandwich.
+fast model's load latencies and void the lower bound.
 
 The future Pareto search uses the lower bound as a simulation-free pruner:
 a candidate design whose LB already exceeds the incumbent's achieved
@@ -68,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.analytic import ANALYTIC_CYCLE_ERROR_BOUND
 from repro.cpu.config import CoreConfig
-from repro.engine.config import ControlPolicy, EngineConfig
+from repro.engine.config import EngineConfig
 from repro.engine.designs import DESIGNS, get_design
 from repro.errors import ExperimentError
 from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
@@ -96,10 +90,10 @@ def _mm_dataflow_cycles(stages: StageDurations) -> int:
     """Engine cycles from FF start to instruction completion.
 
     The FF→FS→DR(+extra) dataflow latency every mm pays after its weights
-    are in place.  Both the critical-path lower bound and the list-schedule
-    upper bound charge mm edges through this one seam, so a seeded mutation
-    (dropping or inflating the dependence-edge latency) moves both bounds
-    coherently and must be caught by :func:`cross_check_bounds` — the
+    are in place.  The critical-path, mm-issue and weight-load lower bounds
+    all charge mm edges through this one seam, so a seeded mutation
+    (inflating the dependence-edge latency) pushes the lower bound past the
+    achieved cycles and must be caught by :func:`cross_check_bounds` — the
     mutation test monkeypatches exactly this function.
     """
     return stages.ff + stages.fs + stages.dr + stages.extra
@@ -119,15 +113,13 @@ class ResourceBound:
 
 @dataclasses.dataclass(frozen=True)
 class BoundsReport:
-    """Static cycle bounds and bottleneck attribution for one (program, design).
+    """Static cycle lower bound and bottleneck attribution for one (program, design).
 
     Attributes:
         name: the program's name.
         design_key: the design the bounds were computed for.
         lower_bound: max over ``components`` — no legal execution under the
             fast model's machine description finishes earlier.
-        upper_bound: the greedy list-schedule cycles — the fast model never
-            finishes later.
         components: every per-resource lower bound, in
             :data:`RESOURCE_ORDER`.
         binding: the resource whose component equals ``lower_bound`` (first
@@ -137,7 +129,6 @@ class BoundsReport:
     name: str
     design_key: str
     lower_bound: int
-    upper_bound: int
     components: Tuple[ResourceBound, ...]
     binding: str
 
@@ -187,12 +178,6 @@ class BoundsCheck:
     @property
     def lb_tightness(self) -> float:
         return self.report.tightness(self.fast_cycles)
-
-    @property
-    def ub_tightness(self) -> float:
-        if self.fast_cycles <= 0:
-            return 0.0
-        return self.report.upper_bound / self.fast_cycles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -360,140 +345,6 @@ def _resource_lbs(
     return bounds
 
 
-# -- the list-schedule upper bound ---------------------------------------------------
-
-
-@dataclasses.dataclass
-class _EngineWindow:
-    """The previous mm's stage boundaries the overlap recurrence needs."""
-
-    wl_end: int
-    ff_start: int
-    ff_end: int
-    fs_end: int
-    dr_end: int
-
-
-def _list_schedule_ub(
-    program: Program, core: CoreConfig, engine: EngineConfig, ratio: int
-) -> int:
-    """Greedy program-order list schedule onto the full resource model.
-
-    Mirrors the fast model's machine description — frontend pacing, the
-    ROB window, least-loaded port selection, in-order retire — with the
-    engine's per-policy overlap recurrence transcribed from its documented
-    floors (Fig. 4b) rather than delegated to
-    :class:`repro.engine.scheduler.EngineScheduler`.  Greedy program-order
-    issue is the fast model's own discipline, so the result is an upper
-    bound that is *exact* on the default ideal memory; the oracle treats
-    ``UB < fast`` as a hard violation.
-    """
-    inv_fetch = 1.0 / core.fetch_width
-    inv_retire = 1.0 / core.retire_width
-    transfer = core.tile_transfer_cycles
-    load_latency = core.tile_load_latency
-    stages = engine.stages
-    policy = engine.control
-    bypasses_on = policy.bypasses_on_reuse
-    dataflow = _mm_dataflow_cycles(stages)
-
-    tile = [0.0] * NUM_TILE_REGS
-    scalar = [0.0] * NUM_SCALAR_REGS
-    version = [0] * NUM_TILE_REGS
-    load_ports = [0.0] * core.load_ports
-    store_ports = [0.0] * core.store_ports
-    alu_ports = [0.0] * core.alu_ports
-    rob_size = core.rob_size
-    retire_ring = [0.0] * rob_size
-    dispatch_prev = float(core.frontend_latency)
-    retire_prev = 0.0
-    window: Optional[_EngineWindow] = None
-    resident: Optional[Tuple[int, int]] = None
-
-    for i, inst in enumerate(program):
-        dispatch = dispatch_prev + inv_fetch
-        if i >= rob_size:
-            dispatch = max(dispatch, retire_ring[i % rob_size])
-        dispatch_prev = dispatch
-        op = inst.opcode
-
-        if op is Opcode.RASA_TL:
-            port = min(range(core.load_ports), key=load_ports.__getitem__)
-            start = max(dispatch, load_ports[port])
-            load_ports[port] = start + transfer
-            complete = start + load_latency
-            assert inst.dst is not None  # _validate invariant
-            reg = inst.dst.index
-            tile[reg] = complete
-            version[reg] += 1
-
-        elif op is Opcode.RASA_TS:
-            port = min(range(core.store_ports), key=store_ports.__getitem__)
-            start = max(dispatch, tile[inst.srcs[0].index], store_ports[port])
-            store_ports[port] = start + transfer
-            complete = start + transfer
-
-        elif op is Opcode.RASA_MM:
-            b = inst.mm_b.index
-            a = inst.mm_a.index
-            c = inst.mm_c.index
-            ready = int(-(-max(dispatch, tile[a], tile[b], tile[c]) // ratio))
-            key = (b, version[b])
-            loading = _loads_weights(bypasses_on, resident, key)
-            resident = key
-            if not loading:
-                ff_start = ready
-                if window is not None:
-                    ff_start = max(
-                        ff_start,
-                        window.ff_end
-                        if engine.wlbp_ff_overlaps_fs
-                        else window.fs_end,
-                    )
-                wl_end = ff_start
-            else:
-                wl_floor = ready
-                if window is not None:
-                    wl_floor = max(wl_floor, window.wl_end)
-                    if policy is ControlPolicy.BASE:
-                        wl_floor = max(wl_floor, window.dr_end)
-                    elif policy in (ControlPolicy.PIPE, ControlPolicy.WLBP):
-                        wl_floor = max(wl_floor, window.fs_end)
-                    else:  # WLS: wait only for the shadow to be vacated
-                        wl_floor = max(wl_floor, window.ff_start)
-                wl_end = wl_floor + stages.wl
-                ff_start = max(wl_end, ready)
-                if window is not None:
-                    ff_start = max(ff_start, window.ff_end)
-            ff_end = ff_start + stages.ff
-            fs_end = ff_end + stages.fs
-            window = _EngineWindow(
-                wl_end=wl_end,
-                ff_start=ff_start,
-                ff_end=ff_end,
-                fs_end=fs_end,
-                dr_end=fs_end + stages.dr,
-            )
-            complete = float((ff_start + dataflow) * ratio)
-            tile[c] = complete
-            version[c] += 1
-
-        else:  # scalar ALU / branch
-            port = min(range(core.alu_ports), key=alu_ports.__getitem__)
-            start = max(dispatch, alu_ports[port])
-            for src in inst.scalar_reads:
-                start = max(start, scalar[src.index])
-            alu_ports[port] = start + 1
-            complete = start + 1
-            for dst in inst.scalar_writes:
-                scalar[dst.index] = complete
-
-        retire = max(complete + 1, retire_prev + inv_retire)
-        retire_prev = retire
-        retire_ring[i % rob_size] = retire
-    return _ceil(retire_prev)
-
-
 # -- entry points --------------------------------------------------------------------
 
 
@@ -510,9 +361,6 @@ def bound_program(
     components = _resource_lbs(program, core, engine, ratio)
     if len(program):
         components["critical-path"] = _critical_path_lb(program, core, engine, ratio)
-        upper = _list_schedule_ub(program, core, engine, ratio)
-    else:
-        upper = 0
     lower = max(components.values())
     binding = next(
         name for name in RESOURCE_ORDER if components[name] == lower
@@ -521,7 +369,6 @@ def bound_program(
         name=program.name,
         design_key=design_key,
         lower_bound=lower,
-        upper_bound=upper,
         components=tuple(
             ResourceBound(resource=name, cycles=components[name])
             for name in RESOURCE_ORDER
@@ -547,7 +394,7 @@ def cross_check_bounds(
     design_keys: Optional[Sequence[str]] = None,
     core: Optional[CoreConfig] = None,
 ) -> Tuple[BoundsCheck, ...]:
-    """The cycle-level three-way oracle: bounds vs analytic vs fast, per design.
+    """The cycle-level oracle: LB vs analytic vs fast vs fast-ref, per design.
 
     Cycles depend on the full (PE, control) design pair — unlike the
     counters, which collapse onto the two policy classes — so the fast
@@ -557,11 +404,11 @@ def cross_check_bounds(
       ``fast-ref`` reference (the vectorization equality oracle — any
       drift is a bug in the numpy kernel or in the decode it reads, which
       lowering builds directly),
-    - ``LB <= fast <= UB`` exactly (a violation in either direction is a
-      bug in the bounds, the scheduler, or the fast model), and
+    - ``LB <= fast`` exactly (a violation is a bug in the bounds, the
+      scheduler, or the fast model), and
     - the analytic estimate within its documented
       :data:`~repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND` of the fast
-      cycles and of both bounds.
+      cycles and of the lower bound.
 
     Returns one :class:`BoundsCheck` per design; gate on
     ``all(c.ok for c in checks)``.
@@ -581,7 +428,7 @@ def cross_check_bounds(
         analytic = resolve_backend(key, fidelity="analytic", core=core).run_shape(
             shape, codegen
         )
-        lb, ub = report.lower_bound, report.upper_bound
+        lb = report.lower_bound
         violations: List[BoundViolation] = []
         if fast != fast_ref:
             violations.append(BoundViolation(
@@ -593,11 +440,6 @@ def cross_check_bounds(
                 key, "lb-exceeds-fast",
                 f"lower bound {lb} > fast cycles {fast.cycles}",
             ))
-        if ub < fast.cycles:
-            violations.append(BoundViolation(
-                key, "ub-below-fast",
-                f"upper bound {ub} < fast cycles {fast.cycles}",
-            ))
         if abs(analytic.cycles - fast.cycles) > tolerance * fast.cycles:
             violations.append(BoundViolation(
                 key, "analytic-fast-drift",
@@ -608,12 +450,6 @@ def cross_check_bounds(
             violations.append(BoundViolation(
                 key, "analytic-below-lb",
                 f"analytic {analytic.cycles} < lower bound {lb} beyond "
-                f"the {tolerance:.0%} contract",
-            ))
-        if analytic.cycles > ub * (1 + tolerance):
-            violations.append(BoundViolation(
-                key, "analytic-above-ub",
-                f"analytic {analytic.cycles} > upper bound {ub} beyond "
                 f"the {tolerance:.0%} contract",
             ))
         checks.append(BoundsCheck(

@@ -38,12 +38,11 @@ Commands:
                                     oracle
 - ``bounds``                        static cycle bounds per program x design:
                                     the :mod:`repro.analysis.bounds`
-                                    dependence/resource lower bounds, greedy
-                                    list-schedule upper bound, and bottleneck
-                                    attribution, cross-checked against the
-                                    analytic and fast models (exit 1 on any
-                                    violated bound); same target flags as
-                                    ``lint``
+                                    dependence/resource lower bounds and
+                                    bottleneck attribution, cross-checked
+                                    against the analytic, fast and fast-ref
+                                    models (exit 1 on any violated check);
+                                    same target flags as ``lint``
 - ``serve``                         run the persistent sweep coordinator: a
                                     stdlib HTTP JSON API over a durable
                                     SQLite (WAL) job store with an explicit
@@ -99,17 +98,18 @@ from repro.experiments.ppa_sweep import fig6_performance_per_area
 from repro.experiments.runner import (
     ExperimentSettings,
     geometric_mean,
+    run_design,
     workload_shapes,
 )
 from repro.experiments.runtime_sweep import fig5_normalized_runtime
-from repro.experiments.suite_batch_sweep import curve_point_counts, suite_batch_sweep
+from repro.experiments.suite_batch_sweep import suite_batch_sweep
 from repro.experiments.toy import fig1_toy_example
 from repro.experiments.utilization_sweep import fig2_utilization
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.trace import load_trace, save_trace
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.plan import SweepPlan, SweepReport, _suite_name
-from repro.runtime.registry import FIDELITIES, resolve_backend
+from repro.runtime.registry import FIDELITIES
 from repro.runtime.session import Session
 from repro.service.client import ServiceClient, validate_port
 from repro.service.coordinator import Coordinator, ServiceConfig
@@ -117,7 +117,6 @@ from repro.service.server import DEFAULT_PORT, create_server
 from repro.service.store import JobStore, ShardState
 from repro.service.worker import ShardWorker
 from repro.utils.tables import format_table
-from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
 from repro.workloads.layers import TABLE1_LAYERS
 from repro.workloads.suites import SUITES, get_suite, suite_names
@@ -385,23 +384,23 @@ def _build_parser() -> argparse.ArgumentParser:
                            "counter oracle (default: all)")
     lint.add_argument("--batch", type=int, default=None,
                       help="override a suite's streamed-rows (batch) dimension")
-    lint.add_argument("--scale", type=int, default=4,
+    lint.add_argument("--scale", type=int, default=None,
                       help="divide each workload dimension by this (default 4)")
     lint.add_argument("--no-oracle", action="store_true",
                       help="skip the three-way counter cross-check "
                            "(diagnostics and hazards only)")
     lint.add_argument("--bounds", action="store_true",
                       help="also run the cycle-level bound oracle "
-                           "(LB <= fast <= UB per design; see: repro bounds)")
+                           "(LB <= fast == fast-ref per design; see: repro bounds)")
     lint.add_argument("--json", action="store_true",
                       help="emit the full report as JSON instead of a table")
 
     bounds = sub.add_parser(
         "bounds",
         help="static cycle bounds per program x design: dependence/resource "
-             "lower bounds, list-schedule upper bound, bottleneck "
-             "attribution — cross-checked against the analytic and fast "
-             "models (exit 1 on any violated bound)",
+             "lower bounds and bottleneck attribution — cross-checked "
+             "against the analytic, fast and fast-ref models (exit 1 on any "
+             "violated check)",
     )
     bounds.add_argument("--m", type=int, help="ad-hoc GEMM M (with --n/--k)")
     bounds.add_argument("--n", type=int, help="ad-hoc GEMM N")
@@ -415,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--batch", type=int, default=None,
                         help="override a suite's streamed-rows (batch) "
                              "dimension")
-    bounds.add_argument("--scale", type=int, default=4,
+    bounds.add_argument("--scale", type=int, default=None,
                         help="divide each workload dimension by this "
                              "(default 4)")
     bounds.add_argument("--json", action="store_true",
@@ -529,18 +528,9 @@ def _cmd_fig(args) -> int:
     return 0
 
 
-def _simulate(design_key: str, shape: GemmShape, fidelity: str = "fast"):
-    backend = resolve_backend(design_key, fidelity=fidelity)
-    run_shape = getattr(backend, "run_shape", None)
-    if run_shape is not None:  # shape-level fidelity (analytic): no program
-        return run_shape(shape, CodegenOptions())
-    program = generate_gemm_program(shape)
-    return backend.prepare(program).run()
-
-
 def _cmd_simulate(args) -> int:
     shape = GemmShape(m=args.m, n=args.n, k=args.k, name="cli")
-    result = _simulate(args.design, shape, args.fidelity)
+    result = run_design(args.design, shape, fidelity=args.fidelity)
     print(f"design      : {get_design(args.design).label}")
     print(f"workload    : {shape}")
     print(f"fidelity    : {args.fidelity}")
@@ -707,6 +697,24 @@ def _lint_designs(spec: str) -> List[str]:
     return keys
 
 
+def _suite_scale(args) -> int:
+    """``--scale`` as suite workloads apply it (default 4)."""
+    return args.scale if args.scale is not None else 4
+
+
+def _reject_suite_flags_with_mnk(args) -> None:
+    """An ad-hoc ``--m/--n/--k`` GEMM runs as given: suite flags are errors."""
+    if args.batch is not None or getattr(args, "batches", None) is not None:
+        raise ReproError(
+            "--batch/--batches apply to suite workloads, not --m/--n/--k"
+        )
+    if args.scale is not None:
+        raise ReproError(
+            "--scale does not apply to an ad-hoc --m/--n/--k GEMM; "
+            "give the dimensions you want simulated"
+        )
+
+
 def _lint_targets(args) -> List[Tuple[str, GemmShape, Tuple[str, ...]]]:
     """Expand the lint flags into distinct programs: (label, shape, suites).
 
@@ -721,11 +729,12 @@ def _lint_targets(args) -> List[Tuple[str, GemmShape, Tuple[str, ...]]]:
                 "--m/--n/--k (one ad-hoc GEMM) and --workloads (suites) are "
                 "mutually exclusive"
             )
+        _reject_suite_flags_with_mnk(args)
         return [("cli", GemmShape(m=args.m, n=args.n, k=args.k, name="cli"), ())]
     spec = args.workloads if args.workloads is not None else "table1"
     targets: Dict[Tuple[int, int, int], Tuple[str, GemmShape, List[str]]] = {}
     for name in _suite_spec_names(spec):
-        suite = get_suite(name, batch=args.batch, scale=args.scale)
+        suite = get_suite(name, batch=args.batch, scale=_suite_scale(args))
         for entry in suite.distinct():
             dims = entry.shape.tile_padded().dims
             if dims not in targets:
@@ -794,7 +803,7 @@ def _cmd_lint(args) -> int:
         ))
     if args.json:
         payload = {
-            "scale": args.scale,
+            "scale": _suite_scale(args),
             "designs": design_keys,
             "programs": [
                 _lint_report_json(label, shape, suites, report, mismatches,
@@ -845,12 +854,10 @@ def _bounds_check_json(check: BoundsCheck) -> Dict:
     return {
         "design": check.design_key,
         "lower_bound": check.report.lower_bound,
-        "upper_bound": check.report.upper_bound,
         "analytic_cycles": check.analytic_cycles,
         "fast_cycles": check.fast_cycles,
         "binding": check.report.binding,
         "lb_tightness": round(check.lb_tightness, 4),
-        "ub_tightness": round(check.ub_tightness, 4),
         "components": {b.resource: b.cycles for b in check.report.components},
         "violations": [dataclasses.asdict(v) for v in check.violations],
     }
@@ -874,14 +881,13 @@ def _cmd_bounds(args) -> int:
                 check.report.lower_bound,
                 check.analytic_cycles,
                 check.fast_cycles,
-                check.report.upper_bound,
                 f"{check.lb_tightness:.3f}",
                 check.report.binding,
                 "ok" if check.ok else "VIOLATION",
             ))
     if args.json:
         print(json.dumps({
-            "scale": args.scale,
+            "scale": _suite_scale(args),
             "designs": design_keys,
             "programs": [
                 {
@@ -896,7 +902,7 @@ def _cmd_bounds(args) -> int:
         }, indent=2))
     else:
         print(format_table(
-            ["workload", "mnk", "design", "LB", "analytic", "fast", "UB",
+            ["workload", "mnk", "design", "LB", "analytic", "fast",
              "LB/fast", "binding", "check"],
             rows,
             title="static cycle bounds — repro.analysis.bounds",
@@ -957,7 +963,7 @@ def _plan_from_args(args) -> SweepPlan:
         return SweepPlan.from_json(args.plan_file.read_text())
     designs = args.designs if args.designs is not None else "all"
     workloads = args.workloads if args.workloads is not None else "table1"
-    scale = args.scale if args.scale is not None else 4
+    scale = _suite_scale(args)
     scale_batch = args.scale_batch if args.scale_batch is not None else 1
     scale_spatial = args.scale_spatial if args.scale_spatial is not None else 1
     fidelity = args.fidelity if args.fidelity is not None else "fast"
@@ -969,15 +975,7 @@ def _plan_from_args(args) -> SweepPlan:
     if (args.m, args.n, args.k) != (None, None, None):
         if None in (args.m, args.n, args.k):
             raise ReproError("--m/--n/--k must be given together")
-        if args.batch is not None or args.batches is not None:
-            raise ReproError(
-                "--batch/--batches apply to suite workloads, not --m/--n/--k"
-            )
-        if args.scale is not None:
-            raise ReproError(
-                "--scale does not apply to an ad-hoc --m/--n/--k GEMM; "
-                "give the dimensions you want simulated"
-            )
+        _reject_suite_flags_with_mnk(args)
         if args.scale_batch is not None or args.scale_spatial is not None:
             raise ReproError(
                 "--scale-batch/--scale-spatial apply to suite workloads "
@@ -1132,12 +1130,8 @@ def _cmd_sweep_suite_batches(args, plan: SweepPlan) -> int:
 
     _print_curve_tables(report)
     # Key dedup collapses points across suites AND batches (tile-padded
-    # dims), so count the padded union against the naive per-batch total.
-    names = [_suite_name(entry) for entry in plan.suites]
-    distinct, expanded = curve_point_counts(
-        names, plan.batches, plan.scale, design_count=len(plan.designs),
-        lowering=plan.lowering_config(),
-    )
+    # dims): the report's distinct points against the naive per-batch jobs.
+    distinct, expanded = report.distinct_points, report.job_count
     line = (
         f"{distinct} distinct points for {expanded} per-batch suite points "
         f"({expanded / distinct:.1f}x cross-batch dedup) in {elapsed:.2f}s"
@@ -1162,12 +1156,9 @@ def _cmd_sweep_suites(args, plan: SweepPlan) -> int:
 
     _print_suite_tables(report)
     # The plan dedups across suites too — by tile-padded dims, the cache
-    # key identity — so count the padded union.
+    # key identity — which the report's distinct points already count.
+    distinct = report.distinct_points
     built = [suite for suite, _ in plan.built_suites()]
-    distinct_dims = {
-        e.shape.tile_padded().dims for suite in built for e in suite.distinct()
-    }
-    distinct = len(distinct_dims) * len(plan.designs)
     layer_runs = sum(len(suite) for suite in built) * len(plan.designs)
     line = (
         f"{distinct} distinct points for {layer_runs} suite GEMM runs "

@@ -398,9 +398,5 @@ class FastVecCoreModel:
             clock_mhz=core.clock_mhz,
         )
 
-    def _to_engine(self, cpu_cycle: float) -> int:
-        """Convert a CPU-cycle timestamp to the engine clock domain (ceil)."""
-        return int(-(-cpu_cycle // self.ratio))
-
 
 __all__ = ["FastVecCoreModel", "DecodedProgram", "decode_program"]

@@ -29,9 +29,8 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError
-from repro.runtime.plan import SweepPlan
-from repro.runtime.registry import resolve_backend
-from repro.runtime.session import Session, cached_program
+from repro.runtime.plan import SweepJob, SweepPlan
+from repro.runtime.session import Session, run_job
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.layers import table1_gemms
@@ -92,14 +91,16 @@ def run_design(
 ) -> SimResult:
     """Generate the stream for ``shape`` and simulate it on one design.
 
-    Shape-level fidelities (``analytic``) skip generation entirely.
+    One :class:`SweepJob` through :func:`repro.runtime.session.run_job`, so
+    shape-level fidelities (``analytic``) skip generation entirely.
     """
-    backend = resolve_backend(design_key, fidelity=fidelity, core=settings.core)
-    run_shape = getattr(backend, "run_shape", None)
-    if run_shape is not None:
-        return run_shape(shape, settings.codegen)
-    program = cached_program(shape, settings.codegen)
-    return backend.prepare(program).run()
+    return run_job(SweepJob(
+        design_key=design_key,
+        shape=shape,
+        core=settings.core,
+        codegen=settings.codegen,
+        fidelity=fidelity,
+    ))
 
 
 @functools.lru_cache(maxsize=8)

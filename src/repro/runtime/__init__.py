@@ -25,7 +25,8 @@ cycle-accurate OoO — runs through this subsystem:
 - :mod:`repro.runtime.session` executes plans: a :class:`Session` owns
   the result cache, backend resolution and the ``multiprocessing`` pool,
   and exposes the single entry point ``session.run(plan)`` with
-  crash-safe streaming write-back.
+  crash-safe streaming write-back; :func:`run_job` is the one
+  shape-vs-program dispatch every simulated point goes through.
 
 (The deprecated ``SweepRunner.run_*`` shim family is gone: every driver,
 bench and test declares a :class:`SweepPlan` and runs it through a
@@ -59,7 +60,7 @@ from repro.runtime.registry import (
     register_backend,
     resolve_backend,
 )
-from repro.runtime.session import PROGRAM_CACHE_SIZE, Session, cached_program
+from repro.runtime.session import PROGRAM_CACHE_SIZE, Session, cached_program, run_job
 
 __all__ = [
     "SimBackend",
@@ -83,4 +84,5 @@ __all__ = [
     "SuiteBatchCurve",
     "PROGRAM_CACHE_SIZE",
     "cached_program",
+    "run_job",
 ]

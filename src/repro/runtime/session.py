@@ -110,12 +110,13 @@ cached_program.cache_info = _unlabeled_program.cache_info  # type: ignore[attr-d
 cached_program.cache_clear = _unlabeled_program.cache_clear  # type: ignore[attr-defined]
 
 
-def _execute_job(job: SweepJob) -> SimResult:
-    """Simulate one job (top-level so worker processes can unpickle it).
+def run_job(job: SweepJob) -> SimResult:
+    """Simulate one job: the one shape-vs-program dispatch.
 
     Shape-level backends (``run_shape``, e.g. the analytic fidelity) skip
     program generation entirely — no lowering, no instruction walk; the
     program-based fidelities go through the per-process program memo.
+    Top-level so worker processes can unpickle it.
     """
     backend = resolve_backend(job.design_key, fidelity=job.fidelity, core=job.core)
     run_shape = getattr(backend, "run_shape", None)
@@ -133,7 +134,25 @@ def _execute_indexed(item: "tuple[int, SweepJob]") -> "tuple[int, SimResult]":
     cache; the index maps each arrival back to its key.
     """
     index, job = item
-    return index, _execute_job(job)
+    return index, run_job(job)
+
+
+def _owned_distinct_jobs(plan: SweepPlan) -> Dict[str, SweepJob]:
+    """The first job per distinct key, limited to the keys the shard owns.
+
+    First-occurrence order.  :meth:`Session.run` and :meth:`Session.bounds`
+    both select through here, so their dedup and sharding cannot diverge.
+    """
+    jobs = plan.expanded_jobs()  # one expansion + one hash per job, ever
+    keys = plan.job_keys()
+    distinct: Dict[str, SweepJob] = {}
+    for key, job in zip(keys, jobs):
+        if key not in distinct:
+            distinct[key] = job
+    if plan.shard_spec is not None:
+        owned = set(plan.shard_keys())  # the partition's single source
+        distinct = {k: j for k, j in distinct.items() if k in owned}
+    return distinct
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -250,15 +269,7 @@ class Session:
                 service worker forwards it into heartbeat payloads so a
                 nearly-done shard is visible before a reaper requeue.
         """
-        jobs = plan.expanded_jobs()  # one expansion + one hash per job, ever
-        keys = plan.job_keys()
-        distinct: Dict[str, SweepJob] = {}
-        for key, job in zip(keys, jobs):
-            if key not in distinct:
-                distinct[key] = job
-        if plan.shard_spec is not None:
-            owned = set(plan.shard_keys())  # the partition's single source
-            distinct = {k: j for k, j in distinct.items() if k in owned}
+        distinct = _owned_distinct_jobs(plan)
         if self.verify:
             self._verify_jobs(distinct.values())
         results: Dict[str, SimResult] = {}
@@ -307,17 +318,8 @@ class Session:
         """
         from repro.analysis import bounds as bounds_analysis  # deferred, like verify
 
-        jobs = plan.expanded_jobs()
-        keys = plan.job_keys()
-        distinct: Dict[str, SweepJob] = {}
-        for key, job in zip(keys, jobs):
-            if key not in distinct:
-                distinct[key] = job
-        if plan.shard_spec is not None:
-            owned = set(plan.shard_keys())
-            distinct = {k: j for k, j in distinct.items() if k in owned}
         reports: "Dict[str, BoundsReport]" = {}
-        for key, job in distinct.items():
+        for key, job in _owned_distinct_jobs(plan).items():
             identity = (
                 job.design_key,
                 job.shape.tile_padded().unlabeled(),
@@ -374,7 +376,7 @@ class Session:
             return
         if self.workers <= 1 or len(jobs) == 1:
             for index, job in enumerate(jobs):
-                yield index, _execute_job(job)
+                yield index, run_job(job)
             return
         # Batch IPC: one task per job was one pickled round trip per point,
         # which dominated wall time once the analytic tier made the points

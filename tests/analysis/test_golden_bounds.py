@@ -1,9 +1,8 @@
 """Golden cycle-bound reports for the Table I suite across all designs.
 
 ``table1_bounds.json`` pins, for every distinct Table I program x design:
-the dependence/resource lower bounds (every component), the list-schedule
-upper bound, the bottleneck attribution, and the fast model's achieved
-cycles.  Any change to codegen, the schedulers, or the bound math shows up
+the dependence/resource lower bounds (every component), the bottleneck
+attribution, and the fast model's achieved cycles.  Any change to codegen, the schedulers, or the bound math shows up
 as a bit-exact golden diff instead of silently different paper numbers.
 """
 
@@ -43,7 +42,6 @@ def test_static_bounds_match_golden_bit_exactly(golden, distinct):
         for key, expected in pinned["designs"].items():
             report = bound_program(program, key)
             assert report.lower_bound == expected["lower_bound"], (entry.shape, key)
-            assert report.upper_bound == expected["upper_bound"], (entry.shape, key)
             assert report.binding == expected["binding"], (entry.shape, key)
             assert {
                 b.resource: b.cycles for b in report.components

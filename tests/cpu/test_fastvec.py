@@ -7,9 +7,13 @@ enforce that contract three ways:
 
 - a hypothesis sweep over random well-formed programs, random designs and
   random core configurations (including the non-power-of-two and
-  multi-store-port shapes that must fall back to the scalar path);
+  multi-store-port shapes that must fall back to the scalar path), with
+  the WLBP FF/FS overlap flag drawn too;
 - every suite workload at scale 4 across all 8 paper designs, the exact
-  grid the CI equality oracle gates on;
+  grid the CI equality oracle gates on, plus one workload with that flag
+  off — no registered design turns it off, so these two are the only
+  checks of fastvec's FS-end bypass floor against the reference
+  :class:`~repro.engine.scheduler.EngineScheduler`;
 - targeted edge cases (empty programs, drain-conflict exceptions, decode
   memoization identity).
 """
@@ -25,6 +29,7 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.decode import decode_program
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.fastvec import FastVecCoreModel
+from repro.engine.config import EngineConfig
 from repro.engine.designs import DESIGNS
 from repro.errors import ScheduleError
 from repro.experiments.runner import ExperimentSettings, workload_shapes
@@ -40,9 +45,10 @@ T = [TileReg(i) for i in range(8)]
 SCALE4 = ExperimentSettings(scale=4)
 
 
-def assert_identical(program, design_key, core=CoreConfig(), memory=None):
+def assert_identical(
+    program, config: EngineConfig, core=CoreConfig(), memory=None
+):
     """Full-result equality: SimResult fields AND the kept StageTimes."""
-    config = DESIGNS[design_key].config
     scalar = FastCoreModel(core=core, engine=config, memory=memory)
     vector = FastVecCoreModel(core=core, engine=config, memory=memory)
     expected = scalar.run(program, keep_schedule=True)
@@ -111,9 +117,15 @@ class TestPropertyEquality:
         program=tile_programs(),
         design=st.sampled_from(sorted(DESIGNS)),
         core=core_configs(),
+        ff_overlaps_fs=st.booleans(),
     )
-    def test_random_programs_bit_identical(self, program, design, core):
-        assert_identical(program, design, core=core)
+    def test_random_programs_bit_identical(
+        self, program, design, core, ff_overlaps_fs
+    ):
+        config = dataclasses.replace(
+            DESIGNS[design].config, wlbp_ff_overlaps_fs=ff_overlaps_fs
+        )
+        assert_identical(program, config, core=core)
 
 
 class TestSuitePrograms:
@@ -126,12 +138,21 @@ class TestSuitePrograms:
     def test_suite_workload_bit_identical(self, workload, design):
         shape = workload_shapes(SCALE4)[workload]
         program = cached_program(shape, CodegenOptions())
-        assert_identical(program, design)
+        assert_identical(program, DESIGNS[design].config)
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS), ids=str)
+    def test_bypass_waits_for_fs_end_bit_identical(self, design):
+        # Ablation E9: a bypassed FF may not overlap the previous FS.
+        config = dataclasses.replace(
+            DESIGNS[design].config, wlbp_ff_overlaps_fs=False
+        )
+        shape = workload_shapes(SCALE4)["BERT-1"]
+        assert_identical(cached_program(shape, CodegenOptions()), config)
 
 
 class TestEdgeCases:
     def test_empty_program(self):
-        assert_identical(Program([], name="empty"), "baseline")
+        assert_identical(Program([], name="empty"), DESIGNS["baseline"].config)
 
     def test_scalar_only_program(self):
         builder = ProgramBuilder("scalars")
@@ -139,7 +160,7 @@ class TestEdgeCases:
             builder.scalar(
                 Opcode.ADD, dst=ScalarReg(i % 4), srcs=(ScalarReg((i + 1) % 4),)
             )
-        assert_identical(builder.build(), "rasa-pipe")
+        assert_identical(builder.build(), DESIGNS["rasa-pipe"].config)
 
     def test_drain_conflict_raises_identically(self):
         """Both models must raise the same ScheduleError, same message.
@@ -149,7 +170,7 @@ class TestEdgeCases:
         geometry (tile_n > tile_m, as the register-scaling experiment
         sweeps) makes the conflict reachable.
         """
-        from repro.engine.config import ControlPolicy, EngineConfig
+        from repro.engine.config import ControlPolicy
         from repro.systolic.pe import BASELINE_PE
 
         config = EngineConfig(

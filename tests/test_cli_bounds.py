@@ -30,13 +30,13 @@ class TestBoundsCommand:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_violations"] == 0
+        assert doc["scale"] == 4  # the suite default, printed when omitted
         assert len(doc["designs"]) == 8
         (program,) = doc["programs"]
         assert (program["m"], program["n"], program["k"]) == (64, 64, 64)
         for check in program["checks"]:
             assert check["violations"] == []
             assert check["lower_bound"] <= check["fast_cycles"]
-            assert check["fast_cycles"] <= check["upper_bound"]
             assert check["binding"] in check["components"]
 
     def test_unknown_design_rejected(self, capsys):
@@ -50,14 +50,29 @@ class TestBoundsCommand:
         assert main(["bounds", "--m", "64"]) == 1
         assert "together" in capsys.readouterr().err
 
+    def test_batch_with_mnk_rejected(self, capsys):
+        # Ignoring --batch would bound a different GEMM than requested.
+        assert main(
+            ["bounds", "--m", "64", "--n", "64", "--k", "64", "--batch", "8"]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: --batch/--batches apply to suite workloads, not --m/--n/--k\n"
+        )
+
+    def test_scale_with_mnk_rejected(self, capsys):
+        assert main(
+            ["bounds", "--m", "64", "--n", "64", "--k", "64", "--scale", "8"]
+        ) == 1
+        assert "--scale does not apply" in capsys.readouterr().err
+
     def test_seeded_violation_exits_nonzero(self, capsys, monkeypatch):
-        # The CI gate in one test: break a dependence edge's latency and the
-        # command must turn red.
+        # The CI gate in one test: inflate a dependence edge's latency and
+        # the command must turn red.
         monkeypatch.setattr(
-            bounds_analysis, "_mm_dataflow_cycles", lambda stages: 0
+            bounds_analysis, "_mm_dataflow_cycles", lambda stages: 10**6
         )
         assert main(["bounds", "--m", "64", "--n", "64", "--k", "64"]) == 1
-        assert "ub-below-fast" in capsys.readouterr().out
+        assert "lb-exceeds-fast" in capsys.readouterr().out
 
 
 class TestLintBoundsFlag:

@@ -57,6 +57,21 @@ class TestLintCommand:
         assert main(["lint", "--m", "64"]) == 1
         assert "together" in capsys.readouterr().err
 
+    def test_batch_with_mnk_rejected(self, capsys):
+        # Ignoring --batch would lint a different GEMM than requested.
+        assert main(
+            ["lint", "--m", "64", "--n", "64", "--k", "64", "--batch", "8"]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: --batch/--batches apply to suite workloads, not --m/--n/--k\n"
+        )
+
+    def test_scale_with_mnk_rejected(self, capsys):
+        assert main(
+            ["lint", "--m", "64", "--n", "64", "--k", "64", "--scale", "8"]
+        ) == 1
+        assert "--scale does not apply" in capsys.readouterr().err
+
     def test_mnk_and_workloads_mutually_exclusive(self, capsys):
         assert main(
             ["lint", "--m", "64", "--n", "64", "--k", "64",

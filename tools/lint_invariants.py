@@ -49,7 +49,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: Modules whose dataclasses feed result-cache keys / program memos, and
-#: which therefore must also stay deterministic.
+#: which therefore must also stay deterministic — plus the reference
+#: engine recurrence, the reference fast model and the bounds oracle that
+#: every cached cycle count is checked against.
 SCOPED_MODULES: Tuple[str, ...] = (
     "repro/workloads/gemm.py",
     "repro/workloads/tiling.py",
@@ -63,9 +65,12 @@ SCOPED_MODULES: Tuple[str, ...] = (
     "repro/isa/program.py",
     "repro/cpu/config.py",
     "repro/cpu/decode.py",
+    "repro/cpu/fast.py",
     "repro/cpu/fastvec.py",
     "repro/engine/config.py",
     "repro/engine/designs.py",
+    "repro/engine/scheduler.py",
+    "repro/analysis/bounds.py",
     "repro/runtime/plan.py",
     "repro/runtime/cache.py",
 )
