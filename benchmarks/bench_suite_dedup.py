@@ -25,7 +25,8 @@ def test_suite_dedup(benchmark, emit, settings):
     distinct = suite.distinct()
     plan = SweepPlan(
         designs=DESIGN_KEYS,
-        suites=(suite,),  # the built multiset inlines into the plan
+        suites=("bert-base",),  # builds the same multiset as ``suite``
+        scale=settings.scale * 2,
         core=settings.core,
         codegen=settings.codegen,
     )

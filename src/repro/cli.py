@@ -33,9 +33,7 @@ Commands:
                                     (static vs analytic vs fast) over one
                                     ``--m/--n/--k`` GEMM or
                                     ``--workloads <suite>|all``; ``--json``
-                                    for machine-readable reports;
-                                    ``--bounds`` adds the cycle-level bound
-                                    oracle
+                                    for machine-readable reports
 - ``bounds``                        static cycle bounds per program x design:
                                     the :mod:`repro.analysis.bounds`
                                     dependence/resource lower bounds and
@@ -108,7 +106,7 @@ from repro.experiments.utilization_sweep import fig2_utilization
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.trace import load_trace, save_trace
 from repro.runtime.cache import ResultCache, default_cache_dir
-from repro.runtime.plan import SweepPlan, SweepReport, _suite_name
+from repro.runtime.plan import SweepPlan, SweepReport
 from repro.runtime.registry import FIDELITIES
 from repro.runtime.session import Session
 from repro.service.client import ServiceClient, validate_port
@@ -156,6 +154,25 @@ def _add_sweep_axes(parser: argparse.ArgumentParser) -> None:
                              "dims; suite workloads only)")
     parser.add_argument("--fidelity", default=None, choices=sorted(FIDELITIES),
                         help="simulation backend (default: fast)")
+
+
+def _add_target_flags(parser: argparse.ArgumentParser) -> None:
+    """The shared program-target flags (``lint`` and ``bounds``)."""
+    parser.add_argument("--m", type=int, help="ad-hoc GEMM M (with --n/--k)")
+    parser.add_argument("--n", type=int, help="ad-hoc GEMM N")
+    parser.add_argument("--k", type=int, help="ad-hoc GEMM K")
+    parser.add_argument("--workloads", default=None,
+                        help='comma-separated suite names or "all" '
+                             "(default: table1)")
+    parser.add_argument("--designs", default="all",
+                        help='"all" or comma-separated design keys '
+                             "(default: all)")
+    parser.add_argument("--batch", type=int, default=None,
+                        help="override a suite's streamed-rows (batch) dimension")
+    parser.add_argument("--scale", type=int, default=None,
+                        help="divide each workload dimension by this (default 4)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit the full report as JSON instead of a table")
 
 
 def _add_session_knobs(parser: argparse.ArgumentParser) -> None:
@@ -373,27 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "hazards) and cross-check static counters against the analytic "
              "and fast models",
     )
-    lint.add_argument("--m", type=int, help="ad-hoc GEMM M (with --n/--k)")
-    lint.add_argument("--n", type=int, help="ad-hoc GEMM N")
-    lint.add_argument("--k", type=int, help="ad-hoc GEMM K")
-    lint.add_argument("--workloads", default=None,
-                      help='comma-separated suite names or "all" '
-                           "(default: table1)")
-    lint.add_argument("--designs", default="all",
-                      help='"all" or comma-separated design keys for the '
-                           "counter oracle (default: all)")
-    lint.add_argument("--batch", type=int, default=None,
-                      help="override a suite's streamed-rows (batch) dimension")
-    lint.add_argument("--scale", type=int, default=None,
-                      help="divide each workload dimension by this (default 4)")
+    _add_target_flags(lint)
     lint.add_argument("--no-oracle", action="store_true",
                       help="skip the three-way counter cross-check "
                            "(diagnostics and hazards only)")
-    lint.add_argument("--bounds", action="store_true",
-                      help="also run the cycle-level bound oracle "
-                           "(LB <= fast == fast-ref per design; see: repro bounds)")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the full report as JSON instead of a table")
 
     bounds = sub.add_parser(
         "bounds",
@@ -402,23 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "against the analytic, fast and fast-ref models (exit 1 on any "
              "violated check)",
     )
-    bounds.add_argument("--m", type=int, help="ad-hoc GEMM M (with --n/--k)")
-    bounds.add_argument("--n", type=int, help="ad-hoc GEMM N")
-    bounds.add_argument("--k", type=int, help="ad-hoc GEMM K")
-    bounds.add_argument("--workloads", default=None,
-                        help='comma-separated suite names or "all" '
-                             "(default: table1)")
-    bounds.add_argument("--designs", default="all",
-                        help='"all" or comma-separated design keys '
-                             "(default: all)")
-    bounds.add_argument("--batch", type=int, default=None,
-                        help="override a suite's streamed-rows (batch) "
-                             "dimension")
-    bounds.add_argument("--scale", type=int, default=None,
-                        help="divide each workload dimension by this "
-                             "(default 4)")
-    bounds.add_argument("--json", action="store_true",
-                        help="emit the full report as JSON instead of a table")
+    _add_target_flags(bounds)
 
     asm = sub.add_parser("asm", help="assemble .rasa text into a JSONL trace")
     asm.add_argument("source", type=Path)
@@ -450,8 +434,6 @@ def _cmd_designs() -> int:
 
 def _format_op_composition(composition: Dict[str, int]) -> str:
     """``{kind: count}`` -> "53 conv-fwd / 53 conv-dgrad / ..." (suite order)."""
-    if not composition:
-        return "pre-lowered"
     return " / ".join(f"{count} {kind}" for kind, count in composition.items())
 
 
@@ -541,19 +523,28 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_designs(spec: str) -> List[str]:
+def _split_spec(spec: str) -> List[str]:
+    return [part.strip() for part in spec.split(",") if part.strip()]
+
+
+def _parse_designs(spec: str) -> List[str]:
+    """``--designs``: "all" or comma-separated registered keys, never empty."""
     if spec == "all":
         return list(DESIGNS)
-    keys = [key.strip() for key in spec.split(",") if key.strip()]
+    keys = _split_spec(spec)
+    if not keys:
+        raise ReproError('--designs needs "all" or comma-separated design keys')
     for key in keys:
         get_design(key)  # raises ConfigError with the known keys
-    if "baseline" not in keys:
-        keys.insert(0, "baseline")  # normalization needs the baseline run
     return keys
 
 
-def _split_spec(spec: str) -> List[str]:
-    return [part.strip() for part in spec.split(",") if part.strip()]
+def _sweep_designs(spec: str) -> List[str]:
+    """Sweep designs: :func:`_parse_designs` with the baseline prepended."""
+    keys = _parse_designs(spec)
+    if "baseline" not in keys:
+        keys.insert(0, "baseline")  # normalization needs the baseline run
+    return keys
 
 
 def _is_suite_spec(spec: str, batch: Optional[int], batches: Optional[str] = None) -> bool:
@@ -685,18 +676,6 @@ def _session_from_args(args) -> Session:
     )
 
 
-def _lint_designs(spec: str) -> List[str]:
-    """Design keys for the lint counter oracle (no baseline insertion)."""
-    if spec == "all":
-        return list(DESIGNS)
-    keys = _split_spec(spec)
-    if not keys:
-        raise ReproError('--designs needs "all" or comma-separated design keys')
-    for key in keys:
-        get_design(key)  # raises ConfigError with the known keys
-    return keys
-
-
 def _suite_scale(args) -> int:
     """``--scale`` as suite workloads apply it (default 4)."""
     return args.scale if args.scale is not None else 4
@@ -752,9 +731,8 @@ def _lint_report_json(
     suites: Tuple[str, ...],
     report: VerifierReport,
     mismatches,
-    bound_checks: Tuple[BoundsCheck, ...] = (),
 ) -> Dict:
-    payload = {
+    return {
         "workload": label,
         "suites": list(suites),
         "m": shape.m, "n": shape.n, "k": shape.k,
@@ -763,31 +741,23 @@ def _lint_report_json(
         "diagnostics": [dataclasses.asdict(d) for d in report.diagnostics],
         "counter_mismatches": [dataclasses.asdict(m) for m in mismatches],
     }
-    if bound_checks:
-        payload["bounds"] = [_bounds_check_json(c) for c in bound_checks]
-    return payload
 
 
 def _cmd_lint(args) -> int:
-    design_keys = _lint_designs(args.designs)
+    design_keys = _parse_designs(args.designs)
     targets = _lint_targets(args)
     rows = []
     entries = []
-    total_diags = total_mismatches = total_bound_violations = 0
+    total_diags = total_mismatches = 0
     for label, shape, suites in targets:
         report = lint_shape(shape)
         mismatches = (
             () if args.no_oracle
             else cross_check_counters(shape, design_keys=design_keys)
         )
-        bound_checks = (
-            cross_check_bounds(shape, design_keys=design_keys)
-            if args.bounds else ()
-        )
         total_diags += len(report.diagnostics)
         total_mismatches += len(mismatches)
-        total_bound_violations += sum(len(c.violations) for c in bound_checks)
-        entries.append((label, shape, suites, report, mismatches, bound_checks))
+        entries.append((label, shape, suites, report, mismatches))
         c, h = report.counters, report.hazards
         rows.append((
             label,
@@ -802,21 +772,15 @@ def _cmd_lint(args) -> int:
             "-" if args.no_oracle else ("ok" if not mismatches else "MISMATCH"),
         ))
     if args.json:
-        payload = {
+        print(json.dumps({
             "scale": _suite_scale(args),
             "designs": design_keys,
             "programs": [
-                _lint_report_json(label, shape, suites, report, mismatches,
-                                  bound_checks)
-                for label, shape, suites, report, mismatches, bound_checks
-                in entries
+                _lint_report_json(*entry) for entry in entries
             ],
             "total_diagnostics": total_diags,
             "total_counter_mismatches": total_mismatches,
-        }
-        if args.bounds:
-            payload["total_bound_violations"] = total_bound_violations
-        print(json.dumps(payload, indent=2))
+        }, indent=2))
     else:
         print(format_table(
             ["workload", "mnk", "insts", "mm", "reuses", "raw/war/waw",
@@ -825,7 +789,7 @@ def _cmd_lint(args) -> int:
             title="static verification — repro.analysis.verifier",
         ))
         shown_per_program = 8
-        for label, _, _, report, mismatches, bound_checks in entries:
+        for label, _, _, report, mismatches in entries:
             for diag in report.diagnostics[:shown_per_program]:
                 print(f"{label}: {diag}")
             hidden = len(report.diagnostics) - shown_per_program
@@ -833,21 +797,14 @@ def _cmd_lint(args) -> int:
                 print(f"{label}: ... {hidden} more diagnostic(s) elided")
             for mismatch in mismatches:
                 print(f"{label}: counter mismatch: {mismatch}")
-            for check in bound_checks:
-                for violation in check.violations:
-                    print(f"{label}: bound violation: {violation}")
         oracle = (
             "oracle skipped"
             if args.no_oracle
             else f"{total_mismatches} counter mismatch(es) over "
                  f"{len(design_keys)} design(s)"
         )
-        summary = f"{len(targets)} program(s): {total_diags} diagnostic(s), {oracle}"
-        if args.bounds:
-            summary += f", {total_bound_violations} bound violation(s)"
-        print(summary)
-    failed = total_diags or total_mismatches or total_bound_violations
-    return 0 if not failed else 1
+        print(f"{len(targets)} program(s): {total_diags} diagnostic(s), {oracle}")
+    return 0 if not (total_diags or total_mismatches) else 1
 
 
 def _bounds_check_json(check: BoundsCheck) -> Dict:
@@ -864,7 +821,7 @@ def _bounds_check_json(check: BoundsCheck) -> Dict:
 
 
 def _cmd_bounds(args) -> int:
-    design_keys = _lint_designs(args.designs)
+    design_keys = _parse_designs(args.designs)
     targets = _lint_targets(args)
     rows = []
     entries = []
@@ -1110,8 +1067,6 @@ def _print_curve_tables(report: SweepReport) -> None:
 
 def _print_report_tables(report: SweepReport) -> None:
     """Render every view the report's plan declares (complete reports only)."""
-    if report.plan.jobs:
-        print(f"{len(report.plan.jobs)} explicit jobs (no table view)")
     if report.plan.workloads:
         _print_grid_tables(report)
     if report.plan.suites:
@@ -1121,84 +1076,49 @@ def _print_report_tables(report: SweepReport) -> None:
             _print_suite_tables(report)
 
 
-def _cmd_sweep_suite_batches(args, plan: SweepPlan) -> int:
-    """Suite batch mode: Fig. 7-style curves per model, dedup across batches."""
-    session = _session_from_args(args)
-    start = time.perf_counter()
-    report = session.run(plan)
-    elapsed = time.perf_counter() - start
-
-    _print_curve_tables(report)
-    # Key dedup collapses points across suites AND batches (tile-padded
-    # dims): the report's distinct points against the naive per-batch jobs.
-    distinct, expanded = report.distinct_points, report.job_count
-    line = (
-        f"{distinct} distinct points for {expanded} per-batch suite points "
-        f"({expanded / distinct:.1f}x cross-batch dedup) in {elapsed:.2f}s"
-    )
-    if session.cache is not None:
-        line += (
-            f" — {report.simulated} simulated, {report.cache_hits} cached "
+def _sweep_stats_line(report: SweepReport, session: Session, elapsed: float) -> str:
+    """``repro sweep``'s closing line, worded for a grid, suite or batch plan."""
+    plan = report.plan
+    if not plan.suites:
+        line = f"{report.job_count} simulations in {elapsed:.2f}s"
+        if session.cache is None:
+            return line + " — cache disabled"
+        return line + (
+            f" — cache: {report.cache_hits} hits, {report.simulated} misses "
             f"({session.cache.path})"
         )
-    else:
-        line += f" — {distinct} simulated, cache disabled"
-    print(line)
-    return 0
-
-
-def _cmd_sweep_suites(args, plan: SweepPlan) -> int:
-    """Suite mode: simulate distinct shapes only, report end-to-end totals."""
-    session = _session_from_args(args)
-    start = time.perf_counter()
-    report = session.run(plan)
-    elapsed = time.perf_counter() - start
-
-    _print_suite_tables(report)
-    # The plan dedups across suites too — by tile-padded dims, the cache
-    # key identity — which the report's distinct points already count.
+    # Key dedup collapses points across suites (and batches) by tile-padded
+    # dims, the cache key identity, which the report's distinct points count.
     distinct = report.distinct_points
-    built = [suite for suite, _ in plan.built_suites()]
-    layer_runs = sum(len(suite) for suite in built) * len(plan.designs)
-    line = (
-        f"{distinct} distinct points for {layer_runs} suite GEMM runs "
-        f"({layer_runs / distinct:.1f}x dedup) in {elapsed:.2f}s"
-    )
-    if session.cache is not None:
-        # The report counters record what actually ran: one simulation per
-        # missed point, one hit per point served from the store.
-        line += (
-            f" — {report.simulated} simulated, {report.cache_hits} cached "
-            f"({session.cache.path})"
+    if plan.batches is not None:
+        expanded = report.job_count
+        line = (
+            f"{distinct} distinct points for {expanded} per-batch suite points "
+            f"({expanded / distinct:.1f}x cross-batch dedup) in {elapsed:.2f}s"
         )
     else:
-        line += f" — {distinct} simulated, cache disabled"
-    print(line)
-    return 0
+        layer_runs = sum(len(suite) for suite, _ in plan.built_suites())
+        layer_runs *= len(plan.designs)
+        line = (
+            f"{distinct} distinct points for {layer_runs} suite GEMM runs "
+            f"({layer_runs / distinct:.1f}x dedup) in {elapsed:.2f}s"
+        )
+    if session.cache is None:
+        return line + f" — {distinct} simulated, cache disabled"
+    return line + (
+        f" — {report.simulated} simulated, {report.cache_hits} cached "
+        f"({session.cache.path})"
+    )
 
 
 def _cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
-    if plan.suites:
-        if plan.batches is not None:
-            return _cmd_sweep_suite_batches(args, plan)
-        return _cmd_sweep_suites(args, plan)
-
     session = _session_from_args(args)
     start = time.perf_counter()
     report = session.run(plan)
     elapsed = time.perf_counter() - start
-
-    _print_grid_tables(report)
-    jobs = len(plan.workloads) * len(plan.designs)
-    if session.cache is not None:
-        print(
-            f"{jobs} simulations in {elapsed:.2f}s — cache: "
-            f"{report.cache_hits} hits, {report.simulated} misses "
-            f"({session.cache.path})"
-        )
-    else:
-        print(f"{jobs} simulations in {elapsed:.2f}s — cache disabled")
+    _print_report_tables(report)
+    print(_sweep_stats_line(report, session, elapsed))
     return 0
 
 
@@ -1216,8 +1136,7 @@ def _describe_plan(plan: SweepPlan) -> List[str]:
     lines = [
         f"designs   : {', '.join(plan.designs) or '(none)'}",
         f"workloads : {len(plan.workloads)} named GEMMs",
-        "suites    : "
-        + (", ".join(_suite_name(entry) for entry in plan.suites) or "(none)"),
+        f"suites    : {', '.join(plan.suites) or '(none)'}",
         f"batch axis: {list(plan.batches) if plan.batches is not None else '-'}"
         + (f" (batch override {plan.batch})" if plan.batch is not None else ""),
         f"scale     : 1/{plan.scale}"

@@ -5,9 +5,11 @@ cycle-accurate OoO — runs through this subsystem:
 
 - :mod:`repro.runtime.backend` defines the :class:`SimBackend` protocol
   (``prepare(program)`` then ``run()`` -> :class:`repro.cpu.result.SimResult`)
-  and the three adapters wrapping :class:`repro.engine.engine.MatrixEngine`,
-  :class:`repro.cpu.fast.FastCoreModel` and
-  :class:`repro.cpu.ooo.core.OutOfOrderCore`;
+  and one adapter per fidelity: ``analytic`` (the closed-form
+  :class:`repro.cpu.analytic.AnalyticCoreModel`, shape-level), ``fast``
+  and ``fast-ref`` (the vectorized and scalar fast core models), ``ooo``
+  (:class:`repro.cpu.ooo.core.OutOfOrderCore`) and ``engine``
+  (:class:`repro.engine.engine.MatrixEngine`);
 - :mod:`repro.runtime.registry` maps (design key x fidelity) to a ready
   backend in one lookup (:func:`resolve_backend`);
 - :mod:`repro.runtime.cache` persists :class:`SimResult`s in an on-disk

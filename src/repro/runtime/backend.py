@@ -1,4 +1,4 @@
-"""The :class:`SimBackend` protocol and its three adapters.
+"""The :class:`SimBackend` protocol and one adapter per fidelity.
 
 A backend binds one engine design point (plus, for the CPU-attached models,
 one :class:`repro.cpu.config.CoreConfig`) and executes programs in two
@@ -13,7 +13,7 @@ setup — the engine adapter resets its register file and scheduler there);
 record every layer above consumes.  ``simulate`` is the one-shot
 convenience combining both.
 
-Four fidelities exist, cheapest first:
+Five fidelities exist:
 
 - ``"analytic"`` — :class:`repro.cpu.analytic.AnalyticCoreModel`, the
   closed-form O(1)-per-point model.  Shape-level: it never builds a

@@ -26,26 +26,19 @@ Because a plan is a value, it composes the ways values do:
 The report type at the other end replaces the old ``run_*`` return-shape
 zoo: :meth:`SweepReport.grid` is the (workload x design) table,
 :meth:`SweepReport.suite_totals` the occurrence-weighted
-:class:`SuiteTotals` per (suite, design), :meth:`SweepReport.batch_curves`
-the per-batch :class:`SuiteBatchCurve` view, and :meth:`SweepReport.point`
-the single-result access path.
+:class:`SuiteTotals` per (suite, design), and
+:meth:`SweepReport.batch_curves` the per-batch :class:`SuiteBatchCurve`
+view.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import json
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+import typing
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
@@ -56,14 +49,9 @@ from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.ops import DEFAULT_LOWERING, LoweringConfig
 from repro.workloads.suites import SUITES, SuiteSpec, WorkloadSuite
-from repro.workloads.tiling import BlockingConfig, MMOrder
 
 #: Bump when the plan/report JSON schema changes incompatibly.
-PLAN_FORMAT = 1
-
-#: What a plan's ``suites`` axis accepts: a registered suite name, a
-#: rebuildable :class:`SuiteSpec`, or an already-built multiset.
-SuiteLike = Union[str, SuiteSpec, WorkloadSuite]
+PLAN_FORMAT = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,10 +158,6 @@ class SuiteBatchCurve:
         """``{batch: totals}`` — the mapping view of the curve."""
         return dict(zip(self.batches, self.totals))
 
-    def cycles_by_batch(self) -> Dict[int, int]:
-        """``{batch: end-to-end cycles}`` along the curve."""
-        return {b: t.cycles for b, t in zip(self.batches, self.totals)}
-
     def normalized_to(self, baseline: "SuiteBatchCurve") -> Dict[int, float]:
         """Per-batch normalized runtime against a baseline design's curve.
 
@@ -214,20 +198,14 @@ def _validated_batches(batches: Sequence[int]) -> Tuple[int, ...]:
     return batches
 
 
-def _resolve_spec(spec: SuiteLike) -> Union[SuiteSpec, WorkloadSuite]:
-    """Resolve a registered suite name; pass specs/built suites through."""
-    if isinstance(spec, (SuiteSpec, WorkloadSuite)):
-        return spec
-    try:
-        return SUITES[spec]
-    except KeyError:
+def _resolve_spec(name: str) -> SuiteSpec:
+    """Look up a registered suite by name."""
+    spec = SUITES.get(name) if isinstance(name, str) else None
+    if spec is None:
         raise ExperimentError(
-            f"unknown workload suite {spec!r}; known: {', '.join(SUITES)}"
-        ) from None
-
-
-def _suite_name(entry: SuiteLike) -> str:
-    return entry if isinstance(entry, str) else entry.name
+            f"unknown workload suite {name!r}; known: {', '.join(SUITES)}"
+        )
+    return spec
 
 
 def _expand_totals(
@@ -271,15 +249,11 @@ class SweepPlan:
     - ``designs`` x ``workloads`` — the classic (workload x design) grid
       (``workloads`` maps display names to :class:`GemmShape`\\ s);
     - ``designs`` x ``suites`` [x ``batches``] — whole-model multisets,
-      optionally swept along a batch axis.  A suite entry is a registered
-      name (serializable), a :class:`SuiteSpec` (rebuildable, in-process
-      only) or a built :class:`WorkloadSuite` (serializable, but a fixed
-      multiset — it cannot be rebatched);
-    - ``jobs`` — pre-built :class:`SweepJob`\\ s appended verbatim, the
-      escape hatch for heterogeneous per-job settings.
+      named by their :data:`repro.workloads.suites.SUITES` registry keys
+      and optionally swept along a batch axis.
 
-    ``core``/``codegen``/``fidelity`` apply to every declared (non-``jobs``)
-    point; ``scale`` shrinks suite GEMMs exactly like
+    ``core``/``codegen``/``fidelity`` apply to every declared point;
+    ``scale`` shrinks suite GEMMs exactly like
     :meth:`repro.workloads.suites.SuiteSpec.build` and named workload
     shapes via :meth:`repro.workloads.gemm.GemmShape.scaled` (same
     floors), so plans serialize the *unscaled* declaration; ``batch`` is a
@@ -287,22 +261,20 @@ class SweepPlan:
     exclusive).  ``scale_batch``/``scale_spatial`` are the dimension-
     role-aware lowering knobs (:class:`repro.workloads.ops.LoweringConfig`)
     — they apply at op lowering, before the generic ``scale``, and only to
-    suites built from op factories (registered names / op-level
-    :class:`SuiteSpec`\\ s; pre-built multisets are already lowered).
-    ``shard`` marks the plan as one deterministic slice of the full key
-    set — see :meth:`shard`.
+    suites.  ``shard_spec`` marks the plan as one deterministic slice of
+    the full key set — see :meth:`shard`.
 
-    Plans validate eagerly — unknown designs (including pre-built jobs'),
-    unknown suites, bad batches and bad shards all raise at construction —
-    and expand lazily (:meth:`iter_jobs`).  Fidelity is the one knob
-    resolved only at execution: the backend registry is open (fidelities
-    register at run time, possibly on the host that finally runs a
-    shipped plan), so a name unknown *here* may be valid *there*.
+    Plans validate eagerly — unknown designs, unknown suites, bad batches
+    and bad shards all raise at construction — and expand lazily
+    (:meth:`iter_jobs`).  Fidelity is the one knob resolved only at
+    execution: the backend registry is open (fidelities register at run
+    time, possibly on the host that finally runs a shipped plan), so a
+    name unknown *here* may be valid *there*.
     """
 
     designs: Tuple[str, ...] = ()
     workloads: Tuple[Tuple[str, GemmShape], ...] = ()
-    suites: Tuple[SuiteLike, ...] = ()
+    suites: Tuple[str, ...] = ()
     batches: Optional[Tuple[int, ...]] = None
     batch: Optional[int] = None
     scale: int = 1
@@ -311,7 +283,6 @@ class SweepPlan:
     core: CoreConfig = dataclasses.field(default_factory=CoreConfig)
     codegen: CodegenOptions = dataclasses.field(default_factory=CodegenOptions)
     fidelity: str = "fast"
-    jobs: Tuple[SweepJob, ...] = ()
     shard_spec: Optional[Tuple[int, int]] = None
 
     # -- construction-time normalization + validation ------------------------------
@@ -324,34 +295,21 @@ class SweepPlan:
         object.__setattr__(
             self, "workloads", tuple((str(n), s) for n, s in workloads)
         )
-        # Registered specs normalize to their names: the two spellings
-        # declare the same sweep, and names keep the plan serializable.
-        object.__setattr__(
-            self,
-            "suites",
-            tuple(
-                entry.name
-                if isinstance(entry, SuiteSpec)
-                and SUITES.get(entry.name) is entry
-                else entry
-                for entry in self.suites
-            ),
-        )
+        object.__setattr__(self, "suites", tuple(self.suites))
         if self.batches is not None:
             object.__setattr__(self, "batches", _validated_batches(self.batches))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
         self._validate()
 
     def _validate(self) -> None:
-        if not (self.workloads or self.suites or self.jobs):
+        if not (self.workloads or self.suites):
             raise ExperimentError(
-                "plan declares no work: give it workloads, suites, or jobs"
+                "plan declares no work: give it workloads or suites"
             )
-        if (self.workloads or self.suites) and not self.designs:
+        if not self.designs:
             raise ExperimentError(
                 "a plan with workloads or suites needs at least one design key"
             )
-        dup = _duplicates([key for key in self.designs])
+        dup = _duplicates(self.designs)
         if dup:
             raise ExperimentError(
                 f"plan designs must be unique; got duplicates: {', '.join(dup)}"
@@ -369,16 +327,9 @@ class SweepPlan:
                 raise ExperimentError(
                     f"workload {name!r} must be a GemmShape, got {shape!r}"
                 )
-        for entry in self.suites:
-            _resolve_spec(entry)  # unknown names raise here
-            if isinstance(entry, WorkloadSuite) and not entry.gemms:
-                # from_gemms rejects this, but decoded/hand-built suites
-                # can bypass it — an empty multiset would make the plan
-                # declare zero points while claiming a suite.
-                raise ExperimentError(
-                    f"suite {entry.name!r} has no GEMMs"
-                )
-        dup = _duplicates([_suite_name(entry) for entry in self.suites])
+        for name in self.suites:
+            _resolve_spec(name)  # unknown names raise here
+        dup = _duplicates(self.suites)
         if dup:
             raise ExperimentError(
                 "plan totals are keyed by suite name; got duplicates: "
@@ -401,49 +352,21 @@ class SweepPlan:
             raise ExperimentError(
                 "batch/batches apply to suite workloads; the plan has no suites"
             )
-        if self.batches is not None or self.batch is not None:
-            for entry in self.suites:
-                if isinstance(entry, WorkloadSuite):
-                    raise ExperimentError(
-                        f"suite {entry.name!r} is an already-built multiset "
-                        "and cannot be rebatched; use a registered name or a "
-                        "SuiteSpec for batch sweeps"
-                    )
         for knob in ("scale", "scale_batch", "scale_spatial"):
             value = getattr(self, knob)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ExperimentError(
                     f"{knob} must be a positive integer, got {value!r}"
                 )
-        if self.scale_batch != 1 or self.scale_spatial != 1:
-            if not self.suites:
-                raise ExperimentError(
-                    "scale_batch/scale_spatial are dimension-role-aware "
-                    "lowering knobs; they apply to suite workloads only"
-                )
-            for entry in self.suites:
-                resolved = (
-                    entry
-                    if isinstance(entry, (SuiteSpec, WorkloadSuite))
-                    else _resolve_spec(entry)
-                )
-                if isinstance(resolved, WorkloadSuite) or resolved.ops() is None:
-                    # Probe the spec's factory eagerly: a pre-lowered
-                    # (shape-mapping) factory would only fail deep inside
-                    # built_suites(), breaking the eager-validation contract.
-                    raise ExperimentError(
-                        f"suite {_suite_name(entry)!r} is already lowered "
-                        "(shapes, not ops); scale_batch/scale_spatial need a "
-                        "registered name or an op-level SuiteSpec"
-                    )
+        if (self.scale_batch != 1 or self.scale_spatial != 1) and not self.suites:
+            raise ExperimentError(
+                "scale_batch/scale_spatial are dimension-role-aware "
+                "lowering knobs; they apply to suite workloads only"
+            )
         if not self.fidelity or not isinstance(self.fidelity, str):
             raise ExperimentError(
                 f"fidelity must be a non-empty backend name, got {self.fidelity!r}"
             )
-        for job in self.jobs:
-            if not isinstance(job, SweepJob):
-                raise ExperimentError(f"plan jobs must be SweepJobs, got {job!r}")
-            get_design(job.design_key)  # fail on the authoring host, not mid-run
         if self.shard_spec is not None:
             object.__setattr__(
                 self, "shard_spec", _validated_shard(self.shard_spec)
@@ -464,21 +387,13 @@ class SweepPlan:
         if cached is not None:
             return cached
         lowering = self.lowering_config()
-        built: List[Tuple[WorkloadSuite, Optional[int]]] = []
-        for entry in self.suites:
-            resolved = _resolve_spec(entry)
-            if isinstance(resolved, WorkloadSuite):
-                built.append((resolved.scaled(self.scale), None))
-            elif self.batches is None:
-                built.append((resolved.build(batch=self.batch, scale=self.scale,
-                                             lowering=lowering),
-                              self.batch))
-            else:
-                built.extend(
-                    (resolved.build(batch=batch, scale=self.scale,
-                                    lowering=lowering), batch)
-                    for batch in self.batches
-                )
+        batches = (self.batch,) if self.batches is None else self.batches
+        built = [
+            (_resolve_spec(name).build(batch=batch, scale=self.scale,
+                                       lowering=lowering), batch)
+            for name in self.suites
+            for batch in batches
+        ]
         object.__setattr__(self, "_built_suites", built)
         return built
 
@@ -494,11 +409,10 @@ class SweepPlan:
         """Lazily expand the declaration into the flat job stream.
 
         Order is part of the contract (views consume results positionally):
-        explicit ``jobs`` first, then the workload grid (workload-major),
-        then the suite axes — suite-major, batch-major within a suite,
-        design-major within a batch, distinct entries innermost.
+        the workload grid first (workload-major), then the suite axes —
+        suite-major, batch-major within a suite, design-major within a
+        batch, distinct entries innermost.
         """
-        yield from self.jobs
         for name, shape in self.workloads:
             scaled = shape.scaled(self.scale)
             for design in self.designs:
@@ -608,7 +522,7 @@ class SweepPlan:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Canonical JSON (sorted keys; compact when ``indent`` is None)."""
-        payload = {"format": PLAN_FORMAT, "plan": _encode_plan(self)}
+        payload = {"format": PLAN_FORMAT, "plan": dataclasses.asdict(self)}
         return _dumps(payload, indent)
 
     @classmethod
@@ -632,18 +546,25 @@ def _validated_shard(shard: Sequence[int]) -> Tuple[int, int]:
     return index, count
 
 
-# -- JSON codecs -------------------------------------------------------------------
+# -- JSON codec --------------------------------------------------------------------
 #
-# Hand-written, reversible encoders for the small closed set of frozen
-# dataclasses a plan can contain.  Unlike the cache's canonical rendering,
-# these *keep* display labels: ``from_json(to_json(p)) == p`` must hold for
-# plan equality, which includes workload names.
+# Plans encode with ``dataclasses.asdict`` (enums by value) and decode field
+# by field from the declared types, so every dataclass a plan contains
+# round-trips without a hand-written codec.  Unlike the cache's canonical
+# rendering, the codec *keeps* display labels: ``from_json(to_json(p)) == p``
+# must hold for plan equality, which includes workload names.
+
+
+def _enum_value(value: Any) -> Any:
+    if isinstance(value, enum.Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _dumps(payload: Any, indent: Optional[int] = None) -> str:
-    if indent is None:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return json.dumps(payload, sort_keys=True, indent=indent)
+    separators = (",", ":") if indent is None else None
+    return json.dumps(payload, sort_keys=True, indent=indent,
+                      separators=separators, default=_enum_value)
 
 
 def _loads_payload(text: str, section: str) -> Dict[str, Any]:
@@ -661,148 +582,56 @@ def _loads_payload(text: str, section: str) -> Dict[str, Any]:
     return body
 
 
-def _encode_shape(shape: GemmShape) -> Dict[str, Any]:
-    return {"m": shape.m, "n": shape.n, "k": shape.k, "name": shape.name}
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    """``{field name: resolved type}`` of a dataclass, resolved once."""
+    hints = typing.get_type_hints(cls)
+    return {field.name: hints[field.name] for field in dataclasses.fields(cls)}
 
 
-def _decode_shape(raw: Dict[str, Any]) -> GemmShape:
-    return GemmShape(m=raw["m"], n=raw["n"], k=raw["k"], name=raw.get("name", ""))
+def _decode(kind: Any, raw: Any) -> Any:
+    """Rebuild a value of the declared type ``kind`` from its JSON form.
+
+    Handles the types plan fields declare — dataclasses, ``Tuple[...]``,
+    ``Optional[...]`` and enums; scalars pass through to the constructors'
+    own validation.  Raises ``TypeError``/``ValueError`` on a mismatch.
+    """
+    origin = typing.get_origin(kind)
+    if origin is typing.Union:  # Optional[X]
+        if raw is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        return _decode(kind, raw)
+    if origin is tuple:
+        if not isinstance(raw, list):
+            raise TypeError(f"expected a JSON array, got {raw!r}")
+        args = typing.get_args(kind)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(_decode(args[0], item) for item in raw)
+        if len(args) != len(raw):
+            raise ValueError(f"expected {len(args)} items, got {raw!r}")
+        return tuple(_decode(arg, item) for arg, item in zip(args, raw))
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(raw, dict):
+            raise TypeError(f"{kind.__name__} must be a JSON object, got {raw!r}")
+        types = _field_types(kind)
+        unknown = sorted(set(raw) - set(types))
+        if unknown:
+            raise ValueError(
+                f"unknown {kind.__name__} field(s): {', '.join(unknown)}"
+            )
+        return kind(**{name: _decode(types[name], value)
+                       for name, value in raw.items()})
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        return kind(raw)
+    return raw
 
 
-def _encode_core(core: CoreConfig) -> Dict[str, Any]:
-    return dataclasses.asdict(core)
-
-
-def _decode_core(raw: Dict[str, Any]) -> CoreConfig:
-    return CoreConfig(**raw)
-
-
-def _encode_codegen(codegen: CodegenOptions) -> Dict[str, Any]:
-    return {
-        "blocking": {
-            "bm": codegen.blocking.bm,
-            "bn": codegen.blocking.bn,
-            "mm_order": codegen.blocking.mm_order.value,
-        },
-        "scalar_overhead_per_kstep": codegen.scalar_overhead_per_kstep,
-        "scalar_overhead_per_block": codegen.scalar_overhead_per_block,
-    }
-
-
-def _decode_codegen(raw: Dict[str, Any]) -> CodegenOptions:
-    blocking = raw["blocking"]
-    return CodegenOptions(
-        blocking=BlockingConfig(
-            bm=blocking["bm"],
-            bn=blocking["bn"],
-            mm_order=MMOrder(blocking["mm_order"]),
-        ),
-        scalar_overhead_per_kstep=raw["scalar_overhead_per_kstep"],
-        scalar_overhead_per_block=raw["scalar_overhead_per_block"],
-    )
-
-
-def _encode_suite_entry(entry: SuiteLike) -> Dict[str, Any]:
-    if isinstance(entry, str):
-        return {"name": entry}
-    if isinstance(entry, SuiteSpec) and SUITES.get(entry.name) is entry:
-        # A registered spec is just its name — decoding resolves it back
-        # through the registry, so the round trip stays rebuildable.
-        return {"name": entry.name}
-    if isinstance(entry, WorkloadSuite):
-        return {
-            "inline": {
-                "name": entry.name,
-                "gemms": [
-                    [label, _encode_shape(shape)] for label, shape in entry.gemms
-                ],
-            }
-        }
-    raise ExperimentError(
-        f"suite {entry.name!r} is an ad-hoc SuiteSpec, whose factory cannot "
-        "serialize; register it in repro.workloads.suites.SUITES or inline "
-        "the built suite (spec.build(...))"
-    )
-
-
-def _decode_suite_entry(raw: Dict[str, Any]) -> SuiteLike:
-    if "name" in raw:
-        return raw["name"]
-    inline = raw["inline"]
-    return WorkloadSuite(
-        name=inline["name"],
-        gemms=tuple(
-            (label, _decode_shape(shape)) for label, shape in inline["gemms"]
-        ),
-    )
-
-
-def _encode_job(job: SweepJob) -> Dict[str, Any]:
-    return {
-        "design_key": job.design_key,
-        "shape": _encode_shape(job.shape),
-        "workload": job.workload,
-        "core": _encode_core(job.core),
-        "codegen": _encode_codegen(job.codegen),
-        "fidelity": job.fidelity,
-    }
-
-
-def _decode_job(raw: Dict[str, Any]) -> SweepJob:
-    return SweepJob(
-        design_key=raw["design_key"],
-        shape=_decode_shape(raw["shape"]),
-        workload=raw.get("workload", ""),
-        core=_decode_core(raw["core"]),
-        codegen=_decode_codegen(raw["codegen"]),
-        fidelity=raw.get("fidelity", "fast"),
-    )
-
-
-def _encode_plan(plan: SweepPlan) -> Dict[str, Any]:
-    return {
-        "designs": list(plan.designs),
-        "workloads": [
-            [name, _encode_shape(shape)] for name, shape in plan.workloads
-        ],
-        "suites": [_encode_suite_entry(entry) for entry in plan.suites],
-        "batches": None if plan.batches is None else list(plan.batches),
-        "batch": plan.batch,
-        "scale": plan.scale,
-        "scale_batch": plan.scale_batch,
-        "scale_spatial": plan.scale_spatial,
-        "core": _encode_core(plan.core),
-        "codegen": _encode_codegen(plan.codegen),
-        "fidelity": plan.fidelity,
-        "jobs": [_encode_job(job) for job in plan.jobs],
-        "shard": None if plan.shard_spec is None else list(plan.shard_spec),
-    }
-
-
-def _decode_plan(raw: Dict[str, Any]) -> SweepPlan:
+def _decode_plan(raw: Any) -> SweepPlan:
     try:
-        return SweepPlan(
-            designs=tuple(raw["designs"]),
-            workloads=tuple(
-                (name, _decode_shape(shape)) for name, shape in raw["workloads"]
-            ),
-            suites=tuple(
-                _decode_suite_entry(entry) for entry in raw["suites"]
-            ),
-            batches=None if raw["batches"] is None else tuple(raw["batches"]),
-            batch=raw["batch"],
-            scale=raw["scale"],
-            # Absent in pre-IR plan documents: identity lowering.
-            scale_batch=raw.get("scale_batch", 1),
-            scale_spatial=raw.get("scale_spatial", 1),
-            core=_decode_core(raw["core"]),
-            codegen=_decode_codegen(raw["codegen"]),
-            fidelity=raw["fidelity"],
-            jobs=tuple(_decode_job(job) for job in raw["jobs"]),
-            shard_spec=None if raw["shard"] is None else tuple(raw["shard"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ExperimentError(f"malformed plan JSON: {exc!r}") from None
+        return _decode(SweepPlan, raw)
+    except (TypeError, ValueError) as exc:
+        raise ExperimentError(f"malformed plan JSON: {exc}") from None
 
 
 # -- reports -----------------------------------------------------------------------
@@ -856,17 +685,10 @@ class SweepReport:
 
     # -- typed views ---------------------------------------------------------------
 
-    def flat(self) -> List[SimResult]:
-        """Every job's result, in :meth:`SweepPlan.iter_jobs` order."""
-        self._require_complete("flat()")
-        return list(self._results_in_order())
-
     def grid(self) -> Dict[str, Dict[str, SimResult]]:
         """``grid[workload_name][design_key]`` over the plan's workloads."""
         self._require_complete("grid()")
         stream = self._results_in_order()
-        for _ in self.plan.jobs:
-            next(stream)
         table: Dict[str, Dict[str, SimResult]] = {}
         for name, _ in self.plan.workloads:
             table[name] = {design: next(stream) for design in self.plan.designs}
@@ -874,8 +696,7 @@ class SweepReport:
 
     def _suite_stream(self) -> Iterator[SimResult]:
         stream = self._results_in_order()
-        for _ in range(len(self.plan.jobs)
-                       + len(self.plan.workloads) * len(self.plan.designs)):
+        for _ in range(len(self.plan.workloads) * len(self.plan.designs)):
             next(stream)
         return stream
 
@@ -967,33 +788,6 @@ class SweepReport:
             for name in names
         }
 
-    def point(
-        self,
-        design_key: str,
-        shape: GemmShape,
-        fidelity: Optional[str] = None,
-    ) -> SimResult:
-        """One (design, shape) result under the plan's shared settings.
-
-        ``shape`` is the shape *as declared* — plans store unscaled
-        declarations, so the plan's ``scale`` is applied here exactly as
-        expansion applies it to workload shapes.
-        """
-        key = cache_key(
-            design_key,
-            shape.scaled(self.plan.scale),
-            self.plan.core,
-            self.plan.codegen,
-            fidelity if fidelity is not None else self.plan.fidelity,
-        )
-        try:
-            return self.results[key]
-        except KeyError:
-            raise ExperimentError(
-                f"no result for design {design_key!r} x {shape} in this "
-                "report (not part of the plan, or owned by another shard)"
-            ) from None
-
     # -- stats ---------------------------------------------------------------------
 
     @property
@@ -1071,7 +865,7 @@ class SweepReport:
         payload = {
             "format": PLAN_FORMAT,
             "report": {
-                "plan": _encode_plan(self.plan),
+                "plan": dataclasses.asdict(self.plan),
                 "results": {
                     key: dataclasses.asdict(result)
                     for key, result in self.results.items()
@@ -1082,14 +876,30 @@ class SweepReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepReport":
-        """Inverse of :meth:`to_json` (diagnostic counters reset to zero)."""
+        """Inverse of :meth:`to_json` (diagnostic counters reset to zero).
+
+        Report JSON arrives from files and over the network, so the result
+        set must hold exactly the points the plan owns — a truncated or
+        padded report is refused here, before it can seal a service shard
+        or reach a merge.
+        """
         body = _loads_payload(text, "report")
+        plan = _decode_plan(body.get("plan"))
+        raw = body.get("results")
+        if not isinstance(raw, dict):
+            raise ExperimentError(
+                "malformed report JSON: results must map cache keys to results"
+            )
         try:
-            plan = _decode_plan(body["plan"])
-            results = {
-                key: SimResult(**entry)
-                for key, entry in body["results"].items()
-            }
-        except (KeyError, TypeError) as exc:
-            raise ExperimentError(f"malformed report JSON: {exc!r}") from None
+            results = {key: SimResult(**entry) for key, entry in raw.items()}
+        except TypeError as exc:
+            raise ExperimentError(f"malformed report JSON: {exc}") from None
+        owned = set(plan.shard_keys())
+        if set(results) != owned:
+            missing = len(owned - set(results))
+            extra = len(set(results) - owned)
+            raise ExperimentError(
+                f"malformed report JSON: the plan owns {len(owned)} points, "
+                f"the results miss {missing} and add {extra}"
+            )
         return cls(plan=plan, results=results)

@@ -49,14 +49,7 @@ from repro.workloads.codegen import (
 )
 from repro.workloads.reference import gemm_reference
 from repro.workloads.training import TrainingStep, training_gemms
-from repro.workloads.models import (
-    MODEL_CATALOGS,
-    bert_encoder_gemms,
-    dlrm_gemms,
-    model_gemms,
-    resnet50_conv_layers,
-    resnet50_gemms,
-)
+from repro.workloads.models import resnet50_conv_layers
 from repro.workloads.suites import (
     DistinctGemm,
     SUITES,
@@ -93,12 +86,7 @@ __all__ = [
     "gemm_reference",
     "TrainingStep",
     "training_gemms",
-    "MODEL_CATALOGS",
-    "model_gemms",
     "resnet50_conv_layers",
-    "resnet50_gemms",
-    "bert_encoder_gemms",
-    "dlrm_gemms",
     "DistinctGemm",
     "SUITES",
     "SuiteSpec",

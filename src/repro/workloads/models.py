@@ -8,9 +8,6 @@ projection/FFN GEMM (:func:`bert_encoder_ops`), the *full* BERT-base stack
 including the head-batched attention score/context matmuls
 (:func:`bert_full_ops`), and the DLRM MLP stacks (:func:`dlrm_ops`).
 
-The ``*_gemms`` functions are the lowered ``{label: GemmShape}`` views the
-original catalogs exposed — identical output, now produced by
-:func:`repro.workloads.ops.lower` instead of ad-hoc shape arithmetic.
 Attention matmuls are not tile-GEMMs *per head* (seq x head_dim slices),
 but head-batched they are exactly ``heads x sequences`` independent GEMMs
 of one shape, which is how :func:`bert_full_ops` models them; embedding
@@ -19,18 +16,11 @@ lookups remain excluded (not matrix-engine work).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import WorkloadError
-from repro.workloads.gemm import GemmShape
 from repro.workloads.layers import ConvLayer
-from repro.workloads.ops import (
-    BatchedMatmulOp,
-    ConvOp,
-    FCOp,
-    Op,
-    lower,
-)
+from repro.workloads.ops import BatchedMatmulOp, ConvOp, FCOp, Op
 
 # -- ResNet-50 ------------------------------------------------------------------
 
@@ -78,11 +68,6 @@ def resnet50_ops(batch: int = 32) -> List[Op]:
     return [ConvOp.from_layer(layer) for layer in resnet50_conv_layers(batch)]
 
 
-def resnet50_gemms(batch: int = 32) -> Dict[str, GemmShape]:
-    """Lowered GEMM of every ResNet-50 convolution."""
-    return _lowered_dict(resnet50_ops(batch))
-
-
 # -- BERT-base --------------------------------------------------------------------
 
 
@@ -106,13 +91,6 @@ def bert_encoder_ops(
         ops.append(FCOp(f"{p}.ffn_up", batch=tokens, nin=hidden, non=ffn))
         ops.append(FCOp(f"{p}.ffn_down", batch=tokens, nin=ffn, non=hidden))
     return ops
-
-
-def bert_encoder_gemms(
-    tokens: int = 256, hidden: int = 768, ffn: int = 3072, layers: int = 12
-) -> Dict[str, GemmShape]:
-    """The projection/FFN GEMMs of a BERT-base encoder stack."""
-    return _lowered_dict(bert_encoder_ops(tokens, hidden, ffn, layers))
 
 
 #: BERT-base attention geometry: 12 heads of 64 dims over 128-token sequences.
@@ -189,67 +167,8 @@ def mlp_ops(batch: int, widths: Sequence[int], prefix: str) -> List[Op]:
     ]
 
 
-def mlp_gemms(batch: int, widths: Sequence[int], prefix: str) -> Dict[str, GemmShape]:
-    """GEMMs of an MLP with the given layer widths."""
-    return _lowered_dict(mlp_ops(batch, widths, prefix))
-
-
 def dlrm_ops(batch: int = 512) -> List[Op]:
     """DLRM MLP ops (RM2-class sizes, matching Table I's 1024/2048 FCs)."""
     return mlp_ops(batch, (256, 1024, 1024, 1024, 64), "bottom") + mlp_ops(
         batch, (512, 2048, 2048, 2048, 1024, 1), "top"
     )
-
-
-def dlrm_gemms(batch: int = 512) -> Dict[str, GemmShape]:
-    """DLRM MLP GEMMs (RM2-class sizes, matching Table I's 1024/2048 FCs)."""
-    return _lowered_dict(dlrm_ops(batch))
-
-
-# -- registry ----------------------------------------------------------------------
-
-
-def _lowered_dict(ops: Sequence[Op]) -> Dict[str, GemmShape]:
-    """Identity-lowered ``{label: shape}`` view of single-GEMM op lists."""
-    out: Dict[str, GemmShape] = {}
-    for op in ops:
-        for label, shape, _ in lower(op):
-            out[label] = shape
-    return out
-
-
-MODEL_CATALOGS = {
-    "resnet50": resnet50_gemms,
-    "bert-base": bert_encoder_gemms,
-    "dlrm": dlrm_gemms,
-}
-
-#: Op-level catalogs, same keys plus the attention-complete BERT stack.
-OP_CATALOGS = {
-    "resnet50": resnet50_ops,
-    "bert-base": bert_encoder_ops,
-    "bert-full": bert_full_ops,
-    "dlrm": dlrm_ops,
-}
-
-
-def model_gemms(model: str, **kwargs) -> Dict[str, GemmShape]:
-    """Catalog lookup: the full GEMM suite of ``model``."""
-    try:
-        factory = MODEL_CATALOGS[model]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown model {model!r}; known: {', '.join(MODEL_CATALOGS)}"
-        ) from None
-    return factory(**kwargs)
-
-
-def model_ops(model: str, **kwargs) -> List[Op]:
-    """Catalog lookup: the full op sequence of ``model``."""
-    try:
-        factory = OP_CATALOGS[model]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown model {model!r}; known: {', '.join(OP_CATALOGS)}"
-        ) from None
-    return factory(**kwargs)

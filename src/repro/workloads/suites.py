@@ -33,7 +33,7 @@ uses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.utils.validation import check_positive
@@ -57,11 +57,6 @@ from repro.workloads.ops import (
 )
 from repro.workloads.training import conv_training_ops, fc_training_ops
 
-#: What a registry factory may return: an op sequence (preferred — lowers
-#: through the op IR, role-aware knobs apply) or a pre-lowered
-#: ``{label: shape}`` mapping (ad-hoc specs; identity lowering only).
-SuiteSource = Union[Sequence[Op], Mapping[str, GemmShape]]
-
 
 @dataclasses.dataclass(frozen=True)
 class DistinctGemm:
@@ -84,11 +79,9 @@ class WorkloadSuite:
     name: str
     gemms: Tuple[Tuple[str, GemmShape], ...]
 
-    @classmethod
-    def from_gemms(cls, name: str, gemms: Mapping[str, GemmShape]) -> "WorkloadSuite":
-        if not gemms:
-            raise WorkloadError(f"suite {name!r} has no GEMMs")
-        return cls(name=name, gemms=tuple(gemms.items()))
+    def __post_init__(self) -> None:
+        if not self.gemms:
+            raise WorkloadError(f"suite {self.name!r} has no GEMMs")
 
     @classmethod
     def from_ops(
@@ -193,16 +186,14 @@ class SuiteSpec:
     the factory keeps its catalog's per-layer defaults (Table I batches
     differ per model).
 
-    ``factory`` maps the resolved batch to either a sequence of ops
-    (preferred — the lowering pipeline applies, role-aware scale knobs
-    work) or a pre-lowered ``{label: shape}`` mapping (ad-hoc specs,
-    identity lowering only).
+    ``factory`` maps the resolved batch to the suite's op sequence, which
+    :meth:`build` lowers through the op IR.
     """
 
     name: str
     description: str
     default_batch: Optional[int]
-    factory: Callable[[Optional[int]], SuiteSource]
+    factory: Callable[[Optional[int]], Sequence[Op]]
 
     def _resolve_batch(self, batch: Optional[int]) -> Optional[int]:
         if batch is not None:
@@ -210,12 +201,9 @@ class SuiteSpec:
             return batch
         return self.default_batch
 
-    def ops(self, batch: Optional[int] = None) -> Optional[List[Op]]:
-        """The suite's op sequence, or ``None`` for pre-lowered factories."""
-        source = self.factory(self._resolve_batch(batch))
-        if isinstance(source, Mapping):
-            return None
-        return list(source)
+    def ops(self, batch: Optional[int] = None) -> List[Op]:
+        """The suite's op sequence at ``batch``."""
+        return list(self.factory(self._resolve_batch(batch)))
 
     def build(
         self,
@@ -229,25 +217,12 @@ class SuiteSpec:
         time); ``scale`` then shrinks every dimension generically — the
         two compose, and both default to identity.
         """
-        source = self.factory(self._resolve_batch(batch))
-        if isinstance(source, Mapping):
-            if not lowering.is_identity:
-                raise WorkloadError(
-                    f"suite {self.name!r} is pre-lowered (its factory returns "
-                    "shapes, not ops); scale_batch/scale_spatial need an "
-                    "op-level factory"
-                )
-            suite = WorkloadSuite.from_gemms(self.name, source)
-        else:
-            suite = WorkloadSuite.from_ops(self.name, source, lowering)
+        suite = WorkloadSuite.from_ops(self.name, self.ops(batch), lowering)
         return suite.scaled(scale)
 
     def op_composition(self, batch: Optional[int] = None) -> Dict[str, int]:
-        """``{op kind: count}`` of the suite (empty for pre-lowered specs)."""
-        ops = self.ops(batch)
-        if ops is None:
-            return {}
-        return op_kind_counts(ops)
+        """``{op kind: count}`` of the suite, in first-occurrence order."""
+        return op_kind_counts(self.ops(batch))
 
 
 #: Every registered model workload suite, by name.

@@ -6,24 +6,16 @@ import json
 
 import pytest
 
+from repro.cpu.config import CoreConfig
 from repro.errors import ConfigError, ExperimentError
-from repro.runtime import Session, SweepJob, SweepPlan, SweepReport
+from repro.runtime import PLAN_FORMAT, Session, SweepPlan, SweepReport
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
-from repro.workloads.suites import SuiteSpec, WorkloadSuite
+from repro.workloads.suites import SUITES, get_suite
 from repro.workloads.tiling import BlockingConfig, MMOrder
 
 SMALL = GemmShape(64, 64, 64, name="small")
 TALL = GemmShape(128, 32, 64, name="tall")
-
-INLINE_SUITE = WorkloadSuite.from_gemms(
-    "toy-model",
-    {
-        "a": GemmShape(64, 64, 64, name="a"),
-        "b": GemmShape(64, 64, 64, name="b"),
-        "c": GemmShape(128, 32, 64, name="c"),
-    },
-)
 
 
 def grid_plan(**overrides) -> SweepPlan:
@@ -50,14 +42,6 @@ class TestValidation:
         with pytest.raises(ExperimentError, match="at least one design"):
             SweepPlan(workloads=(("small", SMALL),))
 
-    def test_jobs_only_plan_needs_no_designs(self):
-        plan = SweepPlan(jobs=(SweepJob(design_key="baseline", shape=SMALL),))
-        assert plan.job_count() == 1
-
-    def test_prebuilt_jobs_validate_their_design_keys(self):
-        with pytest.raises(ConfigError, match="unknown design"):
-            SweepPlan(jobs=(SweepJob(design_key="nope", shape=SMALL),))
-
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigError, match="unknown design"):
             grid_plan(designs=("baseline", "bogus"))
@@ -75,10 +59,13 @@ class TestValidation:
             suite_plan(suites=("bogus",))
 
     def test_duplicate_suite_names_rejected(self):
-        with pytest.raises(ExperimentError, match="duplicates: toy-model"):
-            SweepPlan(
-                designs=("baseline",), suites=(INLINE_SUITE, INLINE_SUITE)
-            )
+        with pytest.raises(ExperimentError, match="duplicates: dlrm"):
+            suite_plan(suites=("dlrm", "dlrm"))
+
+    @pytest.mark.parametrize("entry", [SUITES["dlrm"], get_suite("dlrm")])
+    def test_suites_are_registered_names_only(self, entry):
+        with pytest.raises(ExperimentError, match="unknown workload suite"):
+            suite_plan(suites=(entry,))
 
     def test_batch_and_batches_mutually_exclusive(self):
         with pytest.raises(ExperimentError, match="mutually exclusive"):
@@ -87,12 +74,6 @@ class TestValidation:
     def test_batch_without_suites_rejected(self):
         with pytest.raises(ExperimentError, match="apply to suite workloads"):
             grid_plan(batch=64)
-
-    def test_batches_reject_inline_suites(self):
-        with pytest.raises(ExperimentError, match="cannot be rebatched"):
-            SweepPlan(
-                designs=("baseline",), suites=(INLINE_SUITE,), batches=(1, 2)
-            )
 
     @pytest.mark.parametrize("batches,match", [
         ((), "at least one batch"),
@@ -118,22 +99,6 @@ class TestValidation:
     def test_role_knobs_without_suites_rejected(self, knob):
         with pytest.raises(ExperimentError, match="suite workloads only"):
             grid_plan(**{knob: 4})
-
-    @pytest.mark.parametrize("knob", ["scale_batch", "scale_spatial"])
-    def test_role_knobs_reject_inline_suites(self, knob):
-        with pytest.raises(ExperimentError, match="already lowered"):
-            SweepPlan(
-                designs=("baseline",), suites=(INLINE_SUITE,), **{knob: 4}
-            )
-
-    @pytest.mark.parametrize("knob", ["scale_batch", "scale_spatial"])
-    def test_role_knobs_reject_pre_lowered_specs_eagerly(self, knob):
-        """A shape-mapping SuiteSpec fails at construction, not mid-run."""
-        adhoc = SuiteSpec(
-            "adhoc", "pre-lowered", None, lambda batch: {"x": SMALL}
-        )
-        with pytest.raises(ExperimentError, match="already lowered"):
-            SweepPlan(designs=("baseline",), suites=(adhoc,), **{knob: 4})
 
     def test_workloads_mapping_normalizes_to_items(self):
         assert grid_plan(workloads={"small": SMALL, "tall": TALL}) == grid_plan()
@@ -164,15 +129,6 @@ class TestRoleAwareLowering:
         assert decoded.lowering_config().scale_batch == 8
         assert decoded.lowering_config().scale_spatial == 4
         assert decoded.distinct_keys() == plan.distinct_keys()
-
-    def test_pre_knob_plan_json_still_decodes(self):
-        """Plan documents written before the op IR lack the knob fields."""
-        raw = json.loads(suite_plan().to_json())
-        del raw["plan"]["scale_batch"]
-        del raw["plan"]["scale_spatial"]
-        decoded = SweepPlan.from_json(json.dumps(raw))
-        assert decoded.scale_batch == 1 and decoded.scale_spatial == 1
-        assert decoded == suite_plan()
 
     def test_knobbed_batch_axis_curves_execute(self):
         plan = suite_plan(
@@ -206,10 +162,12 @@ class TestExpansion:
         ]
 
     def test_suite_jobs_expand_distinct_entries_only(self):
-        plan = SweepPlan(designs=("baseline",), suites=(INLINE_SUITE,))
+        plan = SweepPlan(designs=("baseline",), suites=("bert-base",), scale=16)
         jobs = list(plan.iter_jobs())
-        assert len(jobs) == 2  # 3 GEMMs, 2 distinct dims
-        assert [j.shape.dims for j in jobs] == [(64, 64, 64), (128, 32, 64)]
+        assert len(jobs) == 3  # 72 GEMMs, 3 distinct dims
+        assert [j.shape.dims for j in jobs] == [
+            e.shape.dims for e in get_suite("bert-base", scale=16).distinct()
+        ]
 
     def test_batch_axis_labels_jobs_per_batch(self):
         plan = suite_plan(batches=(1, 64))
@@ -251,31 +209,6 @@ class TestExpansion:
         plan = suite_plan(batches=(1, 64))
         assert plan.built_suites() is plan.built_suites()
 
-    def test_registered_suite_spec_normalizes_to_its_name(self):
-        from repro.workloads.suites import SUITES
-
-        by_spec = SweepPlan(designs=("baseline",), suites=(SUITES["dlrm"],))
-        by_name = SweepPlan(designs=("baseline",), suites=("dlrm",))
-        assert by_spec == by_name
-        assert SweepPlan.from_json(by_spec.to_json()) == by_spec
-
-    def test_empty_inline_suite_rejected(self):
-        # WorkloadSuite.from_gemms rejects {}, but decoded/hand-built
-        # suites can bypass it; the plan must not declare zero points.
-        empty = WorkloadSuite(name="hollow", gemms=())
-        with pytest.raises(ExperimentError, match="'hollow' has no GEMMs"):
-            SweepPlan(designs=("baseline",), suites=(empty,))
-
-    def test_empty_inline_suite_rejected_from_json(self):
-        import json as jsonlib
-
-        text = SweepPlan(
-            designs=("baseline",), suites=(INLINE_SUITE,)
-        ).to_json()
-        payload = jsonlib.loads(text)
-        payload["plan"]["suites"][0]["inline"]["gemms"] = []
-        with pytest.raises(ExperimentError, match="has no GEMMs"):
-            SweepPlan.from_json(jsonlib.dumps(payload))
 
 
 class TestJsonRoundTrip:
@@ -284,11 +217,9 @@ class TestJsonRoundTrip:
         suite_plan,
         lambda: suite_plan(batches=(1, 16, 256)),
         lambda: suite_plan(batch=64),
-        lambda: SweepPlan(designs=("baseline",), suites=(INLINE_SUITE,)),
-        lambda: SweepPlan(jobs=(
-            SweepJob(design_key="baseline", shape=SMALL, workload="j0"),
-            SweepJob(design_key="rasa-wlbp", shape=TALL, fidelity="engine"),
-        )),
+        lambda: suite_plan(suites=("resnet50", "dlrm"), scale_batch=8,
+                           scale_spatial=4),
+        lambda: grid_plan(core=CoreConfig(rob_size=16, load_ports=1)),
         lambda: grid_plan(
             codegen=CodegenOptions(
                 blocking=BlockingConfig(bm=1, bn=2, mm_order=MMOrder.ALTERNATE),
@@ -297,10 +228,24 @@ class TestJsonRoundTrip:
             fidelity="ooo",
         ),
         lambda: grid_plan().shard(1, 3),
+        lambda: suite_plan(batches=(1, 64)).shard(0, 2),
     ])
     def test_round_trip_equality(self, plan_factory):
         plan = plan_factory()
-        assert SweepPlan.from_json(plan.to_json()) == plan
+        decoded = SweepPlan.from_json(plan.to_json())
+        assert decoded == plan
+        assert decoded.distinct_keys() == plan.distinct_keys()
+        assert decoded.to_json() == plan.to_json()
+
+    def test_enums_encode_by_value_and_suites_by_name(self):
+        plan = suite_plan(codegen=CodegenOptions(
+            blocking=BlockingConfig(mm_order=MMOrder.ALTERNATE)
+        )).shard(0, 2)
+        body = json.loads(plan.to_json())
+        assert body["format"] == PLAN_FORMAT == 2
+        assert body["plan"]["codegen"]["blocking"]["mm_order"] == "alternate"
+        assert body["plan"]["suites"] == ["dlrm"]
+        assert body["plan"]["shard_spec"] == [0, 2]
 
     def test_canonical_json_is_compact_and_sorted(self):
         text = grid_plan().to_json()
@@ -313,18 +258,46 @@ class TestJsonRoundTrip:
         assert SweepPlan.from_json(plan.to_json()).distinct_keys() == \
             plan.distinct_keys()
 
-    def test_ad_hoc_suite_spec_does_not_serialize(self):
-        spec = SuiteSpec("adhoc", "test", None,
-                         lambda batch: {"x": GemmShape(64, 64, 64)})
-        plan = SweepPlan(designs=("baseline",), suites=(spec,))
-        with pytest.raises(ExperimentError, match="cannot.*serialize|serialize"):
-            plan.to_json()
-
     def test_malformed_json_rejected(self):
         with pytest.raises(ExperimentError, match="malformed plan JSON"):
             SweepPlan.from_json("{not json")
         with pytest.raises(ExperimentError, match="not a format"):
             SweepPlan.from_json('{"format": 99, "plan": {}}')
+
+    def test_format_1_document_rejected(self):
+        raw = json.loads(suite_plan().to_json())
+        raw["format"] = 1
+        with pytest.raises(ExperimentError, match="not a format-2 plan document"):
+            SweepPlan.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("path,field", [
+        ((), "jobs"),
+        ((), "shard"),
+        (("core",), "l2_latency"),
+        (("codegen", "blocking"), "bk"),
+    ])
+    def test_unknown_fields_rejected(self, path, field):
+        raw = json.loads(suite_plan().to_json())
+        section = raw["plan"]
+        for key in path:
+            section = section[key]
+        section[field] = []
+        with pytest.raises(ExperimentError,
+                           match=f"malformed plan JSON: unknown .*{field}"):
+            SweepPlan.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("field,value", [
+        ("designs", "baseline"),
+        ("workloads", [["small", [64, 64, 64]]]),
+        ("shard_spec", [0, 1, 2]),
+        ("codegen", {"blocking": {"mm_order": "sideways"}}),
+        ("core", []),
+    ])
+    def test_mistyped_fields_rejected(self, field, value):
+        raw = json.loads(grid_plan().to_json())
+        raw["plan"][field] = value
+        with pytest.raises(ExperimentError, match="malformed plan JSON"):
+            SweepPlan.from_json(json.dumps(raw))
 
 
 class TestSharding:
@@ -372,8 +345,6 @@ class TestReportViews:
         report = session.run(grid_plan().shard(0, 2))
         with pytest.raises(ExperimentError, match="merge all 2 shard"):
             report.grid()
-        with pytest.raises(ExperimentError, match="merge all 2 shard"):
-            report.flat()
 
     def test_suite_totals_on_batch_plan_redirects(self, session):
         report = session.run(suite_plan(batches=(1, 64)))
@@ -385,34 +356,69 @@ class TestReportViews:
         with pytest.raises(ExperimentError, match="suite_totals"):
             report.batch_curves()
 
-    def test_point_access(self, session):
-        report = session.run(grid_plan())
-        result = report.point("baseline", SMALL)
-        assert result.cycles == report.grid()["small"]["baseline"].cycles
-        with pytest.raises(ExperimentError, match="no result"):
-            report.point("baseline", GemmShape(512, 512, 512))
-
-    def test_point_resolves_declared_shapes_on_scaled_plans(self, session):
-        big = GemmShape(512, 512, 512, name="big")
-        report = session.run(grid_plan(workloads={"big": big}, scale=4))
-        # The declared (unscaled) shape resolves; point() applies the
-        # plan's scale exactly as expansion does.
-        assert report.point("baseline", big) == \
-            report.grid()["big"]["baseline"]
-
-    def test_flat_aligns_with_iter_jobs(self, session):
+    def test_grid_aligns_with_iter_jobs(self, session):
         plan = grid_plan()
-        flat = session.run(plan).flat()
-        grid = session.run(plan).grid()
-        jobs = list(plan.iter_jobs())
-        for job, result in zip(jobs, flat):
-            assert grid[job.workload][job.design_key] == result
+        report = session.run(plan)
+        grid = report.grid()
+        for job, key in zip(plan.iter_jobs(), report.job_keys()):
+            assert grid[job.workload][job.design_key] == report.results[key]
 
     def test_report_json_round_trip(self, session):
         report = session.run(suite_plan())
         loaded = SweepReport.from_json(report.to_json())
         assert loaded == report
         assert loaded.suite_totals() == report.suite_totals()
+
+    def test_shard_report_json_round_trip(self, session):
+        report = session.run(suite_plan().shard(1, 2))
+        assert SweepReport.from_json(report.to_json()) == report
+
+
+class TestMalformedReports:
+    """Report JSON comes from files and the network: refuse bad result sets."""
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        report = Session(workers=1).run(suite_plan().shard(0, 2))
+        return json.loads(report.to_json())
+
+    def _load(self, document, edit):
+        raw = json.loads(json.dumps(document))
+        edit(raw["report"]["results"], raw["report"])
+        return SweepReport.from_json(json.dumps(raw))
+
+    def test_results_list_rejected(self, document):
+        def edit(results, body):
+            body["results"] = list(results.values())
+
+        with pytest.raises(ExperimentError, match="malformed report JSON"):
+            self._load(document, edit)
+
+    def test_missing_key_rejected(self, document):
+        def edit(results, body):
+            del results[sorted(results)[0]]
+
+        with pytest.raises(ExperimentError, match="miss 1 and add 0"):
+            self._load(document, edit)
+
+    def test_extra_key_rejected(self, document):
+        def edit(results, body):
+            results["0" * 64] = next(iter(results.values()))
+
+        with pytest.raises(ExperimentError, match="miss 0 and add 1"):
+            self._load(document, edit)
+
+    def test_empty_shard_report_rejected(self):
+        text = SweepReport(plan=suite_plan().shard(0, 2), results={}).to_json()
+        with pytest.raises(ExperimentError, match="malformed report JSON"):
+            SweepReport.from_json(text)
+
+    def test_non_object_result_rejected(self, document):
+        def edit(results, body):
+            results[sorted(results)[0]] = [1, 2, 3]
+
+        with pytest.raises(ExperimentError, match="malformed report JSON"):
+            self._load(document, edit)
 
 
 class TestMerging:

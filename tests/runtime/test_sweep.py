@@ -19,11 +19,18 @@ from repro.cpu.result import SimResult
 from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError
 from repro.experiments.runner import geometric_mean, normalized_runtimes
-from repro.runtime import ResultCache, Session, SweepJob, SweepPlan, cached_program
+from repro.runtime import (
+    ResultCache,
+    Session,
+    SweepJob,
+    SweepPlan,
+    cached_program,
+    run_job,
+)
 from repro.runtime.registry import FIDELITIES, resolve_backend
 from repro.workloads.codegen import generate_gemm_program
 from repro.workloads.gemm import GemmShape
-from repro.workloads.suites import SuiteSpec, WorkloadSuite
+from repro.workloads.suites import get_suite
 
 SHAPES = {
     "small": GemmShape(m=64, n=64, k=64, name="small"),
@@ -32,24 +39,22 @@ SHAPES = {
 DESIGN_KEYS = ("baseline", "rasa-wlbp", "rasa-dmdb-wls")
 
 
-def _jobs():
-    return [
-        SweepJob(design_key=key, shape=shape, workload=name)
-        for name, shape in SHAPES.items()
-        for key in DESIGN_KEYS
-    ]
+def _renamed(shape: GemmShape, count: int):
+    """``count`` named workloads that all declare ``shape``'s dims."""
+    return {
+        f"layer{i}": GemmShape(shape.m, shape.n, shape.k, name=f"layer{i}")
+        for i in range(count)
+    }
 
 
-def _run_flat(jobs, **session_kwargs):
-    return Session(workers=1, **session_kwargs).run(SweepPlan(jobs=tuple(jobs))).flat()
-
-
-def _grid(design_keys=DESIGN_KEYS, shapes=None, workers=1):
+def _grid(design_keys=DESIGN_KEYS, shapes=None, workers=1, fidelity="fast",
+          cache=None):
     plan = SweepPlan(
         designs=tuple(design_keys),
         workloads=tuple((shapes or SHAPES).items()),
+        fidelity=fidelity,
     )
-    return Session(workers=workers).run(plan).grid()
+    return Session(cache=cache, workers=workers).run(plan).grid()
 
 
 @pytest.fixture
@@ -95,39 +100,36 @@ def counting_fidelity():
         del FIDELITIES["counting-test"]
 
 
-class TestFlatJobPlans:
+class TestGridPlans:
     def test_serial_results(self):
-        results = _run_flat(_jobs())
+        grid = _grid()
+        assert set(grid) == set(SHAPES)
+        results = [r for per_design in grid.values() for r in per_design.values()]
         assert len(results) == 6
         assert all(isinstance(r, SimResult) for r in results)
 
-    def test_duplicate_jobs_share_one_simulation(self, tmp_path):
+    def test_two_names_on_one_shape_share_one_simulation(self, tmp_path):
         cache = ResultCache(tmp_path)
-        job = _jobs()[0]
-        results = _run_flat([job, job, job], cache=cache)
-        assert results[0] == results[1] == results[2]
+        grid = _grid(["baseline"], _renamed(SHAPES["small"], 2), cache=cache)
+        assert grid["layer0"] == grid["layer1"]
         assert len(cache) == 1  # one key, simulated once
 
     def test_cache_hit_on_second_run(self, tmp_path):
         first = ResultCache(tmp_path)
-        cold = _run_flat(_jobs(), cache=first)
+        cold = _grid(cache=first)
         assert (first.hits, first.misses) == (0, 6)
 
         warm_cache = ResultCache(tmp_path)
-        warm = _run_flat(_jobs(), cache=warm_cache)
+        warm = _grid(cache=warm_cache)
         assert (warm_cache.hits, warm_cache.misses) == (6, 0)
         assert warm == cold
 
     def test_fidelity_flows_through(self):
-        engine = _run_flat(
-            [SweepJob(design_key="rasa-wlbp", shape=SHAPES["small"],
-                      fidelity="engine")]
-        )[0]
-        fast = _run_flat(
-            [SweepJob(design_key="rasa-wlbp", shape=SHAPES["small"])]
-        )[0]
-        assert engine.mm_count == fast.mm_count
-        assert engine.cycles < fast.cycles
+        small = {"small": SHAPES["small"]}
+        engine = _grid(["rasa-wlbp"], small, fidelity="engine")["small"]
+        fast = _grid(["rasa-wlbp"], small)["small"]
+        assert engine["rasa-wlbp"].mm_count == fast["rasa-wlbp"].mm_count
+        assert engine["rasa-wlbp"].cycles < fast["rasa-wlbp"].cycles
 
     def test_job_key_distinguishes_core_config(self):
         a = SweepJob(design_key="baseline", shape=SHAPES["small"])
@@ -138,55 +140,36 @@ class TestFlatJobPlans:
         )
         assert a.key != b.key
 
-    def test_grid_matches_flat_jobs(self):
+    def test_grid_matches_per_point_runs(self):
         grid = _grid()
-        flat = _run_flat(_jobs())
-        by_pair = {
-            (job.workload, job.design_key): result
-            for job, result in zip(_jobs(), flat)
-        }
         for workload, per_design in grid.items():
             for key, result in per_design.items():
-                assert result == by_pair[(workload, key)]
+                job = SweepJob(design_key=key, shape=SHAPES[workload])
+                assert result == run_job(job)
 
 
 class TestDedup:
     """Each distinct (design, dims, config, fidelity) point simulates once."""
 
     def test_duplicate_jobs_simulate_once_uncached(self, counting_fidelity):
-        job = SweepJob(
-            design_key="baseline", shape=SHAPES["small"], fidelity="counting-test"
-        )
-        results = _run_flat([job, job, job])
+        grid = _grid(["baseline"], _renamed(SHAPES["small"], 3),
+                     fidelity="counting-test")
         assert len(counting_fidelity) == 1
-        assert results[0] == results[1] == results[2]
+        assert grid["layer0"] == grid["layer1"] == grid["layer2"]
 
     def test_identically_dimensioned_names_simulate_once(self, counting_fidelity):
-        jobs = [
-            SweepJob(
-                design_key="baseline",
-                shape=GemmShape(64, 64, 64, name=f"layer{i}"),
-                workload=f"layer{i}",
-                fidelity="counting-test",
-            )
-            for i in range(5)
-        ]
-        results = _run_flat(jobs)
+        grid = _grid(["baseline"], _renamed(SHAPES["small"], 5),
+                     fidelity="counting-test")
         assert len(counting_fidelity) == 1
-        assert len(set(map(id, results))) == 1
+        assert len({id(per["baseline"]) for per in grid.values()}) == 1
 
     def test_distinct_dims_still_simulate_separately(self, counting_fidelity):
-        jobs = [
-            SweepJob(design_key="baseline", shape=shape, fidelity="counting-test")
-            for shape in SHAPES.values()
-        ]
-        _run_flat(jobs)
+        _grid(["baseline"], fidelity="counting-test")
         assert len(counting_fidelity) == 2
 
     def test_repeated_keys_count_one_cache_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        job = _jobs()[0]
-        _run_flat([job] * 4, cache=cache)
+        _grid(["baseline"], _renamed(SHAPES["small"], 4), cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
 
     def test_program_memo_is_name_independent(self):
@@ -199,30 +182,27 @@ class TestDedup:
 
 
 class TestSuiteTotals:
-    SUITE = WorkloadSuite.from_gemms(
-        "toy-model",
-        {
-            "a": GemmShape(64, 64, 64, name="a"),
-            "b": GemmShape(64, 64, 64, name="b"),   # duplicate dims of "a"
-            "c": GemmShape(128, 32, 64, name="c"),
-            "d": GemmShape(64, 64, 64, name="d"),   # duplicate dims of "a"
-        },
-    )
+    #: 72 GEMMs on 3 distinct points: 48 projections, 12 FFN-ups, 12 downs.
+    SUITE = "bert-base"
+    SCALE = 16
 
-    @staticmethod
-    def _totals(suites, design_keys=DESIGN_KEYS, fidelity="fast"):
+    @classmethod
+    def _totals(cls, suites, design_keys=DESIGN_KEYS, fidelity="fast", scale=None):
         plan = SweepPlan(
-            designs=tuple(design_keys), suites=tuple(suites), fidelity=fidelity
+            designs=tuple(design_keys),
+            suites=tuple(suites),
+            scale=cls.SCALE if scale is None else scale,
+            fidelity=fidelity,
         )
         return Session(workers=1).run(plan).suite_totals()
 
     def test_simulates_distinct_points_only(self, counting_fidelity):
-        totals = self._totals([self.SUITE], fidelity="counting-test")["toy-model"]
-        assert len(counting_fidelity) == 2 * len(DESIGN_KEYS)
+        totals = self._totals([self.SUITE], fidelity="counting-test")[self.SUITE]
+        assert len(counting_fidelity) == 3 * len(DESIGN_KEYS)
         for totals_one in totals.values():
-            assert totals_one.gemm_count == 4
-            assert totals_one.simulations == 2
-            assert totals_one.dedup_factor == pytest.approx(2.0)
+            assert totals_one.gemm_count == 72
+            assert totals_one.simulations == 3
+            assert totals_one.dedup_factor == pytest.approx(24.0)
 
     def test_aggregation_matches_brute_force_per_layer(self):
         """Oracle independence: per-layer runs bypass the dedup layer.
@@ -231,11 +211,11 @@ class TestSuiteTotals:
         a session — so a cache-key conflation or a wrong dedup expansion
         cannot leak into both sides of the comparison.
         """
-        totals = self._totals([self.SUITE])["toy-model"]
+        totals = self._totals(["dlrm"], scale=8)["dlrm"]
         for key in DESIGN_KEYS:
             per_layer = [
                 resolve_backend(key).simulate(generate_gemm_program(shape))
-                for _, shape in self.SUITE.gemms
+                for _, shape in get_suite("dlrm", scale=8).gemms
             ]
             agg = totals[key]
             assert agg.cycles == sum(r.cycles for r in per_layer)
@@ -246,7 +226,7 @@ class TestSuiteTotals:
 
     def test_normalized_and_speedup(self):
         totals = self._totals([self.SUITE], ["baseline", "rasa-dmdb-wls"])[
-            "toy-model"
+            self.SUITE
         ]
         base = totals["baseline"]
         best = totals["rasa-dmdb-wls"]
@@ -255,40 +235,38 @@ class TestSuiteTotals:
         assert best.speedup_over(base) > 4.0
 
     def test_per_shape_counts_cover_the_multiset(self):
-        totals = self._totals([self.SUITE], ["baseline"])["toy-model"]
+        totals = self._totals([self.SUITE], ["baseline"])[self.SUITE]
         per_shape = totals["baseline"].per_shape
-        assert sum(count for _, count, _ in per_shape) == len(self.SUITE)
-        assert [count for _, count, _ in per_shape] == [3, 1]
+        suite = get_suite(self.SUITE, scale=self.SCALE)
+        assert sum(count for _, count, _ in per_shape) == len(suite)
+        assert [count for _, count, _ in per_shape] == [48, 12, 12]
 
     def test_multi_suite_plans_dedup_across_suites(self, counting_fidelity):
-        other = WorkloadSuite.from_gemms(
-            "toy-sibling",
-            {
-                "x": GemmShape(64, 64, 64, name="x"),    # shared with SUITE
-                "y": GemmShape(32, 256, 64, name="y"),   # unique
-            },
-        )
-        totals = self._totals(
-            [self.SUITE, other], ["baseline"], fidelity="counting-test"
-        )
-        # 2 distinct in SUITE + 1 new in other: the shared 64^3 point
-        # simulates once for the whole batch.
-        assert len(counting_fidelity) == 3
-        assert set(totals) == {"toy-model", "toy-sibling"}
-        assert totals["toy-sibling"]["baseline"].gemm_count == 2
+        """``training``'s forward passes are ``table1``'s six FC layers."""
+        suites = ["table1", "training"]
+        totals = self._totals(suites, ["baseline"], fidelity="counting-test")
+        padded = [
+            {e.shape.tile_padded().dims for e in get_suite(n, scale=self.SCALE).distinct()}
+            for n in suites
+        ]
+        # Shared points simulate once for the whole plan.
+        assert len(counting_fidelity) == len(padded[0] | padded[1])
+        assert len(counting_fidelity) < len(padded[0]) + len(padded[1])
+        assert set(totals) == set(suites)
+        assert totals["training"]["baseline"].gemm_count == 18
 
     def test_duplicate_suite_names_rejected(self):
-        with pytest.raises(ExperimentError, match="duplicates: toy-model"):
+        with pytest.raises(ExperimentError, match="duplicates: bert-base"):
             self._totals([self.SUITE, self.SUITE], ["baseline"])
 
     def test_suite_uses_result_cache(self, tmp_path):
-        plan = SweepPlan(designs=DESIGN_KEYS, suites=(self.SUITE,))
+        plan = SweepPlan(designs=DESIGN_KEYS, suites=(self.SUITE,), scale=self.SCALE)
         cold = ResultCache(tmp_path)
         first = Session(cache=cold, workers=1).run(plan).suite_totals()
-        assert (cold.hits, cold.misses) == (0, 2 * len(DESIGN_KEYS))
+        assert (cold.hits, cold.misses) == (0, 3 * len(DESIGN_KEYS))
         warm = ResultCache(tmp_path)
         second = Session(cache=warm, workers=1).run(plan).suite_totals()
-        assert (warm.hits, warm.misses) == (2 * len(DESIGN_KEYS), 0)
+        assert (warm.hits, warm.misses) == (3 * len(DESIGN_KEYS), 0)
         assert first == second
 
 
@@ -309,9 +287,9 @@ class TestKeyHashing:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(plan_module, "cache_key", counting)
-        jobs = _jobs() + [_jobs()[0]] * 3  # duplicates still hash once each
-        _run_flat(jobs)
-        assert len(calls) == len(jobs)
+        shapes = {**SHAPES, **_renamed(SHAPES["small"], 3)}  # duplicates
+        _grid(shapes=shapes)  # still hash once each
+        assert len(calls) == len(shapes) * len(DESIGN_KEYS)
 
     def test_one_cache_key_call_per_job_with_cache(self, tmp_path, monkeypatch):
         calls = []
@@ -322,9 +300,8 @@ class TestKeyHashing:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(plan_module, "cache_key", counting)
-        jobs = _jobs()
-        _run_flat(jobs, cache=ResultCache(tmp_path))
-        assert len(calls) == len(jobs)
+        _grid(cache=ResultCache(tmp_path))
+        assert len(calls) == len(SHAPES) * len(DESIGN_KEYS)
 
 
 class TestSweepRunnerIsGone:
@@ -347,55 +324,58 @@ class TestSweepRunnerIsGone:
             import repro.runtime.sweep  # noqa: F401
 
 
-def _toy_fc_factory(batch):
-    batch = batch if batch is not None else 64
-    return {
-        "fc0": GemmShape(batch, 64, 64, name="fc0"),
-        "fc1": GemmShape(batch, 128, 64, name="fc1"),
-        "fc2": GemmShape(batch, 64, 64, name="fc2"),  # duplicate dims of fc0
-    }
+#: The DLRM MLP stacks at scale 8: 9 GEMMs on 6 distinct points per batch.
+#: Batches up to 256 floor onto one 32-row tile block; 512 and 1024 don't.
+CURVE_SUITE = "dlrm"
+CURVE_SCALE = 8
 
 
-TOY_FC_SPEC = SuiteSpec("toy-fc", "toy FC stack for batch-curve tests",
-                        None, _toy_fc_factory)
-
-
-def _curves(design_keys, spec, batches, fidelity="fast", scale=1, workers=1):
+def _curves(design_keys, suite, batches, fidelity="fast", scale=CURVE_SCALE,
+            workers=1):
     plan = SweepPlan(
         designs=tuple(design_keys),
-        suites=(spec,),
+        suites=(suite,),
         batches=tuple(batches),
         scale=scale,
         fidelity=fidelity,
     )
-    name = spec if isinstance(spec, str) else spec.name
-    return Session(workers=workers).run(plan).batch_curves()[name]
+    return Session(workers=workers).run(plan).batch_curves()[suite]
+
+
+def _padded_points(batches):
+    """Distinct tile-padded dims of the curve suite over ``batches``."""
+    return {
+        e.shape.tile_padded().dims
+        for batch in batches
+        for e in get_suite(CURVE_SUITE, batch=batch, scale=CURVE_SCALE).distinct()
+    }
 
 
 class TestSuiteBatchCurves:
     """The Fig. 7 batch axis at suite granularity, dedup across batches."""
 
     def test_curve_layout(self):
-        curves = _curves(DESIGN_KEYS, TOY_FC_SPEC, batches=(16, 64))
+        curves = _curves(DESIGN_KEYS, CURVE_SUITE, batches=(16, 512))
         assert set(curves) == set(DESIGN_KEYS)
         for design, curve in curves.items():
-            assert curve.suite == "toy-fc"
+            assert curve.suite == CURVE_SUITE
             assert curve.design_key == design
-            assert curve.batches == (16, 64)
-            assert all(t.gemm_count == 3 for t in curve.totals)
-            assert all(t.simulations == 2 for t in curve.totals)
+            assert curve.batches == (16, 512)
+            assert all(t.gemm_count == 9 for t in curve.totals)
+            assert all(t.simulations == 6 for t in curve.totals)
 
     def test_sub_tile_batches_simulate_once(self, counting_fidelity):
         """Batches 1..16 pad to one tile row block: identical streams."""
-        _curves(["baseline"], TOY_FC_SPEC, batches=(1, 2, 4, 8, 16),
+        batches = (1, 2, 4, 8, 16)
+        _curves(["baseline"], CURVE_SUITE, batches=batches,
                 fidelity="counting-test")
-        # 2 distinct (padded) shapes, once each — not 5 batches x 2 shapes.
-        assert len(counting_fidelity) == 2
+        # 6 distinct (padded) shapes, once each — not 5 batches x 6 shapes.
+        assert len(counting_fidelity) == len(_padded_points(batches)) == 6
 
     def test_sub_tile_batches_identical_normalized_runtime(self):
         """The Fig. 7 plateau at suite granularity: one lowered stream."""
         curves = _curves(
-            ["baseline", "rasa-dmdb-wls"], TOY_FC_SPEC, batches=(1, 2, 4, 8, 16)
+            ["baseline", "rasa-dmdb-wls"], CURVE_SUITE, batches=(1, 2, 4, 8, 16)
         )
         normalized = curves["rasa-dmdb-wls"].normalized_to(curves["baseline"])
         values = set(normalized.values())
@@ -405,13 +385,13 @@ class TestSuiteBatchCurves:
     def test_matches_per_batch_suite_oracle(self, counting_fidelity):
         """Curve points == standalone per-batch runs, with fewer simulations.
 
-        The oracle rebuilds and runs each batch as its own single-batch
+        The oracle runs each batch as its own single-batch (``batch=``)
         plan in a fresh session, so the cross-batch dedup cannot leak
         into both sides; totals must agree on every weighted counter.
         """
-        batches = (1, 4, 16, 64)
+        batches = (1, 16, 512, 1024)
         curves = _curves(
-            DESIGN_KEYS, TOY_FC_SPEC, batches=batches, fidelity="counting-test"
+            DESIGN_KEYS, CURVE_SUITE, batches=batches, fidelity="counting-test"
         )
         curve_simulations = len(counting_fidelity)
         oracle_simulations = 0
@@ -419,10 +399,12 @@ class TestSuiteBatchCurves:
             before = len(counting_fidelity)
             oracle_plan = SweepPlan(
                 designs=DESIGN_KEYS,
-                suites=(TOY_FC_SPEC.build(batch=batch),),
+                suites=(CURVE_SUITE,),
+                batch=batch,
+                scale=CURVE_SCALE,
                 fidelity="counting-test",
             )
-            oracle = Session(workers=1).run(oracle_plan).suite_totals()["toy-fc"]
+            oracle = Session(workers=1).run(oracle_plan).suite_totals()[CURVE_SUITE]
             oracle_simulations += len(counting_fidelity) - before
             for design in DESIGN_KEYS:
                 point = curves[design].totals_by_batch()[batch]
@@ -433,16 +415,16 @@ class TestSuiteBatchCurves:
                 assert point.weight_loads == oracle[design].weight_loads
                 assert point.gemm_count == oracle[design].gemm_count
         # Strictly fewer simulations than batches x distinct shapes: the
-        # sub-tile batches (1, 4, 16) collapsed onto one padded point.
-        assert oracle_simulations == len(batches) * 2 * len(DESIGN_KEYS)
-        assert curve_simulations == 2 * 2 * len(DESIGN_KEYS)
+        # sub-tile batches (1, 16) collapsed onto one padded point set.
+        assert oracle_simulations == len(batches) * 6 * len(DESIGN_KEYS)
+        assert curve_simulations == len(_padded_points(batches)) * len(DESIGN_KEYS)
+        assert curve_simulations == 3 * 6 * len(DESIGN_KEYS)
 
     def test_accepts_registered_suite_names(self, counting_fidelity):
-        curves = _curves(
-            ["baseline"], "dlrm", batches=(64,), fidelity="counting-test", scale=8
-        )
-        assert curves["baseline"].suite == "dlrm"
-        assert curves["baseline"].totals[0].gemm_count == 9
+        curves = _curves(["baseline"], "bert-base", batches=(64,),
+                         fidelity="counting-test", scale=16)
+        assert curves["baseline"].suite == "bert-base"
+        assert curves["baseline"].totals[0].gemm_count == 72
 
     def test_unknown_suite_name_rejected(self):
         with pytest.raises(ExperimentError, match="unknown workload suite"):
@@ -450,20 +432,20 @@ class TestSuiteBatchCurves:
 
     def test_duplicate_batches_rejected(self):
         with pytest.raises(ExperimentError, match="duplicates: 16"):
-            _curves(["baseline"], TOY_FC_SPEC, batches=(16, 64, 16))
+            _curves(["baseline"], CURVE_SUITE, batches=(16, 64, 16))
 
     def test_empty_batches_rejected(self):
         with pytest.raises(ExperimentError, match="at least one batch"):
-            _curves(["baseline"], TOY_FC_SPEC, batches=())
+            _curves(["baseline"], CURVE_SUITE, batches=())
 
     @pytest.mark.parametrize("batch", [0, -4, 1.5, "16"])
     def test_non_positive_batches_rejected(self, batch):
         with pytest.raises(ExperimentError, match="positive integers"):
-            _curves(["baseline"], TOY_FC_SPEC, batches=(batch,))
+            _curves(["baseline"], CURVE_SUITE, batches=(batch,))
 
     def test_normalize_rejects_mismatched_batch_axes(self):
-        a = _curves(["baseline"], TOY_FC_SPEC, batches=(16,))
-        b = _curves(["baseline"], TOY_FC_SPEC, batches=(64,))
+        a = _curves(["baseline"], CURVE_SUITE, batches=(16,))
+        b = _curves(["baseline"], CURVE_SUITE, batches=(512,))
         with pytest.raises(ExperimentError, match="do not match"):
             a["baseline"].normalized_to(b["baseline"])
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.errors import ServiceError, TransitionError
+from repro.errors import ExperimentError, ServiceError, TransitionError
 from repro.runtime.plan import SweepReport
 from repro.runtime.session import Session
 from repro.service import Coordinator, ServiceConfig, ShardState
@@ -138,6 +140,37 @@ class TestCompleteValidation:
         coordinator.complete(lease["shard_id"], "w1", pretty)
         shard = job_store.get_shard(lease["shard_id"])
         assert shard.report_json == canonical
+
+
+    @pytest.mark.parametrize("results", [{}, []])
+    def test_refuses_malformed_report_and_keeps_the_lease(
+        self, coordinator, job_store, results
+    ):
+        """A truncated shard report must not seal its shard COMPLETED.
+
+        Accepting it would leave the plan unmergeable with nothing left to
+        claim; refused, the shard stays ACTIVE for a retry or the reaper.
+        """
+        plan = tiny_plan()
+        response = coordinator.submit(plan.to_json(), 2)
+        lease = coordinator.claim("w1")
+        index, count = lease["shard_index"], lease["shard_count"]
+        truncated = json.loads(
+            SweepReport(plan=plan.shard(index, count), results={}).to_json()
+        )
+        truncated["report"]["results"] = results
+        with pytest.raises(ExperimentError, match="malformed report JSON"):
+            coordinator.complete(lease["shard_id"], "w1", json.dumps(truncated))
+        assert job_store.get_shard(lease["shard_id"]).state is ShardState.ACTIVE
+
+        coordinator.complete(lease["shard_id"], "w1", run_shard(lease))
+        other = coordinator.claim("w2")
+        assert coordinator.complete(
+            other["shard_id"], "w2", run_shard(other)
+        )["done"] is True
+        with Session(cache=None, workers=1) as session:
+            single = session.run(plan).to_json()
+        assert coordinator.plan_report(response["plan_id"]) == single
 
 
 class TestMergeOnCompletion:

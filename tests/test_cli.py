@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -104,6 +106,15 @@ class TestGridSweep:
     def test_unknown_design_key(self, capsys):
         assert main(["sweep", "--designs", "nope", "--no-cache"]) == 1
         assert "unknown design" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [",", " , ,"])
+    def test_empty_designs_spec_rejected(self, spec, capsys):
+        # Not "baseline alone": an empty list is a typo, as in repro lint.
+        assert main(["sweep", "--designs", spec, "--workloads", "table1",
+                     "--scale", "16", "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '--designs needs "all"' in captured.err
 
     def test_partial_mnk_rejected(self, capsys):
         assert main(["sweep", "--m", "64", "--no-cache"]) == 1
@@ -390,7 +401,11 @@ class TestPlanShow:
         assert main(["plan", "show", "--workloads", "dlrm", "--scale", "8"]) == 0
         out = capsys.readouterr().out
         assert "distinct points" in out
-        assert '"format": 1' in out and '"dlrm"' in out
+        assert '"format": 2' in out and '"dlrm"' in out
+
+    def test_show_rejects_empty_designs_spec(self, capsys):
+        assert main(["plan", "show", "--designs", ","]) == 1
+        assert '--designs needs "all"' in capsys.readouterr().err
 
     def test_show_shard_ownership(self, capsys):
         assert main(["plan", "show", "--workloads", "dlrm", "--scale", "8",
@@ -519,8 +534,6 @@ class TestPlanRunAndMerge:
     def test_baseline_less_plan_prints_raw_cycles(self, tmp_path, capsys):
         # A hand-built plan may omit 'baseline'; cells and title must then
         # report raw cycles, not claim normalization.
-        import json
-
         from repro.runtime import SweepPlan
 
         plan = SweepPlan(designs=("rasa-dmdb-wls",), suites=("dlrm",), scale=8)
@@ -551,6 +564,20 @@ class TestPlanRunAndMerge:
         capsys.readouterr()
         assert main(["plan", "merge", str(s0)]) == 1
         assert "missing" in capsys.readouterr().err
+
+    def test_merge_malformed_report_exits_1(self, tmp_path, capsys):
+        s0, s1 = tmp_path / "s0.json", tmp_path / "s1.json"
+        for index, path in enumerate((s0, s1)):
+            assert main(["plan", "run"] + self.ARGS
+                        + ["--shard", f"{index}/2", "-o", str(path)]) == 0
+        doc = json.loads(s0.read_text())
+        doc["report"]["results"] = []
+        s0.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["plan", "merge", str(s0), str(s1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report JSON")
+        assert "Traceback" not in err
 
     def test_merge_mismatched_plans_exits_1(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,8 @@
-"""CLI surface of the bound analyzer: ``repro bounds`` and ``repro lint --bounds``."""
+"""CLI surface of the bound analyzer: ``repro bounds`` (``repro lint`` runs none)."""
 
 import json
+
+import pytest
 
 from repro.analysis import bounds as bounds_analysis
 from repro.cli import main
@@ -76,38 +78,19 @@ class TestBoundsCommand:
 
 
 class TestLintBoundsFlag:
-    def test_lint_with_bounds_clean(self, capsys):
-        assert main(
-            ["lint", "--m", "64", "--n", "64", "--k", "64", "--bounds"]
-        ) == 0
-        assert "0 bound violation(s)" in capsys.readouterr().out
+    """``repro lint`` has no ``--bounds`` flag and never runs the bound oracle."""
 
     def test_lint_without_bounds_skips_cycle_oracle(self, capsys, monkeypatch):
         import repro.cli
 
         def boom(*args, **kwargs):  # pragma: no cover - fails if reached
-            raise AssertionError("cross_check_bounds called without --bounds")
+            raise AssertionError("lint called cross_check_bounds")
 
         monkeypatch.setattr(repro.cli, "cross_check_bounds", boom)
         assert main(["lint", "--m", "64", "--n", "64", "--k", "64"]) == 0
         assert "bound violation" not in capsys.readouterr().out
 
-    def test_lint_json_gains_bounds_section(self, capsys):
-        assert main(
-            ["lint", "--m", "64", "--n", "64", "--k", "64", "--bounds",
-             "--json", "--designs", "baseline"]
-        ) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["total_bound_violations"] == 0
-        (program,) = doc["programs"]
-        (check,) = program["bounds"]
-        assert check["design"] == "baseline"
-
-    def test_seeded_violation_fails_lint(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            bounds_analysis, "_mm_dataflow_cycles", lambda stages: 10**6
-        )
-        assert main(
-            ["lint", "--m", "64", "--n", "64", "--k", "64", "--bounds"]
-        ) == 1
-        assert "lb-exceeds-fast" in capsys.readouterr().out
+    def test_bounds_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["lint", "--m", "64", "--n", "64", "--k", "64", "--bounds"])
+        assert "unrecognized arguments: --bounds" in capsys.readouterr().err

@@ -1,0 +1,54 @@
+"""Byte-for-byte CLI transcripts of the sweep, plan, models and bounds commands.
+
+Each ``data/cli/<name>.txt`` is the stdout of one command run through
+:func:`repro.cli.main` — serial and cache-free, so every point simulates —
+with the elapsed seconds of the stats lines masked.  A refactor of the
+sweep plumbing must leave every table, stats line and count unchanged.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+DATA = Path(__file__).parent / "data" / "cli"
+ELAPSED = re.compile(r"in \d+\.\d+s")
+SERIAL = ["--no-cache", "--jobs", "1"]
+
+TRANSCRIPTS = {
+    "sweep_table1": ["sweep", "--workloads", "table1", "--scale", "16", *SERIAL],
+    "sweep_suites": ["sweep", "--workloads", "bert-base,dlrm,training",
+                     "--scale", "16", *SERIAL],
+    "sweep_batches": ["sweep", "--workloads", "dlrm", "--batches", "64,512",
+                      "--scale", "8", *SERIAL],
+    "plan_run": ["plan", "run", "--workloads", "dlrm", "--scale", "8", *SERIAL],
+    "models": ["models"],
+    "bounds_table1": ["bounds", "--workloads", "table1", "--scale", "16"],
+}
+
+
+def _stdout(capsys, argv) -> str:
+    assert main(argv) == 0
+    return ELAPSED.sub("in <elapsed>s", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_transcript(name, capsys):
+    expected = (DATA / f"{name}.txt").read_text()
+    assert _stdout(capsys, TRANSCRIPTS[name]) == expected
+
+
+def test_plan_merge_transcript(tmp_path, capsys):
+    shards = []
+    for index in range(2):
+        path = tmp_path / f"s{index}.json"
+        argv = TRANSCRIPTS["plan_run"] + ["--shard", f"{index}/2", "-o", str(path)]
+        assert main(argv) == 0
+        shards.append(str(path))
+    capsys.readouterr()
+    expected = (DATA / "plan_merge.txt").read_text()
+    assert _stdout(capsys, ["plan", "merge", *shards]) == expected

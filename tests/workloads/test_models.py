@@ -1,4 +1,4 @@
-"""Tests for the full-model GEMM catalogs."""
+"""Tests for the full-model op catalogs, through their GEMM lowerings."""
 
 from __future__ import annotations
 
@@ -6,13 +6,14 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.models import (
-    bert_encoder_gemms,
-    dlrm_gemms,
-    mlp_gemms,
-    model_gemms,
+    bert_encoder_ops,
+    dlrm_ops,
+    mlp_ops,
     resnet50_conv_layers,
-    resnet50_gemms,
+    resnet50_ops,
 )
+from repro.workloads.ops import lower_ops
+from repro.workloads.suites import get_suite
 
 
 class TestResNet50:
@@ -37,8 +38,7 @@ class TestResNet50:
         (M = 32*7*7 = 1568); the paper's Table I quotes the stride-1
         simplification (M = 6272).
         """
-        gemms = resnet50_gemms(batch=32)
-        shapes = {(g.m, g.n, g.k) for g in gemms.values()}
+        shapes = {shape.dims for _, shape in get_suite("resnet50", batch=32).gemms}
         assert (100_352, 64, 64) in shapes        # ResNet50-1 (conv2 1x1)
         assert (100_352, 64, 576) in shapes       # ResNet50-2 (conv2 3x3)
         assert (1_568, 512, 1024) in shapes       # ResNet50-3, stride-2 form
@@ -53,19 +53,19 @@ class TestResNet50:
     def test_total_macs_magnitude(self):
         # He et al. quote "3.8 billion FLOPs" for ResNet-50 (MAC counted
         # once); the conv portion of the catalog must land right there.
-        total = sum(g.macs for g in resnet50_gemms(batch=1).values())
+        total = sum(shape.macs for _, shape in lower_ops(resnet50_ops(batch=1)))
         assert 3.5e9 < total < 4.2e9
 
 
 class TestBert:
     def test_layer_structure(self):
-        gemms = bert_encoder_gemms(layers=2)
+        gemms = dict(lower_ops(bert_encoder_ops(layers=2)))
         assert len(gemms) == 12
         assert gemms["enc0.ffn_up"].n == 3072
         assert gemms["enc1.ffn_down"].k == 3072
 
     def test_matches_table1_shapes(self):
-        gemms = bert_encoder_gemms()
+        gemms = get_suite("bert-base").as_dict()
         q = gemms["enc0.q"]
         assert (q.m, q.n, q.k) == (256, 768, 768)          # BERT-1
         up = gemms["enc0.ffn_up"]
@@ -75,30 +75,29 @@ class TestBert:
 
     def test_bad_layer_count(self):
         with pytest.raises(WorkloadError):
-            bert_encoder_gemms(layers=0)
+            bert_encoder_ops(layers=0)
 
 
 class TestDlrm:
     def test_mlp_chaining(self):
-        gemms = mlp_gemms(512, (256, 1024, 64), "t")
+        gemms = dict(lower_ops(mlp_ops(512, (256, 1024, 64), "t")))
         assert gemms["t0"].k == 256 and gemms["t0"].n == 1024
         assert gemms["t1"].k == 1024 and gemms["t1"].n == 64
 
     def test_contains_table1_like_shapes(self):
-        gemms = dlrm_gemms(batch=512)
-        shapes = {(g.m, g.n, g.k) for g in gemms.values()}
+        shapes = {shape.dims for _, shape in lower_ops(dlrm_ops(batch=512))}
         assert (512, 1024, 1024) in shapes      # DLRM-1
         assert (512, 2048, 2048) in shapes      # DLRM-3
 
     def test_mlp_needs_two_widths(self):
         with pytest.raises(WorkloadError):
-            mlp_gemms(4, (16,), "x")
+            mlp_ops(4, (16,), "x")
 
 
 class TestRegistry:
     def test_lookup(self):
-        assert len(model_gemms("bert-base", layers=1)) == 6
+        assert len(get_suite("bert-base")) == len(lower_ops(bert_encoder_ops())) == 72
 
     def test_unknown_model(self):
         with pytest.raises(WorkloadError, match="resnet50"):
-            model_gemms("alexnet")
+            get_suite("alexnet")

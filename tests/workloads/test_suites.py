@@ -21,13 +21,7 @@ from repro.runtime.cache import cache_key
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.ops import LoweringConfig
-from repro.workloads.suites import (
-    SUITES,
-    SuiteSpec,
-    WorkloadSuite,
-    get_suite,
-    suite_names,
-)
+from repro.workloads.suites import SUITES, WorkloadSuite, get_suite, suite_names
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "suite_golden.json").read_text()
@@ -36,13 +30,13 @@ GOLDEN = json.loads(
 
 class TestWorkloadSuite:
     def test_multiset_orders_and_counts(self):
-        suite = WorkloadSuite.from_gemms(
+        suite = WorkloadSuite(
             "toy",
-            {
-                "a": GemmShape(64, 64, 64, name="a"),
-                "b": GemmShape(128, 64, 64, name="b"),
-                "c": GemmShape(64, 64, 64, name="c"),  # duplicate dims of "a"
-            },
+            gemms=(
+                ("a", GemmShape(64, 64, 64, name="a")),
+                ("b", GemmShape(128, 64, 64, name="b")),
+                ("c", GemmShape(64, 64, 64, name="c")),  # duplicate dims of "a"
+            ),
         )
         assert len(suite) == 3
         distinct = suite.distinct()
@@ -56,7 +50,7 @@ class TestWorkloadSuite:
 
     def test_empty_suite_rejected(self):
         with pytest.raises(WorkloadError, match="no GEMMs"):
-            WorkloadSuite.from_gemms("empty", {})
+            WorkloadSuite("empty", gemms=())
 
     def test_empty_ops_rejected(self):
         with pytest.raises(WorkloadError, match="no ops"):
@@ -69,12 +63,12 @@ class TestWorkloadSuite:
         assert get_suite("dlrm", scale=4).as_dict() == suite.as_dict()
 
     def test_total_macs_counts_duplicates(self):
-        suite = WorkloadSuite.from_gemms(
+        suite = WorkloadSuite(
             "toy",
-            {
-                "a": GemmShape(64, 64, 64, name="a"),
-                "b": GemmShape(64, 64, 64, name="b"),
-            },
+            gemms=(
+                ("a", GemmShape(64, 64, 64, name="a")),
+                ("b", GemmShape(64, 64, 64, name="b")),
+            ),
         )
         assert suite.total_macs == 2 * 64 ** 3
 
@@ -86,14 +80,14 @@ class TestScaleMergeRegression:
 
     #: 96^3 and 64^3 both floor to (32, 32, 32) at factor 4 (the 2-tile
     #: m/n floors and the 1-tile k floor); 512^3 stays distinct.
-    SUITE = WorkloadSuite.from_gemms(
+    SUITE = WorkloadSuite(
         "mergy",
-        {
-            "a": GemmShape(96, 96, 96, name="a"),
-            "b": GemmShape(64, 64, 64, name="b"),
-            "c": GemmShape(512, 512, 512, name="c"),
-            "d": GemmShape(96, 96, 96, name="d"),
-        },
+        gemms=(
+            ("a", GemmShape(96, 96, 96, name="a")),
+            ("b", GemmShape(64, 64, 64, name="b")),
+            ("c", GemmShape(512, 512, 512, name="c")),
+            ("d", GemmShape(96, 96, 96, name="d")),
+        ),
     )
 
     def test_distinct_counts_match_unscaled_oracle_aggregation(self):
@@ -305,15 +299,6 @@ class TestLoweringKnobs:
         )
         # batch 512 -> 64 at lowering, then generic /2 with the tile floors.
         assert all(shape.m == 32 for _, shape in suite.gemms)
-
-    def test_pre_lowered_spec_rejects_role_knobs(self):
-        spec = SuiteSpec(
-            "adhoc", "pre-lowered", None,
-            lambda batch: {"g": GemmShape(64, 64, 64, name="g")},
-        )
-        assert spec.build().as_dict()["g"].dims == (64, 64, 64)
-        with pytest.raises(WorkloadError, match="pre-lowered"):
-            spec.build(lowering=LoweringConfig(scale_batch=2))
 
     def test_bert_full_scale_spatial_shrinks_attention_only(self):
         full = get_suite("bert-full", lowering=LoweringConfig(scale_spatial=8))
