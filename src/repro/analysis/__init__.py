@@ -4,7 +4,6 @@ from repro.analysis.bounds import (
     RESOURCE_ORDER,
     BoundsCheck,
     BoundsReport,
-    BoundsSweep,
     BoundViolation,
     ResourceBound,
     bound_program,
@@ -18,14 +17,12 @@ from repro.analysis.occupancy import (
     single_mm_active_pes,
 )
 from repro.analysis.verifier import (
-    CounterMismatch,
     Diagnostic,
     HazardReport,
     PolicyCounters,
     Region,
     StaticCounters,
     VerifierReport,
-    cross_check_counters,
     hazard_report,
     kernel_regions,
     lint_shape,
@@ -42,20 +39,17 @@ __all__ = [
     "RESOURCE_ORDER",
     "BoundsCheck",
     "BoundsReport",
-    "BoundsSweep",
     "BoundViolation",
     "ResourceBound",
     "bound_program",
     "bound_shape",
     "cross_check_bounds",
-    "CounterMismatch",
     "Diagnostic",
     "HazardReport",
     "PolicyCounters",
     "Region",
     "StaticCounters",
     "VerifierReport",
-    "cross_check_counters",
     "hazard_report",
     "kernel_regions",
     "lint_shape",

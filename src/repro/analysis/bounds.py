@@ -1,8 +1,7 @@
-"""Static cycle-bound analyzer: provable lower bounds under the simulators.
+"""Static cycle-bound analyzer and the one cross-tier oracle.
 
-PR 7's verifier proved the *counters* identical across the static, analytic
-and fast models; this module does the same for *cycles* — the paper's
-headline metric — by turning the hazard structure of a program into a
+This module bounds *cycles* — the paper's headline metric — without
+simulating, by turning the hazard structure of a program into a
 latency-weighted dependence DAG and bounding, per (program, design), what
 any legal execution under the fast model's machine description can achieve:
 
@@ -38,13 +37,14 @@ resource model *is* the fast model, so the achieved cycles come from
 :class:`repro.cpu.fast.FastCoreModel` (``fast-ref``), whose engine timing is
 the one reference recurrence, :class:`repro.engine.scheduler.EngineScheduler`.
 
-:func:`cross_check_bounds` is the cycle-level oracle (the cycles analogue
-of :func:`repro.analysis.verifier.cross_check_counters`): per design it
-asserts the vectorized ``fast`` result equal to ``fast-ref``,
-``LB <= fast`` exactly, and holds the analytic tier's cycle estimate to its
-documented contract (:data:`repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND`)
-against the fast cycles and the lower bound.  CI gates it over every suite
-times all eight designs.
+:func:`cross_check_bounds` is the one place the tiers are compared: per
+design it asserts the vectorized ``fast`` result equal to ``fast-ref``,
+``LB <= fast`` exactly, the verifier's static counters equal to ``fast``'s,
+and — inside the analytic tier's verified domain
+(:func:`repro.cpu.analytic.analytic_domain_error`) — the analytic counts
+equal to ``fast``'s and its cycle estimate within its documented contract
+(:data:`repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND`) of the fast cycles
+and the lower bound.  CI gates it over every suite times all eight designs.
 
 Like the analytic tier, the bounds assume the runtime's default ideal
 memory (fixed-latency tile loads); custom memory hierarchies change the
@@ -60,7 +60,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.analytic import ANALYTIC_CYCLE_ERROR_BOUND
+from repro.analysis.verifier import PolicyCounters, static_counters
+from repro.cpu.analytic import ANALYTIC_CYCLE_ERROR_BOUND, analytic_domain_error
 from repro.cpu.config import CoreConfig
 from repro.engine.config import EngineConfig
 from repro.engine.designs import DESIGNS, get_design
@@ -163,11 +164,15 @@ class BoundViolation:
 
 @dataclasses.dataclass(frozen=True)
 class BoundsCheck:
-    """One design's bounds next to its achieved cycles, with any violations."""
+    """One design's bounds next to its achieved cycles, with any violations.
+
+    ``analytic_cycles`` is ``None`` when the input lies outside the
+    analytic tier's verified domain and its checks were skipped.
+    """
 
     design_key: str
     report: BoundsReport
-    analytic_cycles: int
+    analytic_cycles: Optional[int]
     fast_cycles: int
     violations: Tuple[BoundViolation, ...]
 
@@ -178,32 +183,6 @@ class BoundsCheck:
     @property
     def lb_tightness(self) -> float:
         return self.report.tightness(self.fast_cycles)
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundsSweep:
-    """Per-point :class:`BoundsReport`\\ s for (a shard of) a sweep plan.
-
-    ``reports`` maps each owned distinct cache key to its report, exactly
-    like :class:`repro.runtime.plan.SweepReport.results` maps keys to
-    results — so shard reports :meth:`merge` bit-identically into the
-    unsharded run's.
-    """
-
-    reports: Dict[str, BoundsReport]
-
-    def merge(self, *others: "BoundsSweep") -> "BoundsSweep":
-        """Union shard sweeps; overlapping keys must carry equal reports."""
-        merged = dict(self.reports)
-        for other in others:
-            for key, report in other.reports.items():
-                if key in merged and merged[key] != report:
-                    raise ExperimentError(
-                        f"bounds sweeps disagree on key {key[:12]}…: "
-                        f"{merged[key]} vs {report}"
-                    )
-                merged[key] = report
-        return BoundsSweep(reports=merged)
 
 
 # -- the residency replay ------------------------------------------------------------
@@ -218,7 +197,7 @@ def _loads_weights(
 
     Identical to :meth:`repro.engine.scheduler.EngineScheduler.schedule_mm`'s
     bypass test and :func:`repro.analysis.verifier.static_counters`' replay
-    (the counter oracle proves the three agree).
+    (:func:`cross_check_bounds` proves the three agree).
     """
     return not (bypasses_on_reuse and resident is not None and resident == key)
 
@@ -292,8 +271,6 @@ def _resource_lbs(
     program: Program, core: CoreConfig, engine: EngineConfig, ratio: int
 ) -> Dict[str, int]:
     """The per-resource throughput lower bounds (everything but the DAG walk)."""
-    from repro.analysis.verifier import static_counters
-
     counts = static_counters(program)
     policy_counts = counts.for_policy(engine.control.bypasses_on_reuse)
     n = counts.instructions
@@ -388,33 +365,55 @@ def bound_shape(
     return bound_program(kernel.program, design_key, core=core)
 
 
+def _counter_mismatches(
+    design_key: str, tier: str, counts: object, fast: object
+) -> List[BoundViolation]:
+    """One violation per :class:`PolicyCounters` field ``tier`` gets wrong."""
+    return [
+        BoundViolation(
+            design_key, f"{tier}-counter-mismatch",
+            f"{tier} {field.name} {getattr(counts, field.name)} != "
+            f"fast {getattr(fast, field.name)}",
+        )
+        for field in dataclasses.fields(PolicyCounters)
+        if getattr(counts, field.name) != getattr(fast, field.name)
+    ]
+
+
 def cross_check_bounds(
     shape: GemmShape,
     codegen: CodegenOptions = CodegenOptions(),
     design_keys: Optional[Sequence[str]] = None,
     core: Optional[CoreConfig] = None,
 ) -> Tuple[BoundsCheck, ...]:
-    """The cycle-level oracle: LB vs analytic vs fast vs fast-ref, per design.
+    """The cross-tier oracle: LB, static, analytic, fast and fast-ref, per design.
 
-    Cycles depend on the full (PE, control) design pair — unlike the
-    counters, which collapse onto the two policy classes — so the fast
-    model runs once per requested design.  Per design the check asserts
+    Cycles depend on the full (PE, control) design pair, so the fast model
+    runs once per requested design.  Per design the check asserts
 
     - the vectorized ``fast`` result equal, field for field, to the scalar
       ``fast-ref`` reference (the vectorization equality oracle — any
       drift is a bug in the numpy kernel or in the decode it reads, which
       lowering builds directly),
     - ``LB <= fast`` exactly (a violation is a bug in the bounds, the
-      scheduler, or the fast model), and
-    - the analytic estimate within its documented
+      scheduler, or the fast model),
+    - the verifier's static counters, projected onto the design's control
+      policy, equal to ``fast``'s :class:`PolicyCounters` fields, and
+    - inside the analytic tier's verified domain, the analytic counts equal
+      to ``fast``'s and its cycle estimate within the documented
       :data:`~repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND` of the fast
-      cycles and of the lower bound.
+      cycles and of the lower bound.  Outside the domain the analytic
+      checks are skipped and ``analytic_cycles`` is ``None``; every other
+      check still runs.
 
     Returns one :class:`BoundsCheck` per design; gate on
     ``all(c.ok for c in checks)``.
     """
     keys = list(design_keys) if design_keys is not None else list(DESIGNS)
+    core = core if core is not None else CoreConfig()
     program = build_gemm_kernel(shape, codegen).program
+    counters = static_counters(program)
+    analytic_in_domain = analytic_domain_error(core, codegen) is None
     tolerance = ANALYTIC_CYCLE_ERROR_BOUND
     checks: List[BoundsCheck] = []
     for key in keys:
@@ -424,9 +423,6 @@ def cross_check_bounds(
             resolve_backend(key, fidelity="fast-ref", core=core)
             .prepare(program)
             .run()
-        )
-        analytic = resolve_backend(key, fidelity="analytic", core=core).run_shape(
-            shape, codegen
         )
         lb = report.lower_bound
         violations: List[BoundViolation] = []
@@ -440,22 +436,33 @@ def cross_check_bounds(
                 key, "lb-exceeds-fast",
                 f"lower bound {lb} > fast cycles {fast.cycles}",
             ))
-        if abs(analytic.cycles - fast.cycles) > tolerance * fast.cycles:
-            violations.append(BoundViolation(
-                key, "analytic-fast-drift",
-                f"analytic {analytic.cycles} vs fast {fast.cycles} exceeds "
-                f"the {tolerance:.0%} contract",
-            ))
-        if analytic.cycles < lb * (1 - tolerance):
-            violations.append(BoundViolation(
-                key, "analytic-below-lb",
-                f"analytic {analytic.cycles} < lower bound {lb} beyond "
-                f"the {tolerance:.0%} contract",
-            ))
+        bypasses = get_design(key).config.control.bypasses_on_reuse
+        violations.extend(_counter_mismatches(
+            key, "static", counters.for_policy(bypasses), fast
+        ))
+        analytic_cycles: Optional[int] = None
+        if analytic_in_domain:
+            analytic = resolve_backend(
+                key, fidelity="analytic", core=core
+            ).run_shape(shape, codegen)
+            analytic_cycles = analytic.cycles
+            if abs(analytic.cycles - fast.cycles) > tolerance * fast.cycles:
+                violations.append(BoundViolation(
+                    key, "analytic-fast-drift",
+                    f"analytic {analytic.cycles} vs fast {fast.cycles} exceeds "
+                    f"the {tolerance:.0%} contract",
+                ))
+            if analytic.cycles < lb * (1 - tolerance):
+                violations.append(BoundViolation(
+                    key, "analytic-below-lb",
+                    f"analytic {analytic.cycles} < lower bound {lb} beyond "
+                    f"the {tolerance:.0%} contract",
+                ))
+            violations.extend(_counter_mismatches(key, "analytic", analytic, fast))
         checks.append(BoundsCheck(
             design_key=key,
             report=report,
-            analytic_cycles=analytic.cycles,
+            analytic_cycles=analytic_cycles,
             fast_cycles=fast.cycles,
             violations=tuple(violations),
         ))

@@ -37,13 +37,11 @@ Three products per program:
    rule (:meth:`repro.engine.scheduler.EngineScheduler.schedule_mm`): a
    ``rasa_mm`` reuses resident weights iff its B register *contents* — the
    (register, version) pair the fast model keys on — match the previous
-   mm's.  :func:`cross_check_counters` asserts these equal both
-   :class:`~repro.cpu.analytic.AnalyticCoreModel` and
-   :class:`~repro.cpu.fast.FastCoreModel` counts, a three-way oracle.
-   Two lints ride on the same walk: *dead tile stores* (overwritten before
-   any read) and *redundant weight reloads* (reloading bytes a register
-   already holds — the anti-pattern RASA's register reuse exists to
-   eliminate).
+   mm's.  :func:`repro.analysis.bounds.cross_check_bounds` asserts these
+   equal the fast model's counts on every design.  Two lints ride on the
+   same walk: *dead tile stores* (overwritten before any read) and
+   *redundant weight reloads* (reloading bytes a register already holds —
+   the anti-pattern RASA's register reuse exists to eliminate).
 
 3. **Hazard report** (:class:`HazardReport`).  Per-program RAW/WAR/WAW
    edge counts over tile registers, the longest RAW dependence chain (the
@@ -58,8 +56,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, cast
 
-from repro.cpu.config import CoreConfig
-from repro.engine.designs import DESIGNS, get_design
 from repro.isa.instructions import (
     NUM_SCALAR_REGS,
     NUM_TILE_REGS,
@@ -69,7 +65,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.runtime.registry import resolve_backend
 from repro.tile.hostmem import HostMatrix
 from repro.tile.layout import ROW_BYTES, ROWS
 from repro.workloads.codegen import CodegenOptions, GemmKernel, build_gemm_kernel
@@ -198,29 +193,6 @@ class VerifierReport:
     @property
     def warnings(self) -> Tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == "warning")
-
-
-@dataclasses.dataclass(frozen=True)
-class CounterMismatch:
-    """One field where the static, analytic, and fast counts disagree.
-
-    ``fast`` is the vectorized kernel and ``fast_ref`` the scalar
-    reference model; the two must always agree exactly.
-    """
-
-    design_key: str
-    field: str
-    static: int
-    analytic: int
-    fast: int
-    fast_ref: int
-
-    def __str__(self) -> str:
-        return (
-            f"{self.design_key}: {self.field}: static={self.static} "
-            f"analytic={self.analytic} fast={self.fast} "
-            f"fast-ref={self.fast_ref}"
-        )
 
 
 # -- well-formedness -----------------------------------------------------------------
@@ -610,57 +582,3 @@ def lint_shape(
     """Generate and verify the kernel for ``shape`` — the one-call lint."""
     return verify_kernel(build_gemm_kernel(shape, codegen))
 
-
-def cross_check_counters(
-    shape: GemmShape,
-    codegen: CodegenOptions = CodegenOptions(),
-    design_keys: Optional[Sequence[str]] = None,
-    core: Optional[CoreConfig] = None,
-) -> Tuple[CounterMismatch, ...]:
-    """The four-way counter oracle: static vs analytic vs fast vs fast-ref.
-
-    Counts depend on a design only through its control policy's
-    ``bypasses_on_reuse``, so the fast and fast-ref simulations are
-    memoized per policy class within one call; every requested design is
-    still compared field-for-field.  ``fast-ref`` is the scalar model the
-    vectorized kernel must replicate bit for bit; comparing both here
-    keeps the vectorization honest on every oracle path.  Returns the
-    (ideally empty) mismatch tuple.
-    """
-    keys = list(design_keys) if design_keys is not None else list(DESIGNS)
-    kernel = build_gemm_kernel(shape, codegen)
-    counters = static_counters(kernel.program)
-    fast_by_policy: Dict[bool, object] = {}
-    fast_ref_by_policy: Dict[bool, object] = {}
-    mismatches: List[CounterMismatch] = []
-    for key in keys:
-        design = get_design(key)
-        bypasses = design.config.control.bypasses_on_reuse
-        static = counters.for_policy(bypasses)
-        analytic = resolve_backend(key, fidelity="analytic", core=core).run_shape(
-            shape, codegen
-        )
-        if bypasses not in fast_by_policy:
-            fast_by_policy[bypasses] = (
-                resolve_backend(key, fidelity="fast", core=core)
-                .prepare(kernel.program)
-                .run()
-            )
-            fast_ref_by_policy[bypasses] = (
-                resolve_backend(key, fidelity="fast-ref", core=core)
-                .prepare(kernel.program)
-                .run()
-            )
-        fast = fast_by_policy[bypasses]
-        fast_ref = fast_ref_by_policy[bypasses]
-        for field in ("instructions", "mm_count", "weight_loads", "bypass_count"):
-            s = getattr(static, field)
-            a = getattr(analytic, field)
-            f = getattr(fast, field)
-            fr = getattr(fast_ref, field)
-            if not (s == a == f == fr):
-                mismatches.append(CounterMismatch(
-                    design_key=key, field=field, static=s, analytic=a,
-                    fast=f, fast_ref=fr,
-                ))
-    return tuple(mismatches)

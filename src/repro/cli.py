@@ -29,18 +29,18 @@ Commands:
 - ``lint``                          statically verify generated programs: the
                                     :mod:`repro.analysis.verifier` dataflow
                                     pass (def-use, memory legality, hazard
-                                    stats) plus the three-way counter oracle
-                                    (static vs analytic vs fast) over one
-                                    ``--m/--n/--k`` GEMM or
-                                    ``--workloads <suite>|all``; ``--json``
-                                    for machine-readable reports
-- ``bounds``                        static cycle bounds per program x design:
-                                    the :mod:`repro.analysis.bounds`
+                                    stats) over one ``--m/--n/--k`` GEMM or
+                                    ``--workloads <suite>|all``, with no
+                                    simulation; ``--json`` for
+                                    machine-readable reports
+- ``bounds``                        the cross-tier oracle per program x
+                                    design: the :mod:`repro.analysis.bounds`
                                     dependence/resource lower bounds and
-                                    bottleneck attribution, cross-checked
-                                    against the analytic, fast and fast-ref
-                                    models (exit 1 on any violated check);
-                                    same target flags as ``lint``
+                                    bottleneck attribution, checked against
+                                    the static counters and the analytic,
+                                    fast and fast-ref models (exit 1 on any
+                                    violated check); ``lint``'s target
+                                    flags plus ``--designs``
 - ``serve``                         run the persistent sweep coordinator: a
                                     stdlib HTTP JSON API over a durable
                                     SQLite (WAL) job store with an explicit
@@ -82,11 +82,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.bounds import BoundsCheck, cross_check_bounds
-from repro.analysis.verifier import (
-    VerifierReport,
-    cross_check_counters,
-    lint_shape,
-)
+from repro.analysis.verifier import VerifierReport, lint_shape
 from repro.engine.designs import DESIGNS, get_design
 from repro.errors import ReproError
 from repro.experiments.area_energy import area_energy_report
@@ -164,9 +160,6 @@ def _add_target_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workloads", default=None,
                         help='comma-separated suite names or "all" '
                              "(default: table1)")
-    parser.add_argument("--designs", default="all",
-                        help='"all" or comma-separated design keys '
-                             "(default: all)")
     parser.add_argument("--batch", type=int, default=None,
                         help="override a suite's streamed-rows (batch) dimension")
     parser.add_argument("--scale", type=int, default=None,
@@ -203,11 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the streamed-rows (batch) dimension")
     models.add_argument("--scale", type=int, default=1,
                         help="divide each GEMM dimension by this (default 1)")
-    models.add_argument("--lint", action="store_true",
-                        help="statically verify each suite's distinct programs "
-                             "and add a per-suite diagnostic count (0 means "
-                             "clean; full-size suites take a while — combine "
-                             "with --scale for a quick self-check)")
 
     fig = sub.add_parser("fig", help="regenerate a paper figure")
     fig.add_argument("number", type=int, choices=(1, 2, 5, 6, 7))
@@ -387,22 +375,21 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="statically verify generated programs (def-use, memory legality, "
-             "hazards) and cross-check static counters against the analytic "
-             "and fast models",
+             "hazards) without simulating",
     )
     _add_target_flags(lint)
-    lint.add_argument("--no-oracle", action="store_true",
-                      help="skip the three-way counter cross-check "
-                           "(diagnostics and hazards only)")
 
     bounds = sub.add_parser(
         "bounds",
-        help="static cycle bounds per program x design: dependence/resource "
-             "lower bounds and bottleneck attribution — cross-checked "
-             "against the analytic, fast and fast-ref models (exit 1 on any "
-             "violated check)",
+        help="the cross-tier oracle per program x design: dependence/resource "
+             "lower bounds and bottleneck attribution, checked against the "
+             "static counters and the analytic, fast and fast-ref models "
+             "(exit 1 on any violated check)",
     )
     _add_target_flags(bounds)
+    bounds.add_argument("--designs", default="all",
+                        help='"all" or comma-separated design keys '
+                             "(default: all)")
 
     asm = sub.add_parser("asm", help="assemble .rasa text into a JSONL trace")
     asm.add_argument("source", type=Path)
@@ -439,13 +426,11 @@ def _format_op_composition(composition: Dict[str, int]) -> str:
 
 def _cmd_models(args) -> int:
     rows = []
-    lint_cache: Dict[Tuple[int, int, int], int] = {}  # padded dims -> diags
-    total_diags = 0
     for name in suite_names():
         spec = SUITES[name]
         suite = get_suite(name, batch=args.batch, scale=args.scale)
         batch = args.batch if args.batch is not None else spec.default_batch
-        row = [
+        rows.append((
             name,
             len(suite),
             len(suite.distinct()),
@@ -453,35 +438,14 @@ def _cmd_models(args) -> int:
             f"{suite.total_macs / 1e6:.0f}",
             batch if batch is not None else "per-layer",
             _format_op_composition(spec.op_composition(batch=args.batch)),
-        ]
-        if args.lint:
-            # Distinct programs dedup across suites too (padded dims are
-            # the program identity), so shared shapes lint exactly once.
-            diags = 0
-            for entry in suite.distinct():
-                dims = entry.shape.tile_padded().dims
-                if dims not in lint_cache:
-                    lint_cache[dims] = len(lint_shape(entry.shape).diagnostics)
-                diags += lint_cache[dims]
-            total_diags += diags
-            row.append(diags)
-        row.append(spec.description)
-        rows.append(tuple(row))
-    headers = ["suite", "GEMMs", "distinct", "dedup", "MMACs", "batch", "ops"]
-    if args.lint:
-        headers.append("diags")
-    headers.append("description")
+            spec.description,
+        ))
     print(format_table(
-        headers,
+        ["suite", "GEMMs", "distinct", "dedup", "MMACs", "batch", "ops",
+         "description"],
         rows,
         title="workload suites — sweep with: repro sweep --workloads <suite>",
     ))
-    if args.lint:
-        print(
-            f"lint: {total_diags} diagnostic(s) across "
-            f"{len(lint_cache)} distinct program(s) at scale 1/{args.scale}"
-        )
-        return 0 if not total_diags else 1
     return 0
 
 
@@ -695,10 +659,10 @@ def _reject_suite_flags_with_mnk(args) -> None:
 
 
 def _lint_targets(args) -> List[Tuple[str, GemmShape, Tuple[str, ...]]]:
-    """Expand the lint flags into distinct programs: (label, shape, suites).
+    """Expand the target flags into distinct programs: (label, shape, suites).
 
     Suites dedup by tile-padded dims — the program identity — so shapes
-    shared across models lint and cross-check exactly once.
+    shared across models are linted or bounded exactly once.
     """
     if (args.m, args.n, args.k) != (None, None, None):
         if None in (args.m, args.n, args.k):
@@ -730,7 +694,6 @@ def _lint_report_json(
     shape: GemmShape,
     suites: Tuple[str, ...],
     report: VerifierReport,
-    mismatches,
 ) -> Dict:
     return {
         "workload": label,
@@ -739,25 +702,18 @@ def _lint_report_json(
         "counters": dataclasses.asdict(report.counters),
         "hazards": dataclasses.asdict(report.hazards),
         "diagnostics": [dataclasses.asdict(d) for d in report.diagnostics],
-        "counter_mismatches": [dataclasses.asdict(m) for m in mismatches],
     }
 
 
 def _cmd_lint(args) -> int:
-    design_keys = _parse_designs(args.designs)
     targets = _lint_targets(args)
     rows = []
     entries = []
-    total_diags = total_mismatches = 0
+    total_diags = 0
     for label, shape, suites in targets:
         report = lint_shape(shape)
-        mismatches = (
-            () if args.no_oracle
-            else cross_check_counters(shape, design_keys=design_keys)
-        )
         total_diags += len(report.diagnostics)
-        total_mismatches += len(mismatches)
-        entries.append((label, shape, suites, report, mismatches))
+        entries.append((label, shape, suites, report))
         c, h = report.counters, report.hazards
         rows.append((
             label,
@@ -769,42 +725,31 @@ def _cmd_lint(args) -> int:
             h.longest_raw_chain,
             h.max_live,
             len(report.diagnostics),
-            "-" if args.no_oracle else ("ok" if not mismatches else "MISMATCH"),
         ))
     if args.json:
         print(json.dumps({
             "scale": _suite_scale(args),
-            "designs": design_keys,
             "programs": [
                 _lint_report_json(*entry) for entry in entries
             ],
             "total_diagnostics": total_diags,
-            "total_counter_mismatches": total_mismatches,
         }, indent=2))
     else:
         print(format_table(
             ["workload", "mnk", "insts", "mm", "reuses", "raw/war/waw",
-             "chain", "max live", "diags", "oracle"],
+             "chain", "max live", "diags"],
             rows,
             title="static verification — repro.analysis.verifier",
         ))
         shown_per_program = 8
-        for label, _, _, report, mismatches in entries:
+        for label, _, _, report in entries:
             for diag in report.diagnostics[:shown_per_program]:
                 print(f"{label}: {diag}")
             hidden = len(report.diagnostics) - shown_per_program
             if hidden > 0:
                 print(f"{label}: ... {hidden} more diagnostic(s) elided")
-            for mismatch in mismatches:
-                print(f"{label}: counter mismatch: {mismatch}")
-        oracle = (
-            "oracle skipped"
-            if args.no_oracle
-            else f"{total_mismatches} counter mismatch(es) over "
-                 f"{len(design_keys)} design(s)"
-        )
-        print(f"{len(targets)} program(s): {total_diags} diagnostic(s), {oracle}")
-    return 0 if not (total_diags or total_mismatches) else 1
+        print(f"{len(targets)} program(s): {total_diags} diagnostic(s)")
+    return 0 if not total_diags else 1
 
 
 def _bounds_check_json(check: BoundsCheck) -> Dict:
@@ -836,7 +781,7 @@ def _cmd_bounds(args) -> int:
                 f"{shape.m}x{shape.n}x{shape.k}",
                 check.design_key,
                 check.report.lower_bound,
-                check.analytic_cycles,
+                "-" if check.analytic_cycles is None else check.analytic_cycles,
                 check.fast_cycles,
                 f"{check.lb_tightness:.3f}",
                 check.report.binding,

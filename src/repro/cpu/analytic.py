@@ -38,7 +38,14 @@ initiation interval is at least ``TM`` engine cycles, 8x the frontend and
 load-port demand per K step), so steady state plus exact warmup/tail keeps
 the cycle estimate within a small relative error of the fast model —
 :data:`ANALYTIC_CYCLE_ERROR_BOUND` is the documented contract, enforced by
-tests and :mod:`repro.experiments.analytic_validation`.
+:func:`repro.analysis.bounds.cross_check_bounds`.
+
+The contract holds only on a declared domain (:func:`analytic_domain_error`):
+the default :class:`~repro.cpu.config.CoreConfig` and the default scalar
+overheads, with any legal blocking and mm order.  Another core or other
+overheads change which recurrence binds (ROB stalls, scalar-paced K steps),
+and the closed forms then miss by up to tens of percent, so
+:meth:`AnalyticCoreModel.run_shape` refuses those inputs.
 """
 
 from __future__ import annotations
@@ -50,15 +57,25 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.engine.config import EngineConfig
 from repro.engine.scheduler import EngineScheduler, StageTimes
+from repro.errors import ExperimentError
 from repro.physical.energy import EnergyBreakdown, EnergyModel
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import BlockingConfig, MMOrder
 
 #: Documented upper bound on the analytic model's relative cycle error
-#: versus the fast model (counts are exact).  Validated by
-#: tests/cpu/test_analytic.py and repro.experiments.analytic_validation.
+#: versus the fast model inside the verified domain (counts are exact).
+#: Checked by :func:`repro.analysis.bounds.cross_check_bounds`.
 ANALYTIC_CYCLE_ERROR_BOUND = 0.02
+
+#: The verified domain: the core the closed forms were derived on, and the
+#: scalar overheads they were checked at.  Every legal
+#: :class:`BlockingConfig` and :class:`MMOrder` is inside it.
+_DOMAIN_CORE = CoreConfig()
+_DOMAIN_OVERHEADS: Tuple[Tuple[str, int], ...] = (
+    ("scalar_overhead_per_kstep", 2),
+    ("scalar_overhead_per_block", 6),
+)
 
 #: K steps of the first block replayed with exact readiness (dispatch +
 #: load-port arithmetic).  Loads stop binding within the first couple of
@@ -183,6 +200,26 @@ def _block_structure(shape: GemmShape, blocking: BlockingConfig) -> _BlockStruct
         last=last_runs[-1][0],
         penultimate=penultimate,
     )
+
+
+def analytic_domain_error(core: CoreConfig, codegen: CodegenOptions) -> Optional[str]:
+    """Name the first input outside the analytic tier's verified domain.
+
+    Returns ``None`` inside the domain.  :meth:`AnalyticCoreModel.run_shape`
+    raises on a non-``None`` answer, and
+    :func:`repro.analysis.bounds.cross_check_bounds` skips its analytic
+    checks on one.
+    """
+    for field in dataclasses.fields(CoreConfig):
+        value = getattr(core, field.name)
+        verified = getattr(_DOMAIN_CORE, field.name)
+        if value != verified:
+            return f"core.{field.name}={value} (verified only at {verified})"
+    for name, verified in _DOMAIN_OVERHEADS:
+        value = getattr(codegen, name)
+        if value != verified:
+            return f"codegen.{name}={value} (verified only at {verified})"
+    return None
 
 
 class AnalyticCoreModel:
@@ -388,7 +425,18 @@ class AnalyticCoreModel:
         shape: GemmShape,
         codegen: CodegenOptions = CodegenOptions(),
     ) -> SimResult:
-        """Estimate the fast model's :class:`SimResult` for ``shape``."""
+        """Estimate the fast model's :class:`SimResult` for ``shape``.
+
+        Raises :class:`ExperimentError` when the core or codegen lies
+        outside the verified domain (:func:`analytic_domain_error`); use
+        the ``fast`` fidelity there.
+        """
+        reason = analytic_domain_error(self.core, codegen)
+        if reason is not None:
+            raise ExperimentError(
+                f"the analytic fidelity is unverified at {reason}; "
+                "use the 'fast' fidelity for this input"
+            )
         blocking = codegen.blocking
         k_t = shape.k_tiles
         structure = _block_structure(shape, blocking)

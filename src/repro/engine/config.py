@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 from repro.errors import ConfigError
 from repro.systolic.pe import BASELINE_PE, PESpec
@@ -111,9 +112,14 @@ class EngineConfig:
         """B rows delivered per WL cycle (2 with the RASA-DB extra links)."""
         return 2 if self.pe.is_double_buffered else 1
 
-    @property
+    @functools.cached_property
     def stages(self) -> StageDurations:
-        """Sub-stage durations of one rasa_mm on this design."""
+        """Sub-stage durations of one rasa_mm on this design.
+
+        Cached on the instance: the scheduler reads it once per mm.  The
+        cache lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality, hashing and ``asdict`` are unaffected.
+        """
         return StageDurations.for_array(
             self.phys_rows,
             self.phys_cols,

@@ -23,11 +23,6 @@ render tables.
 """
 
 from repro.experiments.runner import ExperimentSettings, run_design, runtime_sweep
-from repro.experiments.analytic_validation import (
-    ValidationPoint,
-    ValidationReport,
-    validate_analytic,
-)
 from repro.experiments.toy import fig1_toy_example
 from repro.experiments.utilization_sweep import fig2_utilization
 from repro.experiments.layer_table import table1_report

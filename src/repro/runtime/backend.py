@@ -174,10 +174,9 @@ class FastCoreBackend(_BaseBackend):
 class FastRefBackend(_BaseBackend):
     """Adapter over the scalar per-instruction reference model.
 
-    Kept as its own fidelity so the cross-check oracles
-    (:func:`repro.analysis.bounds.cross_check_bounds`,
-    :func:`repro.analysis.verifier.cross_check_counters`, the hypothesis
-    property suite) can assert ``fast == fast-ref`` end to end.
+    Kept as its own fidelity so the cross-tier oracle
+    (:func:`repro.analysis.bounds.cross_check_bounds`) and the hypothesis
+    property suite can assert ``fast == fast-ref`` end to end.
     """
 
     fidelity = "fast-ref"

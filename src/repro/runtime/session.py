@@ -61,19 +61,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-if TYPE_CHECKING:
-    from repro.analysis.bounds import BoundsReport, BoundsSweep
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.cpu.result import SimResult
 from repro.errors import ExperimentError, VerificationError
@@ -140,8 +128,7 @@ def _execute_indexed(item: "tuple[int, SweepJob]") -> "tuple[int, SimResult]":
 def _owned_distinct_jobs(plan: SweepPlan) -> Dict[str, SweepJob]:
     """The first job per distinct key, limited to the keys the shard owns.
 
-    First-occurrence order.  :meth:`Session.run` and :meth:`Session.bounds`
-    both select through here, so their dedup and sharding cannot diverge.
+    First-occurrence order.
     """
     jobs = plan.expanded_jobs()  # one expansion + one hash per job, ever
     keys = plan.job_keys()
@@ -219,7 +206,6 @@ class Session:
         # Lazily created, persists across run() calls.
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._verified: "set[tuple[GemmShape, CodegenOptions]]" = set()
-        self._bounds_memo: "Dict[Tuple[object, ...], BoundsReport]" = {}
 
     @classmethod
     def from_env(
@@ -302,37 +288,6 @@ class Session:
             simulated=len(misses),
             cache_hits=len(distinct) - len(misses),
         )
-
-    def bounds(self, plan: SweepPlan) -> "BoundsSweep":
-        """Static cycle bounds for every distinct point the plan (shard) owns.
-
-        Returns a :class:`repro.analysis.bounds.BoundsSweep` mapping each
-        owned distinct cache key to its
-        :class:`~repro.analysis.bounds.BoundsReport` — no simulation, no
-        cache: the bounds are pure functions of (program, design, core).
-        Dedup and sharding follow :meth:`run` exactly, so shard sweeps
-        :meth:`~repro.analysis.bounds.BoundsSweep.merge` bit-identically
-        into the unsharded result.  Reports memoize per session on the
-        point's bound identity (design, tile-padded unlabeled shape,
-        codegen, core), mirroring the verify memo.
-        """
-        from repro.analysis import bounds as bounds_analysis  # deferred, like verify
-
-        reports: "Dict[str, BoundsReport]" = {}
-        for key, job in _owned_distinct_jobs(plan).items():
-            identity = (
-                job.design_key,
-                job.shape.tile_padded().unlabeled(),
-                job.codegen,
-                job.core,
-            )
-            if identity not in self._bounds_memo:
-                program = cached_program(job.shape, job.codegen)
-                self._bounds_memo[identity] = bounds_analysis.bound_program(
-                    program, job.design_key, core=job.core
-                )
-            reports[key] = self._bounds_memo[identity]
-        return bounds_analysis.BoundsSweep(reports=reports)
 
     def _verify_jobs(self, jobs: "Iterable[SweepJob]") -> None:
         """Lint every distinct program before simulation (``verify=True``).

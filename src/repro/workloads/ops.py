@@ -94,10 +94,6 @@ class LoweringConfig:
         check_positive("scale_batch", self.scale_batch)
         check_positive("scale_spatial", self.scale_spatial)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.scale_batch == 1 and self.scale_spatial == 1
-
 
 DEFAULT_LOWERING = LoweringConfig()
 

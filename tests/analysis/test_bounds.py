@@ -1,13 +1,17 @@
 """Tests for the static cycle-bound analyzer (:mod:`repro.analysis.bounds`).
 
-The load-bearing assertions are the cycle-level oracle — ``LB <= fast``
-exactly, ``fast == fast-ref``, analytic within its documented tolerance —
-over every design, and the seeded-mutation test proving the oracle actually
-*fails* when the bound is wrong (an inflated dependence-edge latency,
-applied at the analyzer's documented seam).
+The load-bearing assertions are the cross-tier oracle — ``LB <= fast``
+exactly, ``fast == fast-ref``, static and analytic counters equal to
+``fast``'s, analytic cycles within its documented tolerance — over every
+design, and the seeded-mutation tests proving the oracle actually *fails*
+when a tier is wrong (an inflated dependence-edge latency applied at the
+analyzer's documented seam, a miscounting static replay, a scalar
+reference off by one cycle, a miscounting or drifting analytic model).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -15,12 +19,13 @@ from repro.analysis import bounds
 from repro.analysis.bounds import (
     RESOURCE_ORDER,
     BoundsReport,
-    BoundsSweep,
     ResourceBound,
     bound_program,
     bound_shape,
     cross_check_bounds,
 )
+from repro.cpu.analytic import AnalyticCoreModel
+from repro.cpu.config import CoreConfig
 from repro.engine.designs import DESIGNS
 from repro.errors import ConfigError, ExperimentError
 from repro.isa.program import Program
@@ -29,15 +34,33 @@ from repro.workloads.gemm import GemmShape
 SMALL = GemmShape(64, 64, 64, name="small")
 TALL = GemmShape(128, 32, 64, name="tall")
 ODD = GemmShape(17, 33, 65, name="odd")
+CLIPPED = GemmShape(50, 70, 90, name="clipped")  # padded on every dim, N-edge block
+NARROW = GemmShape(48, 32, 96, name="narrow")  # odd M-tile count, one block column
 
 
 class TestOracle:
-    @pytest.mark.parametrize("shape", [SMALL, TALL, ODD], ids=lambda s: s.name)
+    @pytest.mark.parametrize(
+        "shape", [SMALL, TALL, ODD, CLIPPED, NARROW], ids=lambda s: s.name
+    )
     def test_cross_check_is_clean_on_every_design(self, shape):
         checks = cross_check_bounds(shape)
         assert [c.design_key for c in checks] == list(DESIGNS)
         for check in checks:
             assert check.ok, (shape, check.violations)
+
+    def test_out_of_domain_core_still_checks_every_other_tier(self, monkeypatch):
+        # The analytic checks are skipped off its verified core; the static
+        # counter check must still run there and catch a miscount.
+        real = bounds.static_counters
+        monkeypatch.setattr(
+            bounds, "static_counters",
+            lambda program: dataclasses.replace(real(program), mm_count=0),
+        )
+        for check in cross_check_bounds(SMALL, core=CoreConfig(rob_size=16)):
+            assert check.analytic_cycles is None, check.design_key
+            assert {v.kind for v in check.violations} == {
+                "static-counter-mismatch"
+            }, check.design_key
 
     @pytest.mark.parametrize("shape", [SMALL, TALL, ODD], ids=lambda s: s.name)
     def test_bounds_sandwich_the_fast_model(self, shape):
@@ -61,6 +84,102 @@ class TestSeededMutations:
         assert any(
             v.kind == "lb-exceeds-fast" for c in checks for v in c.violations
         )
+
+    def test_miscounted_static_replay_is_a_static_counter_mismatch(
+        self, monkeypatch
+    ):
+        # One spurious weight reuse shifts a WL into a bypass on every
+        # design whose policy bypasses; the others never see reuses.
+        real = bounds.static_counters
+
+        def miscounting(program):
+            counts = real(program)
+            return dataclasses.replace(
+                counts, weight_reuses=counts.weight_reuses + 1
+            )
+
+        monkeypatch.setattr(bounds, "static_counters", miscounting)
+        flagged = {
+            c.design_key
+            for c in cross_check_bounds(SMALL)
+            for v in c.violations
+            if v.kind == "static-counter-mismatch"
+        }
+        assert flagged == {
+            key for key, design in DESIGNS.items()
+            if design.config.control.bypasses_on_reuse
+        }
+
+    def test_miscounted_analytic_model_is_an_analytic_counter_mismatch(
+        self, monkeypatch
+    ):
+        real = AnalyticCoreModel.run_shape
+
+        def miscounting(self, shape, codegen):
+            result = real(self, shape, codegen)
+            return dataclasses.replace(result, mm_count=result.mm_count + 1)
+
+        monkeypatch.setattr(AnalyticCoreModel, "run_shape", miscounting)
+        for check in cross_check_bounds(SMALL):
+            assert [v.kind for v in check.violations] == [
+                "analytic-counter-mismatch"
+            ], check.design_key
+            assert "analytic mm_count" in check.violations[0].detail
+
+    def test_diverging_scalar_reference_is_a_fast_ref_mismatch(self, monkeypatch):
+        real = bounds.resolve_backend
+
+        class OffByOne:
+            def __init__(self, prepared):
+                self.prepared = prepared
+
+            def run(self):
+                result = self.prepared.run()
+                return dataclasses.replace(result, cycles=result.cycles + 1)
+
+        class Reference:
+            def __init__(self, backend):
+                self.backend = backend
+
+            def prepare(self, program):
+                return OffByOne(self.backend.prepare(program))
+
+        def resolve(key, fidelity, **kwargs):
+            backend = real(key, fidelity=fidelity, **kwargs)
+            return Reference(backend) if fidelity == "fast-ref" else backend
+
+        monkeypatch.setattr(bounds, "resolve_backend", resolve)
+        for check in cross_check_bounds(SMALL):
+            assert [v.kind for v in check.violations] == [
+                "fast-ref-mismatch"
+            ], check.design_key
+
+    def test_drifting_analytic_cycles_are_an_analytic_fast_drift(self, monkeypatch):
+        real = AnalyticCoreModel.run_shape
+
+        def drifting(self, shape, codegen):
+            result = real(self, shape, codegen)
+            return dataclasses.replace(result, cycles=2 * result.cycles)
+
+        monkeypatch.setattr(AnalyticCoreModel, "run_shape", drifting)
+        for check in cross_check_bounds(SMALL):
+            assert check.analytic_cycles == 2 * check.fast_cycles, check.design_key
+            assert [v.kind for v in check.violations] == [
+                "analytic-fast-drift"
+            ], check.design_key
+
+    def test_analytic_cycles_under_the_lower_bound_are_flagged(self, monkeypatch):
+        # LB <= fast, so an estimate below the LB has drifted from fast too.
+        real = AnalyticCoreModel.run_shape
+
+        def undercounting(self, shape, codegen):
+            return dataclasses.replace(real(self, shape, codegen), cycles=1)
+
+        monkeypatch.setattr(AnalyticCoreModel, "run_shape", undercounting)
+        for check in cross_check_bounds(SMALL):
+            assert [v.kind for v in check.violations] == [
+                "analytic-fast-drift", "analytic-below-lb"
+            ], check.design_key
 
 
 class TestReportApi:
@@ -88,24 +207,3 @@ class TestReportApi:
         report = bound_program(Program(instructions=()), "baseline")
         assert report.lower_bound == 0
 
-
-class TestBoundsSweep:
-    def _report(self, name):
-        return BoundsReport(
-            name=name, design_key="baseline", lower_bound=1,
-            components=(ResourceBound("mm-issue", 1),), binding="mm-issue",
-        )
-
-    def test_merge_is_a_disjoint_union(self):
-        a = BoundsSweep(reports={"k1": self._report("a")})
-        b = BoundsSweep(reports={"k2": self._report("b")})
-        assert set(a.merge(b).reports) == {"k1", "k2"}
-
-    def test_merge_tolerates_equal_duplicates(self):
-        a = BoundsSweep(reports={"k1": self._report("a")})
-        assert a.merge(BoundsSweep(reports={"k1": self._report("a")})) == a
-
-    def test_merge_rejects_disagreeing_reports(self):
-        a = BoundsSweep(reports={"k1": self._report("a")})
-        with pytest.raises(ExperimentError, match="k1"):
-            a.merge(BoundsSweep(reports={"k1": self._report("b")}))

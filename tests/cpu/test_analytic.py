@@ -1,32 +1,26 @@
-"""Analytic-tier tests: exact counts, bounded cycle error, suite validation.
+"""Analytic-tier tests: the analytic SimResult equals the fast model's.
 
-The contract (see :mod:`repro.cpu.analytic`): counts are *exact* against
-the fast model, cycles stay within :data:`ANALYTIC_CYCLE_ERROR_BOUND`
-relative error on every validated point.  Empirically the model is exact
-on cycles too — the unit tests below assert full :class:`SimResult`
-equality, while the suite-level validation asserts only the documented
-bound (the conservative contract the docs promise).
+The contract (see :mod:`repro.cpu.analytic`): inside the verified domain,
+counts are *exact* against the fast model and cycles stay within
+:data:`~repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND`.  Empirically the
+model is exact on cycles too, so every test below asserts equality.
+Inputs outside the domain are refused (``tests/analysis/test_differential.py``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.cpu.analytic import ANALYTIC_CYCLE_ERROR_BOUND, AnalyticCoreModel
+from repro.cpu.analytic import AnalyticCoreModel
 from repro.cpu.fast import FastCoreModel
-from repro.cpu.result import SimResult
 from repro.engine.designs import DESIGNS, get_design
-from repro.errors import ExperimentError
-from repro.experiments import ExperimentSettings
-from repro.experiments.analytic_validation import (
-    EXACT_FIELDS,
-    ValidationPoint,
-    ValidationReport,
-    validate_analytic,
-)
+from repro.experiments import ExperimentSettings, run_design
 from repro.physical.energy import EnergyBreakdown, EnergyModel
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
+from repro.workloads.suites import get_suite
 from repro.workloads.tiling import BlockingConfig, MMOrder
 
 #: Scaled-down settings: full-size layers shrink 16x per dimension, so the
@@ -87,67 +81,18 @@ class TestAnalyticMatchesFast:
 
 
 class TestSuiteValidation:
-    """Satellite contract: all 8 designs across the three richest suites."""
+    """All 8 designs on every distinct shape of the three richest suites."""
 
     @pytest.mark.parametrize("suite", ["table1", "bert-full", "resnet50-train"])
-    def test_suite_within_documented_bound(self, suite):
-        report = validate_analytic(suites=(suite,), settings=FAST_SETTINGS)
-        # Every catalog design on every distinct shape of the suite.
-        assert {p.design_key for p in report.points} == set(DESIGNS)
-        assert report.max_cycle_error <= ANALYTIC_CYCLE_ERROR_BOUND
-        for point in report.points:
-            assert point.counts_exact, (
-                f"{point.suite}/{point.design_key}/{point.shape.dims} "
-                f"count mismatch: {point.count_mismatches}"
-            )
-        assert report.ok
-        assert "PASS" in report.render()
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ExperimentError):
-            validate_analytic(suites=())
-
-
-def _result(cycles: int, mm_count: int = 4) -> SimResult:
-    return SimResult(
-        design="d",
-        program="p",
-        cycles=cycles,
-        instructions=10,
-        mm_count=mm_count,
-        bypass_count=1,
-        weight_loads=2,
-        engine_busy_cycles=5,
-        clock_mhz=2000,
-    )
-
-
-class TestReportMechanics:
-    """The report's arithmetic, without running any simulator."""
-
-    def test_cycle_error_and_count_mismatch(self):
-        point = ValidationPoint(
-            suite="s",
-            design_key="d",
-            shape=TINY,
-            fast=_result(1000),
-            analytic=_result(1030, mm_count=5),
-        )
-        assert point.cycle_error == pytest.approx(0.03)
-        assert point.count_mismatches == ("mm_count",)
-        assert not point.counts_exact
-        assert "mm_count" in EXACT_FIELDS
-
-    def test_report_fails_above_bound(self):
-        good = ValidationPoint("s", "d", TINY, _result(1000), _result(1001))
-        report = ValidationReport(points=(good,), bound=0.0001)
-        assert report.max_cycle_error == pytest.approx(0.001)
-        assert report.worst is good
-        assert not report.ok
-        assert "FAIL" in report.render()
-
-    def test_exact_report_passes(self):
-        point = ValidationPoint("s", "d", TINY, _result(1000), _result(1000))
-        report = ValidationReport(points=(point,), bound=ANALYTIC_CYCLE_ERROR_BOUND)
-        assert report.ok
-        assert report.count_violations == ()
+    def test_suite_matches_fast(self, suite):
+        for entry in get_suite(suite, scale=FAST_SETTINGS.scale).distinct():
+            for design in DESIGNS:
+                analytic, fast = (
+                    run_design(design, entry.shape, FAST_SETTINGS, fidelity)
+                    for fidelity in ("analytic", "fast")
+                )
+                # Only the name differs: analytic names the labelled shape,
+                # fast the memoized unlabeled program.
+                assert dataclasses.replace(analytic, program=fast.program) == fast, (
+                    suite, design, entry.shape.dims
+                )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.engine.config import ControlPolicy, EngineConfig
@@ -47,6 +49,15 @@ class TestLatencies:
         # "If we perfectly pipeline all rasa_mm, we complete a rasa_mm every
         # 16 cycles" (Sec. V).
         assert EngineConfig().min_initiation_interval == 16
+
+    def test_stages_built_once_and_kept_out_of_the_fields(self):
+        # The scheduler reads ``stages`` once per mm; it must not be rebuilt.
+        config = EngineConfig(pe=DMDB_PE)
+        assert config.stages is config.stages
+        fresh = EngineConfig(pe=DMDB_PE)
+        assert fresh == config and hash(fresh) == hash(config)
+        assert dataclasses.asdict(fresh) == dataclasses.asdict(config)
+        assert "stages" not in dataclasses.asdict(config)
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError, SimError
@@ -94,6 +95,14 @@ class TestSessionRun:
         warm = Session(cache=warm_cache, workers=1).run(grid_plan())
         assert (warm.simulated, warm.cache_hits) == (0, 4)
         assert warm == cold
+
+    def test_analytic_refuses_a_plan_outside_its_domain(self, tmp_path):
+        # A non-default core used to return wrong analytic cycles silently.
+        cache = ResultCache(tmp_path)
+        plan = grid_plan(fidelity="analytic", core=CoreConfig(rob_size=16))
+        with pytest.raises(ExperimentError, match="rob_size"):
+            Session(cache=cache, workers=1).run(plan)
+        assert len(ResultCache(tmp_path)) == 0
 
     def test_session_from_env_no_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")

@@ -41,6 +41,16 @@ class TestBoundsCommand:
             assert check["lower_bound"] <= check["fast_cycles"]
             assert check["binding"] in check["components"]
 
+    def test_designs_subset(self, capsys):
+        assert main(
+            ["bounds", "--m", "64", "--n", "64", "--k", "64",
+             "--designs", "baseline,rasa-dmdb-wls", "--json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["designs"] == ["baseline", "rasa-dmdb-wls"]
+        (program,) = doc["programs"]
+        assert [c["design"] for c in program["checks"]] == doc["designs"]
+
     def test_unknown_design_rejected(self, capsys):
         assert main(
             ["bounds", "--m", "64", "--n", "64", "--k", "64",
@@ -76,9 +86,26 @@ class TestBoundsCommand:
         assert main(["bounds", "--m", "64", "--n", "64", "--k", "64"]) == 1
         assert "lb-exceeds-fast" in capsys.readouterr().out
 
+    def test_skipped_analytic_is_a_dash_and_null(self, capsys, monkeypatch):
+        # Outside the analytic domain the oracle reports no analytic cycles.
+        monkeypatch.setattr(
+            bounds_analysis, "analytic_domain_error",
+            lambda core, codegen: "core.rob_size=16 (verified only at 97)",
+        )
+        target = ["--m", "64", "--n", "64", "--k", "64", "--designs", "baseline"]
+        assert main(["bounds", *target]) == 0
+        (row,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("cli ")
+        ]
+        assert [cell.strip() for cell in row.split("|")][4] == "-"
+        assert main(["bounds", *target, "--json"]) == 0
+        (program,) = json.loads(capsys.readouterr().out)["programs"]
+        assert [c["analytic_cycles"] for c in program["checks"]] == [None]
+
 
 class TestLintBoundsFlag:
-    """``repro lint`` has no ``--bounds`` flag and never runs the bound oracle."""
+    """``repro lint`` is static only: the oracle's flags are gone from it."""
 
     def test_lint_without_bounds_skips_cycle_oracle(self, capsys, monkeypatch):
         import repro.cli
@@ -90,7 +117,16 @@ class TestLintBoundsFlag:
         assert main(["lint", "--m", "64", "--n", "64", "--k", "64"]) == 0
         assert "bound violation" not in capsys.readouterr().out
 
-    def test_bounds_flag_is_gone(self, capsys):
+    @pytest.mark.parametrize("command, removed", [
+        ("lint", ["--bounds"]),
+        ("lint", ["--no-oracle"]),
+        ("lint", ["--designs", "all"]),
+        ("models", ["--lint"]),
+    ], ids=["lint-bounds", "lint-no-oracle", "lint-designs", "models-lint"])
+    def test_bounds_flag_is_gone(self, capsys, command, removed):
+        target = ["--m", "64", "--n", "64", "--k", "64"] if command == "lint" else []
         with pytest.raises(SystemExit):
-            main(["lint", "--m", "64", "--n", "64", "--k", "64", "--bounds"])
-        assert "unrecognized arguments: --bounds" in capsys.readouterr().err
+            main([command, *target, *removed])
+        assert f"unrecognized arguments: {' '.join(removed)}" in (
+            capsys.readouterr().err
+        )

@@ -85,10 +85,6 @@ class TestShapeTables:
 
 
 class TestLoweringConfig:
-    def test_identity_default(self):
-        assert LoweringConfig().is_identity
-        assert not LoweringConfig(scale_batch=2).is_identity
-
     @pytest.mark.parametrize("kwargs", [
         {"scale_batch": 0}, {"scale_spatial": -2},
     ])
