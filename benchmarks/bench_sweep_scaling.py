@@ -7,15 +7,18 @@ reference) and ``analytic`` fidelities and writes ``BENCH_sweep.json`` at
 the repo root — one entry in the PR-over-PR perf trajectory (fields
 documented in the README's "Perf trajectory" section).
 
-Three assertions pin the PR's perf claims:
+Three assertions pin the perf claims:
 
-- the vectorized fast model runs the cold table1 grid >= 3x faster than
-  the scalar ``fast-ref`` model (the shared program-generation memo is
-  pre-warmed, instruction objects included, so neither side is charged
-  for lowering: ``fast`` reads the decode lowering builds, ``fast-ref``
-  walks the objects a program builds on first iteration);
-- the analytic tier runs the table1 grid >= 8x faster than the fast
-  model on the same plan (measured in-process, cold caches both sides);
+- the fast model runs the cold table1 grid at least
+  ``VECTORIZED_SPEEDUP_FLOOR`` times faster than the scalar ``fast-ref``
+  model (the shared program-generation memo is pre-warmed, instruction
+  objects included, so neither side is charged for lowering: ``fast``
+  reads the decode lowering builds, ``fast-ref`` walks the objects a
+  program builds on first iteration);
+- the analytic tier runs the table1 grid >= 50x faster than ``fast-ref``
+  on the same plan (measured in-process, cold caches both sides);
+  ``fast-ref`` is the denominator because no fast-model speedup moves it
+  (the ``fast`` / ``analytic`` ratio is recorded, ungated);
 - the FastCoreModel port-selection micro-opt (1-port store special case,
   inlined 2-load-port min) changed *no* timing: both the scalar and the
   vectorized model still equal the pre-optimization reference values
@@ -47,15 +50,17 @@ TIMED_FIDELITIES = ("fast", "fast-ref", "analytic")
 #: richest inference suite (head-batched attention shapes).
 TIMED_SUITES = ("table1", "bert-full")
 
-#: The in-sweep speedup floor the analytic tier must clear on table1.
-#: Was 50x against the scalar fast model; the vectorized ``fast`` tier
-#: legitimately narrowed the gap (~19x measured), so the floor tracks the
-#: new denominator with headroom.
-ANALYTIC_SPEEDUP_FLOOR = 8.0
+#: The in-sweep speedup floor the analytic tier must clear on table1,
+#: against the scalar ``fast-ref`` model (65-69x measured).  The ratio
+#: against ``fast`` is recorded but not gated: the steady-state jumps took
+#: ``fast`` to within a small factor of ``analytic`` with no analytic
+#: change.
+ANALYTIC_SPEEDUP_FLOOR = 50.0
 
-#: The cold-sweep speedup floor the vectorized fast model must clear over
-#: the scalar reference on table1 (measured ~5x; 3x leaves CI headroom).
-VECTORIZED_SPEEDUP_FLOOR = 3.0
+#: The cold-sweep speedup floor the fast model must clear over the scalar
+#: reference on table1: half the ratio measured with the steady-state
+#: jumps (a median of 90x over 24 runs on a 2-vCPU host), rounded down.
+VECTORIZED_SPEEDUP_FLOOR = 45.0
 
 #: FastCoreModel reference results captured immediately *before* the
 #: port-selection micro-opt (commit history: generic min-over-range scan
@@ -142,21 +147,17 @@ def test_sweep_scaling(emit, settings, tmp_path):
                     f"{warm_s:.3f}s",
                 )
             )
-        analytic_speedup = (
-            per_fidelity["fast"]["cold_s"] / per_fidelity["analytic"]["cold_s"]
-        )
-        vectorized_speedup = (
-            per_fidelity["fast-ref"]["cold_s"] / per_fidelity["fast"]["cold_s"]
-        )
+        cold = {fidelity: per_fidelity[fidelity]["cold_s"] for fidelity in TIMED_FIDELITIES}
         sweeps[suite] = {
             "fidelities": per_fidelity,
-            "analytic_speedup_cold": round(analytic_speedup, 2),
-            "vectorized_speedup_cold": round(vectorized_speedup, 2),
+            "analytic_ref_speedup_cold": round(cold["fast-ref"] / cold["analytic"], 2),
+            "analytic_speedup_cold": round(cold["fast"] / cold["analytic"], 2),
+            "vectorized_speedup_cold": round(cold["fast-ref"] / cold["fast"], 2),
         }
 
-    assert sweeps["table1"]["analytic_speedup_cold"] >= ANALYTIC_SPEEDUP_FLOOR, (
-        "analytic tier lost its table1 speedup floor: "
-        f"{sweeps['table1']['analytic_speedup_cold']:.1f}x < "
+    assert sweeps["table1"]["analytic_ref_speedup_cold"] >= ANALYTIC_SPEEDUP_FLOOR, (
+        "analytic tier lost its table1 speedup floor over fast-ref: "
+        f"{sweeps['table1']['analytic_ref_speedup_cold']:.1f}x < "
         f"{ANALYTIC_SPEEDUP_FLOOR:.0f}x"
     )
     assert (
@@ -189,9 +190,10 @@ def test_sweep_scaling(emit, settings, tmp_path):
         )
         + "\n"
         + "\n".join(
-            f"{suite}: vectorized fast "
+            f"{suite}: fast "
             f"{data['vectorized_speedup_cold']:.1f}x faster than fast-ref, "
-            f"analytic {data['analytic_speedup_cold']:.1f}x faster than fast "
+            f"analytic {data['analytic_ref_speedup_cold']:.1f}x faster than "
+            f"fast-ref and {data['analytic_speedup_cold']:.1f}x faster than fast "
             "(cold)"
             for suite, data in sweeps.items()
         )

@@ -22,6 +22,13 @@ their decode directly from the loop nest
 program (hand-built, assembled, sliced or concatenated), memoized on
 program identity.
 
+A generated program's decode is a :class:`SkeletonDecode`: the flat arrays
+plus the :class:`Skeleton` they were expanded from — the stream as
+run-length-encoded rows of run-length-encoded register blocks, each block a
+prologue, one K-step template repeated ``k_steps`` times and an epilogue,
+with register operands instead of writer indices.  The steady-state walk
+(:mod:`repro.cpu.steady`) runs on the skeleton alone.
+
 This module sits on the deterministic simulation path: no wall clock, no
 randomness (enforced by ``tools/lint_invariants.py``).
 """
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -85,6 +92,46 @@ class DecodedProgram:
     alu_pos: np.ndarray
     #: Per ALU op: writer indices of its scalar source registers.
     alu_reads: Tuple[Tuple[int, ...], ...]
+
+
+#: One skeleton instruction: ``(KIND_LOAD, dst)``, ``(KIND_STORE, src)`` and
+#: ``(KIND_MM, c, a, b)`` name tile registers; ``(KIND_ALU, reads, writes)``
+#: holds tuples of scalar registers.
+SkeletonOp = Tuple[Any, ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class SkeletonBlock:
+    """One register block's stream: ``prologue``, ``kstep`` × ``k_steps``, ``epilogue``.
+
+    ``height`` x ``width`` is the block's size in C tiles.  Equality is
+    identity: a skeleton names each distinct block once and repeats it.
+    """
+
+    height: int
+    width: int
+    prologue: Tuple[SkeletonOp, ...]
+    kstep: Tuple[SkeletonOp, ...]
+    k_steps: int
+    epilogue: Tuple[SkeletonOp, ...]
+
+
+#: A row of blocks: ``(block, repeat)`` runs, left to right.
+SkeletonRow = Tuple[Tuple[SkeletonBlock, int], ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Skeleton:
+    """A program as ``(row, repeat)`` runs, top to bottom (see module doc)."""
+
+    rows: Tuple[Tuple[SkeletonRow, int], ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class SkeletonDecode(DecodedProgram):
+    """A decode whose producer kept the run structure it was expanded from."""
+
+    skeleton: Skeleton
 
 
 def _decode(program: Program) -> DecodedProgram:

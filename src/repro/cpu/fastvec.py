@@ -1,8 +1,20 @@
-"""Vectorized fast core model: numpy timestamp propagation, bit-identical.
+"""The ``fast`` core model: steady-state jumps, else numpy propagation.
 
 :class:`FastVecCoreModel` computes exactly the timestamps of the scalar
 :class:`repro.cpu.fast.FastCoreModel` — same ``SimResult``, same optional
-``last_schedule``, same ``ScheduleError``s — but propagates them with
+``last_schedule``, same ``ScheduleError``s — in one of two ways.
+
+A generated GEMM program carries its run-length skeleton
+(:class:`repro.cpu.decode.SkeletonDecode`).  When a periodic jump is exact
+— no kept schedule, the exact-type :class:`~repro.cpu.memory.IdealMemory`,
+power-of-two fetch and retire widths — :class:`repro.cpu.steady.SteadyStateWalk`
+steps the first periods of each repeating run of K steps, blocks and block
+rows and jumps the rest; a program of millions of instructions steps a few
+hundred.  ``last_walked`` records how many a run stepped.
+
+Every other run — hand-built programs, kept schedules, stateful memory,
+other widths, and a walk that finds no period within its budget — takes
+the full walk below: timestamps propagated with
 ``np.maximum.accumulate`` over ROB-sized blocks instead of a per-instruction
 Python loop.  The stream is processed in blocks of ``rob_size`` because the
 only backward-looking constraint, ``dispatch_i >= retire_(i - rob_size)``,
@@ -54,10 +66,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.decode import DecodedProgram, decode_program
+from repro.cpu.decode import DecodedProgram, SkeletonDecode, decode_program
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.memory import IdealMemory, MemoryModel
 from repro.cpu.result import SimResult
+from repro.cpu.steady import SteadyStateWalk
 from repro.engine.config import ControlPolicy, EngineConfig
 from repro.engine.scheduler import StageTimes
 from repro.errors import ScheduleError
@@ -89,6 +102,9 @@ class FastVecCoreModel:
             l1_latency=core.l1_latency, transfer_cycles=core.tile_transfer_cycles
         )
         self.last_schedule: Optional[List[StageTimes]] = None
+        #: Instructions the last run stepped one by one: ``len(program)`` on
+        #: a full walk, far fewer when the steady-state walk jumped.
+        self.last_walked = 0
         self._reference: Optional[FastCoreModel] = None
 
     # -- scalar delegation -------------------------------------------------
@@ -109,17 +125,69 @@ class FastVecCoreModel:
             )
         result = self._reference.run(program, keep_schedule=keep_schedule)
         self.last_schedule = self._reference.last_schedule
+        self.last_walked += len(program)
         return result
+
+    # -- the steady-state walk ---------------------------------------------
+
+    def _jumpable(self, keep_schedule: bool) -> bool:
+        """Whether a periodic jump is exact for this run (:mod:`repro.cpu.steady`)."""
+        core = self.core
+        return (
+            not keep_schedule
+            and type(self.memory) is IdealMemory
+            and _is_pow2(core.fetch_width)
+            and _is_pow2(core.retire_width)
+        )
+
+    def run(self, program: Program, keep_schedule: bool = False) -> SimResult:
+        """Simulate ``program``; see :meth:`FastCoreModel.run`.
+
+        A generated program walks its skeleton and jumps its periods when
+        that is exact; anything else, or a walk that finds no periods within
+        its budget, takes the full walk below.
+        """
+        self.last_walked = 0
+        jumpable = self._jumpable(keep_schedule)
+        if not jumpable and not self._vectorizable():
+            return self._run_reference(program, keep_schedule)
+        decoded = decode_program(program)
+        if jumpable and isinstance(decoded, SkeletonDecode):
+            memory: IdealMemory = self.memory  # type: ignore[assignment]
+            walk = SteadyStateWalk(
+                self.core, self.engine, memory.l1_latency + memory.transfer_cycles
+            )
+            if walk.run(decoded.skeleton):
+                self.last_schedule = None
+                self.last_walked = walk.walked
+                return SimResult(
+                    design=self.engine.describe(),
+                    program=program.name,
+                    cycles=int(-(-walk.retire // 1)),
+                    instructions=decoded.n,
+                    mm_count=walk.mm_count,
+                    bypass_count=walk.bypasses,
+                    weight_loads=walk.weight_loads,
+                    engine_busy_cycles=(
+                        walk.last_complete - walk.first_wl
+                        if walk.first_wl is not None
+                        else 0
+                    ),
+                    clock_mhz=self.core.clock_mhz,
+                )
+            self.last_walked = walk.walked
+        if not self._vectorizable():
+            return self._run_reference(program, keep_schedule)
+        self.last_walked += decoded.n
+        return self._kernel(program, decoded, keep_schedule)
 
     # -- the kernel --------------------------------------------------------
 
-    def run(self, program: Program, keep_schedule: bool = False) -> SimResult:
-        """Simulate ``program``; see :meth:`FastCoreModel.run`."""
-        if not self._vectorizable():
-            return self._run_reference(program, keep_schedule)
-
+    def _kernel(
+        self, program: Program, decoded: DecodedProgram, keep_schedule: bool
+    ) -> SimResult:
+        """The full walk: every instruction, in ROB-sized numpy blocks."""
         core = self.core
-        decoded = decode_program(program)
         n = decoded.n
         rob = core.rob_size
         inv_fetch = 1.0 / core.fetch_width

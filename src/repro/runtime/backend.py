@@ -23,8 +23,10 @@ Five fidelities exist:
   execution: operands always ready, optional functional data movement
   (``"array"`` / ``"oracle"`` / ``"off"``);
 - ``"fast"``   — :class:`repro.cpu.fastvec.FastVecCoreModel`, the
-  vectorized O(n) timestamp-propagation core model (the default for
-  sweeps), bit-identical to the scalar reference;
+  timestamp-propagation core model (the default for sweeps): generated
+  GEMMs step a few periods of each repeating run and jump the rest
+  exactly (:mod:`repro.cpu.steady`), other programs take a vectorized
+  O(n) walk; bit-identical to the scalar reference;
 - ``"fast-ref"`` — :class:`repro.cpu.fast.FastCoreModel`, the scalar
   per-instruction reference the vectorized kernel is cross-checked
   against (the oracle tier; same results, slower);
@@ -156,10 +158,10 @@ class AnalyticBackend:
 
 
 class FastCoreBackend(_BaseBackend):
-    """Adapter over the vectorized O(n) timestamp-propagation core model.
+    """Adapter over the fast timestamp-propagation core model.
 
-    The vectorized kernel shares one :class:`repro.cpu.decode.DecodedProgram`
-    per distinct program across every design and is bit-identical to the
+    The model shares one :class:`repro.cpu.decode.DecodedProgram` per
+    distinct program across every design and is bit-identical to the
     scalar reference (``"fast-ref"``), so existing ``"fast"`` cache entries
     stay valid.
     """

@@ -1,13 +1,18 @@
 """GEMM lowering straight to the decoded structure-of-arrays.
 
-:func:`lower_gemm_arrays` builds the :class:`repro.cpu.decode.DecodedProgram`
+:func:`lower_gemm_arrays` builds the :class:`repro.cpu.decode.SkeletonDecode`
 of the stream :func:`repro.workloads.codegen.build_gemm_kernel` emits —
 array-equal to :func:`repro.cpu.decode.decode_program` walking the emitted
 ``Instruction`` objects — with numpy, and without building one object.
 
 The stream is a row-major sequence of register blocks
 (:class:`repro.workloads.tiling.TileLoopNest`) of at most four geometries:
-interior, right edge, bottom edge and corner.  Every block of a geometry
+interior, right edge, bottom edge and corner.  Lowering first writes that
+run structure down as the program's :class:`~repro.cpu.decode.Skeleton`:
+rows of (interior block x count, then the edge block), interior rows x
+count, then the edge row; each block its C loads, one K-step template x
+``k_tiles``, then its stores and block scalars, in register operands.  The
+flat arrays are expanded from the skeleton.  Every block of a geometry
 emits the same instructions up to per-block offsets, so each geometry gets
 one block-relative template per instruction class, tiled over its blocks:
 
@@ -20,6 +25,9 @@ one block-relative template per instruction class, tiled over its blocks:
 - the loop counter ``r0`` is the one operand that crosses blocks: its
   writer is a prefix-max over the scalar stream.
 
+So a block template plus the carried readiness of ``r0`` is all the
+steady-state walk (:mod:`repro.cpu.steady`) needs to step the stream.
+
 This module sits on the deterministic path: no wall clock, no randomness
 (enforced by ``tools/lint_invariants.py``).
 """
@@ -31,9 +39,17 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from repro.cpu.decode import KIND_ALU, KIND_LOAD, KIND_MM, KIND_STORE, DecodedProgram
-from repro.isa.builder import LOOP_OVERHEAD_PATTERN
-from repro.isa.opcodes import Opcode
+from repro.cpu.decode import (
+    KIND_ALU,
+    KIND_LOAD,
+    KIND_MM,
+    KIND_STORE,
+    Skeleton,
+    SkeletonBlock,
+    SkeletonDecode,
+    SkeletonOp,
+)
+from repro.isa.builder import LOOP_OVERHEAD_PATTERN, ProgramBuilder
 from repro.tile.hostmem import HostMatrix
 from repro.tile.layout import ROWS
 from repro.workloads.gemm import GemmShape
@@ -45,9 +61,16 @@ if TYPE_CHECKING:
 #: Byte distance between horizontally adjacent tiles (one 64 B tile row).
 TILE_COL_BYTES = 64
 
-#: Per :data:`LOOP_OVERHEAD_PATTERN` slot: whether it reads / writes ``r0``.
-_READS_COUNTER = np.array([op is not Opcode.BRANCH for op in LOOP_OVERHEAD_PATTERN])
-_WRITES_COUNTER = np.array([op is Opcode.ADD for op in LOOP_OVERHEAD_PATTERN])
+#: Per :data:`LOOP_OVERHEAD_PATTERN` slot: the skeleton op the builder emits.
+_OVERHEAD_OPS: Tuple[SkeletonOp, ...] = tuple(
+    (KIND_ALU, tuple(r.index for r in inst.scalar_reads),
+     tuple(r.index for r in inst.scalar_writes))
+    for inst in ProgramBuilder().loop_overhead(len(LOOP_OVERHEAD_PATTERN)).build()
+)
+
+#: Per slot: whether it reads / writes the loop counter ``r0``.
+_READS_COUNTER = np.array([0 in op[1] for op in _OVERHEAD_OPS])
+_WRITES_COUNTER = np.array([0 in op[2] for op in _OVERHEAD_OPS])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -170,6 +193,74 @@ def _template(
     )
 
 
+def _overhead(count: int) -> Tuple[SkeletonOp, ...]:
+    """``count`` scalar ops of :meth:`ProgramBuilder.loop_overhead`."""
+    return tuple(_OVERHEAD_OPS[slot % len(_OVERHEAD_OPS)] for slot in range(count))
+
+
+def _skeleton_block(h: int, w: int, k_tiles: int, options: "CodegenOptions") -> SkeletonBlock:
+    """One ``h x w`` block in register operands, in ``codegen._emit_block`` order."""
+    blocking = options.blocking
+    c = [[blocking.c_reg(i, j).index for j in range(w)] for i in range(h)]
+    a = [blocking.a_reg(i).index for i in range(h)]
+    b = [blocking.b_reg(j).index for j in range(w)]
+    c_tiles = [c[i][j] for i in range(h) for j in range(w)]  # row-major
+    pairs = Block(0, 0, h, w).mm_pairs(blocking.mm_order)
+    return SkeletonBlock(
+        height=h,
+        width=w,
+        prologue=tuple((KIND_LOAD, reg) for reg in c_tiles),
+        kstep=(
+            tuple((KIND_LOAD, reg) for reg in a + b)
+            + tuple((KIND_MM, c[i][j], a[i], b[j]) for i, j in pairs)
+            + _overhead(options.scalar_overhead_per_kstep)
+        ),
+        k_steps=k_tiles,
+        epilogue=(
+            tuple((KIND_STORE, reg) for reg in c_tiles)
+            + _overhead(options.scalar_overhead_per_block)
+        ),
+    )
+
+
+def gemm_skeleton(padded: GemmShape, options: "CodegenOptions") -> Skeleton:
+    """The run structure of ``padded``'s kernel stream (module doc)."""
+    bm, bn = options.blocking.bm, options.blocking.bn
+    k_tiles = padded.k_tiles
+
+    def runs(tiles: int, size: int) -> List[Tuple[int, int]]:
+        """``(extent, count)``: whole blocks of ``size``, then the clipped edge."""
+        return [(extent, count)
+                for extent, count in ((size, tiles // size), (tiles % size, 1))
+                if extent and count]
+
+    columns = runs(padded.n_tiles, bn)
+    return Skeleton(rows=tuple(
+        (tuple((_skeleton_block(h, w, k_tiles, options), count) for w, count in columns),
+         repeat)
+        for h, repeat in runs(padded.m_tiles, bm)
+    ))
+
+
+def _block_grid(skeleton: Skeleton) -> Tuple[List[SkeletonBlock], np.ndarray, np.ndarray, np.ndarray]:
+    """The skeleton's distinct blocks, and per block in stream order its
+    block's index among them and its tile origin ``(m0, n0)``."""
+    distinct: List[SkeletonBlock] = []
+    ids, m0, n0 = [], [], []
+    top = 0
+    for row, repeat in skeleton.rows:
+        distinct.extend(block for block, _ in row)
+        counts = [count for _, count in row]
+        row_ids = np.repeat(np.arange(len(distinct) - len(row), len(distinct)), counts)
+        row_widths = np.repeat([block.width for block, _ in row], counts)
+        ids.append(np.tile(row_ids, repeat))
+        n0.append(np.tile(np.cumsum(row_widths) - row_widths, repeat))
+        height = row[0][0].height
+        m0.append(np.repeat(top + height * np.arange(repeat), len(row_ids)))
+        top += height * repeat
+    return distinct, np.concatenate(ids), np.concatenate(m0), np.concatenate(n0)
+
+
 def _place(out: np.ndarray, starts: np.ndarray, values: np.ndarray) -> None:
     """Write row ``b`` of ``values`` (or the one row) at ``out[starts[b]:]``."""
     out[starts[:, None] + np.arange(values.shape[-1])] = values
@@ -181,32 +272,27 @@ def lower_gemm_arrays(
     a_host: HostMatrix,
     b_host: HostMatrix,
     c_host: HostMatrix,
-) -> DecodedProgram:
-    """The decode of ``padded``'s kernel stream, built block-wise (module doc)."""
+) -> SkeletonDecode:
+    """The decode of ``padded``'s kernel stream: its skeleton, expanded (module doc)."""
+    skeleton = gemm_skeleton(padded, options)
     blocking = options.blocking
-    bm, bn = blocking.bm, blocking.bn
     k_tiles = padded.k_tiles
-    # The register blocks in TileLoopNest.blocks() order: M outer, N inner.
-    row_m0 = np.arange(0, padded.m_tiles, bm, dtype=np.int64)
-    col_n0 = np.arange(0, padded.n_tiles, bn, dtype=np.int64)
-    m0 = np.repeat(row_m0, len(col_n0))
-    n0 = np.tile(col_n0, len(row_m0))
-    heights = np.minimum(bm, padded.m_tiles - m0)
-    widths = np.minimum(bn, padded.n_tiles - n0)
+    distinct, ids, m0, n0 = _block_grid(skeleton)
+    widths = np.array([block.width for block in distinct], dtype=np.int64)[ids]
 
     geometries: List[Tuple[_Template, np.ndarray]] = []  # (template, its blocks)
-    counts = np.empty((len(m0), 5), dtype=np.int64)
-    for h in np.unique(heights).tolist():
-        for w in np.unique(widths).tolist():
-            template = _template(h, w, k_tiles, options, a_host, b_host, c_host)
-            blocks = np.flatnonzero((heights == h) & (widths == w))
-            counts[blocks] = template.counts()
-            geometries.append((template, blocks))
+    counts = np.empty((len(ids), 5), dtype=np.int64)
+    for index, block in enumerate(distinct):
+        template = _template(block.height, block.width, k_tiles, options,
+                             a_host, b_host, c_host)
+        blocks = np.flatnonzero(ids == index)
+        counts[blocks] = template.counts()
+        geometries.append((template, blocks))
     starts = np.cumsum(counts, axis=0) - counts  # per block: first index per class
     n, n_loads, n_stores, n_mms, n_alus = counts.sum(axis=0).tolist()
     # Loads of B register j before each block: K steps of every earlier
     # block at least j + 1 columns wide.
-    b_loads = k_tiles * (widths[:, None] > np.arange(bn))
+    b_loads = k_tiles * (widths[:, None] > np.arange(blocking.bn))
     b_loads_before = np.cumsum(b_loads, axis=0) - b_loads
 
     def empty(size: int) -> np.ndarray:
@@ -247,7 +333,7 @@ def lower_gemm_arrays(
         (writer,) if reads else ()
         for writer, reads in zip(counter_writer.tolist(), reads_counter)
     )
-    return DecodedProgram(
+    return SkeletonDecode(
         n=n,
         kind=kind,
         load_pos=load_pos,
@@ -263,4 +349,5 @@ def lower_gemm_arrays(
         mm_b_version=mm_b_version,
         alu_pos=alu_pos,
         alu_reads=alu_reads,
+        skeleton=skeleton,
     )

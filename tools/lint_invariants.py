@@ -67,6 +67,7 @@ SCOPED_MODULES: Tuple[str, ...] = (
     "repro/cpu/decode.py",
     "repro/cpu/fast.py",
     "repro/cpu/fastvec.py",
+    "repro/cpu/steady.py",
     "repro/engine/config.py",
     "repro/engine/designs.py",
     "repro/engine/scheduler.py",
