@@ -2,18 +2,21 @@
 
 This bench is the recorded perf baseline the ROADMAP asked for: it times
 cold (empty result cache) and warm (fully cached) sweeps of the table1 and
-bert-full suites at the ``fast`` (vectorized), ``fast-ref`` (scalar
+bert-full suites at the ``fast`` (skeleton walk), ``fast-ref`` (scalar
 reference) and ``analytic`` fidelities and writes ``BENCH_sweep.json`` at
 the repo root — one entry in the PR-over-PR perf trajectory (fields
 documented in the README's "Perf trajectory" section).
 
-Three assertions pin the perf claims:
+Each fidelity's cold time is the median of :data:`COLD_RUNS` cold runs,
+each on a fresh result cache and session: one cold table1 sweep of the
+fast tiers takes 0.04-0.09 s, too short to time once.  Three assertions
+pin the perf claims:
 
 - the fast model runs the cold table1 grid at least
   ``VECTORIZED_SPEEDUP_FLOOR`` times faster than the scalar ``fast-ref``
   model (the shared program-generation memo is pre-warmed, instruction
   objects included, so neither side is charged for lowering: ``fast``
-  reads the decode lowering builds, ``fast-ref`` walks the objects a
+  reads the skeleton lowering builds, ``fast-ref`` walks the objects a
   program builds on first iteration);
 - the analytic tier runs the table1 grid >= 50x faster than ``fast-ref``
   on the same plan (measured in-process, cold caches both sides);
@@ -21,13 +24,14 @@ Three assertions pin the perf claims:
   (the ``fast`` / ``analytic`` ratio is recorded, ungated);
 - the FastCoreModel port-selection micro-opt (1-port store special case,
   inlined 2-load-port min) changed *no* timing: both the scalar and the
-  vectorized model still equal the pre-optimization reference values
+  ``fast`` model still equal the pre-optimization reference values
   pinned below.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -51,16 +55,18 @@ TIMED_FIDELITIES = ("fast", "fast-ref", "analytic")
 TIMED_SUITES = ("table1", "bert-full")
 
 #: The in-sweep speedup floor the analytic tier must clear on table1,
-#: against the scalar ``fast-ref`` model (65-69x measured).  The ratio
-#: against ``fast`` is recorded but not gated: the steady-state jumps took
-#: ``fast`` to within a small factor of ``analytic`` with no analytic
-#: change.
+#: against the scalar ``fast-ref`` model (about 70x measured).  The ratio
+#: against ``fast`` is recorded but not gated: both run the same skeleton
+#: walk, ``analytic`` lowering each shape's skeleton itself.
 ANALYTIC_SPEEDUP_FLOOR = 50.0
 
 #: The cold-sweep speedup floor the fast model must clear over the scalar
 #: reference on table1: half the ratio measured with the steady-state
 #: jumps (a median of 90x over 24 runs on a 2-vCPU host), rounded down.
 VECTORIZED_SPEEDUP_FLOOR = 45.0
+
+#: Cold runs per fidelity; ``cold_s`` is their median.
+COLD_RUNS = 5
 
 #: FastCoreModel reference results captured immediately *before* the
 #: port-selection micro-opt (commit history: generic min-over-range scan
@@ -116,17 +122,22 @@ def test_sweep_scaling(emit, settings, tmp_path):
         per_fidelity = {}
         # Pre-warm the shared program memo so the speedup row compares
         # the two models, not who pays for lowering.  Lowering builds the
-        # decoded arrays ``fast`` reads; the Instruction objects fast-ref
-        # walks are built on a program's first iteration, so iterate each
+        # skeleton ``fast`` reads; the Instruction objects fast-ref walks
+        # are built on a program's first iteration, so iterate each
         # program once here too.
         for job in _suite_plan(suite, "fast", settings).iter_jobs():
             list(cached_program(job.shape, job.codegen))
         for fidelity in TIMED_FIDELITIES:
             plan = _suite_plan(suite, fidelity, settings)
-            cache = ResultCache(tmp_path / f"{suite}-{fidelity}")
-            with Session(cache=cache, workers=1) as session:
-                cold_s, cold = _timed_run(session, plan)
-                warm_s, warm = _timed_run(session, plan)
+            cold_times = []
+            for run in range(COLD_RUNS):
+                cache = ResultCache(tmp_path / f"{suite}-{fidelity}-{run}")
+                with Session(cache=cache, workers=1) as session:
+                    seconds, cold = _timed_run(session, plan)
+                    cold_times.append(seconds)
+                    if run == COLD_RUNS - 1:
+                        warm_s, warm = _timed_run(session, plan)
+            cold_s = statistics.median(cold_times)
             assert warm.simulated == 0  # warm run is pure cache hits
             assert warm.results == cold.results
             per_fidelity[fidelity] = {
@@ -163,7 +174,7 @@ def test_sweep_scaling(emit, settings, tmp_path):
     assert (
         sweeps["table1"]["vectorized_speedup_cold"] >= VECTORIZED_SPEEDUP_FLOOR
     ), (
-        "vectorized fast model lost its table1 speedup floor over fast-ref: "
+        "fast model lost its table1 speedup floor over fast-ref: "
         f"{sweeps['table1']['vectorized_speedup_cold']:.1f}x < "
         f"{VECTORIZED_SPEEDUP_FLOOR:.0f}x"
     )
@@ -173,6 +184,7 @@ def test_sweep_scaling(emit, settings, tmp_path):
         "generated_by": "benchmarks/bench_sweep_scaling.py",
         "scale": settings.scale,
         "workers": 1,
+        "cold_runs": COLD_RUNS,
         "designs": len(DESIGNS),
         "sweeps": sweeps,
         "micro_opt_pins": {
@@ -184,7 +196,8 @@ def test_sweep_scaling(emit, settings, tmp_path):
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
     emit(
-        "Sweep scaling (cold = empty cache, warm = fully cached; workers=1)",
+        f"Sweep scaling (cold = median of {COLD_RUNS} empty-cache runs, "
+        "warm = fully cached; workers=1)",
         format_table(
             ["suite", "fidelity", "jobs", "distinct", "cold", "warm"], rows
         )

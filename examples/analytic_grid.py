@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Analytic design-space grid: 10^4+ points in seconds, top-5 per suite.
 
-The analytic fidelity costs O(1) per (shape, design) point — no program,
-no instruction walk — so a batch x scale grid that would take the fast
-model hours collapses to seconds.  This example sweeps three model suites
-over 10 batch sizes and 6 scale factors on all 8 designs, ranks designs by
+The analytic fidelity never builds a program: each (shape, design) point
+lowers the shape's run-length skeleton and walks it with exact
+steady-state jumps, a few hundred stepped instructions whatever the GEMM's
+size, so a batch x scale grid whose programs run to millions of
+instructions takes seconds.  This example sweeps three model suites over
+10 batch sizes and 6 scale factors on all 8 designs, ranks designs by
 their occurrence-weighted end-to-end speedup over the baseline (geometric
 mean across the grid), and prints the top 5 per suite.
 
@@ -29,8 +31,7 @@ TOP_K = 5
 
 def main() -> None:
     codegen = CodegenOptions()
-    # One model per design: probe memoization amortizes across every grid
-    # point that lands on the same register-block geometry.
+    # One model per design; each point walks its own shape's skeleton.
     models = {key: AnalyticCoreModel(engine=d.config) for key, d in DESIGNS.items()}
 
     start = time.perf_counter()

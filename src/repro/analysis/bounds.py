@@ -38,17 +38,14 @@ resource model *is* the fast model, so the achieved cycles come from
 the one reference recurrence, :class:`repro.engine.scheduler.EngineScheduler`.
 
 :func:`cross_check_bounds` is the one place the tiers are compared: per
-design it asserts the vectorized ``fast`` result equal to ``fast-ref``,
-``LB <= fast`` exactly, the verifier's static counters equal to ``fast``'s,
-and — inside the analytic tier's verified domain
-(:func:`repro.cpu.analytic.analytic_domain_error`) — the analytic counts
-equal to ``fast``'s and its cycle estimate within its documented contract
-(:data:`repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND`) of the fast cycles
-and the lower bound.  CI gates it over every suite times all eight designs.
+design it asserts the ``fast`` result equal to ``fast-ref``'s field for
+field, ``LB <= fast`` exactly, the verifier's static counters equal to
+``fast``'s, and the ``analytic`` result equal to ``fast``'s field for
+field.  CI gates it over every suite times all eight designs.
 
-Like the analytic tier, the bounds assume the runtime's default ideal
-memory (fixed-latency tile loads); custom memory hierarchies change the
-fast model's load latencies and void the lower bound.
+The bounds assume the runtime's default ideal memory (fixed-latency tile
+loads); custom memory hierarchies change the fast model's load latencies
+and void the lower bound.
 
 The future Pareto search uses the lower bound as a simulation-free pruner:
 a candidate design whose LB already exceeds the incumbent's achieved
@@ -61,8 +58,8 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.verifier import PolicyCounters, static_counters
-from repro.cpu.analytic import ANALYTIC_CYCLE_ERROR_BOUND, analytic_domain_error
 from repro.cpu.config import CoreConfig
+from repro.cpu.result import SimResult
 from repro.engine.config import EngineConfig
 from repro.engine.designs import DESIGNS, get_design
 from repro.errors import ExperimentError
@@ -164,15 +161,11 @@ class BoundViolation:
 
 @dataclasses.dataclass(frozen=True)
 class BoundsCheck:
-    """One design's bounds next to its achieved cycles, with any violations.
-
-    ``analytic_cycles`` is ``None`` when the input lies outside the
-    analytic tier's verified domain and its checks were skipped.
-    """
+    """One design's bounds next to its achieved cycles, with any violations."""
 
     design_key: str
     report: BoundsReport
-    analytic_cycles: Optional[int]
+    analytic_cycles: int
     fast_cycles: int
     violations: Tuple[BoundViolation, ...]
 
@@ -365,14 +358,14 @@ def bound_shape(
     return bound_program(kernel.program, design_key, core=core)
 
 
-def _counter_mismatches(
-    design_key: str, tier: str, counts: object, fast: object
+def _static_counter_mismatches(
+    design_key: str, counts: PolicyCounters, fast: SimResult
 ) -> List[BoundViolation]:
-    """One violation per :class:`PolicyCounters` field ``tier`` gets wrong."""
+    """One violation per :class:`PolicyCounters` field the static pass gets wrong."""
     return [
         BoundViolation(
-            design_key, f"{tier}-counter-mismatch",
-            f"{tier} {field.name} {getattr(counts, field.name)} != "
+            design_key, "static-counter-mismatch",
+            f"static {field.name} {getattr(counts, field.name)} != "
             f"fast {getattr(fast, field.name)}",
         )
         for field in dataclasses.fields(PolicyCounters)
@@ -391,20 +384,15 @@ def cross_check_bounds(
     Cycles depend on the full (PE, control) design pair, so the fast model
     runs once per requested design.  Per design the check asserts
 
-    - the vectorized ``fast`` result equal, field for field, to the scalar
-      ``fast-ref`` reference (the vectorization equality oracle — any
-      drift is a bug in the numpy kernel or in the decode it reads, which
-      lowering builds directly),
+    - the ``fast`` result equal, field for field, to the scalar ``fast-ref``
+      reference (any drift is a bug in the skeleton walk or in the
+      skeleton lowering builds),
     - ``LB <= fast`` exactly (a violation is a bug in the bounds, the
       scheduler, or the fast model),
     - the verifier's static counters, projected onto the design's control
       policy, equal to ``fast``'s :class:`PolicyCounters` fields, and
-    - inside the analytic tier's verified domain, the analytic counts equal
-      to ``fast``'s and its cycle estimate within the documented
-      :data:`~repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND` of the fast
-      cycles and of the lower bound.  Outside the domain the analytic
-      checks are skipped and ``analytic_cycles`` is ``None``; every other
-      check still runs.
+    - the ``analytic`` result equal, field for field, to ``fast``'s (any
+      drift is a bug in lowering a shape without its program).
 
     Returns one :class:`BoundsCheck` per design; gate on
     ``all(c.ok for c in checks)``.
@@ -413,8 +401,6 @@ def cross_check_bounds(
     core = core if core is not None else CoreConfig()
     program = build_gemm_kernel(shape, codegen).program
     counters = static_counters(program)
-    analytic_in_domain = analytic_domain_error(core, codegen) is None
-    tolerance = ANALYTIC_CYCLE_ERROR_BOUND
     checks: List[BoundsCheck] = []
     for key in keys:
         report = bound_program(program, key, core=core)
@@ -424,12 +410,15 @@ def cross_check_bounds(
             .prepare(program)
             .run()
         )
+        analytic = resolve_backend(
+            key, fidelity="analytic", core=core
+        ).run_shape(shape, codegen)
         lb = report.lower_bound
         violations: List[BoundViolation] = []
         if fast != fast_ref:
             violations.append(BoundViolation(
                 key, "fast-ref-mismatch",
-                f"vectorized fast {fast} != scalar reference {fast_ref}",
+                f"fast {fast} != scalar reference {fast_ref}",
             ))
         if lb > fast.cycles:
             violations.append(BoundViolation(
@@ -437,32 +426,17 @@ def cross_check_bounds(
                 f"lower bound {lb} > fast cycles {fast.cycles}",
             ))
         bypasses = get_design(key).config.control.bypasses_on_reuse
-        violations.extend(_counter_mismatches(
-            key, "static", counters.for_policy(bypasses), fast
+        violations.extend(_static_counter_mismatches(
+            key, counters.for_policy(bypasses), fast
         ))
-        analytic_cycles: Optional[int] = None
-        if analytic_in_domain:
-            analytic = resolve_backend(
-                key, fidelity="analytic", core=core
-            ).run_shape(shape, codegen)
-            analytic_cycles = analytic.cycles
-            if abs(analytic.cycles - fast.cycles) > tolerance * fast.cycles:
-                violations.append(BoundViolation(
-                    key, "analytic-fast-drift",
-                    f"analytic {analytic.cycles} vs fast {fast.cycles} exceeds "
-                    f"the {tolerance:.0%} contract",
-                ))
-            if analytic.cycles < lb * (1 - tolerance):
-                violations.append(BoundViolation(
-                    key, "analytic-below-lb",
-                    f"analytic {analytic.cycles} < lower bound {lb} beyond "
-                    f"the {tolerance:.0%} contract",
-                ))
-            violations.extend(_counter_mismatches(key, "analytic", analytic, fast))
+        if analytic != fast:
+            violations.append(BoundViolation(
+                key, "analytic-fast-mismatch", f"analytic {analytic} != fast {fast}",
+            ))
         checks.append(BoundsCheck(
             design_key=key,
             report=report,
-            analytic_cycles=analytic_cycles,
+            analytic_cycles=analytic.cycles,
             fast_cycles=fast.cycles,
             violations=tuple(violations),
         ))

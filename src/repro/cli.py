@@ -645,8 +645,22 @@ def _suite_scale(args) -> int:
     return args.scale if args.scale is not None else 4
 
 
-def _reject_suite_flags_with_mnk(args) -> None:
-    """An ad-hoc ``--m/--n/--k`` GEMM runs as given: suite flags are errors."""
+def _adhoc_gemm(args) -> Optional[GemmShape]:
+    """The ad-hoc ``--m/--n/--k`` GEMM, or ``None`` when none is given.
+
+    The three flags come together and the GEMM runs as given:
+    ``--workloads`` and the suite flags next to them are errors, never
+    silently dropped.
+    """
+    if (args.m, args.n, args.k) == (None, None, None):
+        return None
+    if None in (args.m, args.n, args.k):
+        raise ReproError("--m/--n/--k must be given together")
+    if args.workloads is not None:
+        raise ReproError(
+            "--m/--n/--k (one ad-hoc GEMM) and --workloads (suites) are "
+            "mutually exclusive"
+        )
     if args.batch is not None or getattr(args, "batches", None) is not None:
         raise ReproError(
             "--batch/--batches apply to suite workloads, not --m/--n/--k"
@@ -656,6 +670,14 @@ def _reject_suite_flags_with_mnk(args) -> None:
             "--scale does not apply to an ad-hoc --m/--n/--k GEMM; "
             "give the dimensions you want simulated"
         )
+    # ``lint`` and ``bounds`` have no role-aware lowering knobs.
+    if (getattr(args, "scale_batch", None) is not None
+            or getattr(args, "scale_spatial", None) is not None):
+        raise ReproError(
+            "--scale-batch/--scale-spatial apply to suite workloads "
+            "(ops know their dimension roles), not --m/--n/--k"
+        )
+    return GemmShape(m=args.m, n=args.n, k=args.k, name="cli")
 
 
 def _lint_targets(args) -> List[Tuple[str, GemmShape, Tuple[str, ...]]]:
@@ -664,16 +686,9 @@ def _lint_targets(args) -> List[Tuple[str, GemmShape, Tuple[str, ...]]]:
     Suites dedup by tile-padded dims — the program identity — so shapes
     shared across models are linted or bounded exactly once.
     """
-    if (args.m, args.n, args.k) != (None, None, None):
-        if None in (args.m, args.n, args.k):
-            raise ReproError("--m/--n/--k must be given together")
-        if args.workloads is not None:
-            raise ReproError(
-                "--m/--n/--k (one ad-hoc GEMM) and --workloads (suites) are "
-                "mutually exclusive"
-            )
-        _reject_suite_flags_with_mnk(args)
-        return [("cli", GemmShape(m=args.m, n=args.n, k=args.k, name="cli"), ())]
+    adhoc = _adhoc_gemm(args)
+    if adhoc is not None:
+        return [("cli", adhoc, ())]
     spec = args.workloads if args.workloads is not None else "table1"
     targets: Dict[Tuple[int, int, int], Tuple[str, GemmShape, List[str]]] = {}
     for name in _suite_spec_names(spec):
@@ -781,7 +796,7 @@ def _cmd_bounds(args) -> int:
                 f"{shape.m}x{shape.n}x{shape.k}",
                 check.design_key,
                 check.report.lower_bound,
-                "-" if check.analytic_cycles is None else check.analytic_cycles,
+                check.analytic_cycles,
                 check.fast_cycles,
                 f"{check.lb_tightness:.3f}",
                 check.report.binding,
@@ -874,18 +889,11 @@ def _plan_from_args(args) -> SweepPlan:
             "--batch (one override) and --batches (a sweep axis) are "
             "mutually exclusive"
         )
-    if (args.m, args.n, args.k) != (None, None, None):
-        if None in (args.m, args.n, args.k):
-            raise ReproError("--m/--n/--k must be given together")
-        _reject_suite_flags_with_mnk(args)
-        if args.scale_batch is not None or args.scale_spatial is not None:
-            raise ReproError(
-                "--scale-batch/--scale-spatial apply to suite workloads "
-                "(ops know their dimension roles), not --m/--n/--k"
-            )
+    adhoc = _adhoc_gemm(args)
+    if adhoc is not None:
         return SweepPlan(
             designs=tuple(_sweep_designs(designs)),
-            workloads=(("cli", GemmShape(m=args.m, n=args.n, k=args.k, name="cli")),),
+            workloads=(("cli", adhoc),),
             fidelity=fidelity,
         )
     if _is_suite_spec(workloads, args.batch, args.batches):

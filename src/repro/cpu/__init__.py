@@ -5,11 +5,16 @@ core: 2 GHz, 16 pipeline stages, ROB of 97, fetch/issue/retire width 4, with
 the matrix engine attached as a 500 MHz functional unit and an ideal memory
 system ("the core is not stalled by memory").
 
-Two interchangeable models execute :class:`repro.isa.program.Program`
-streams against a RASA :class:`repro.engine.config.EngineConfig`:
+These models execute :class:`repro.isa.program.Program` streams against a
+RASA :class:`repro.engine.config.EngineConfig`:
 
-- :class:`repro.cpu.fast.FastCoreModel` — O(n) timestamp propagation;
-  used for the full evaluation sweeps.
+- :class:`repro.cpu.fast.FastCoreModel` — O(n) timestamp propagation over
+  the ``Instruction`` objects; the ``fast-ref`` reference.
+- :class:`repro.cpu.fastvec.FastVecCoreModel` — the same arithmetic over a
+  program's run-length skeleton, jumping repeating runs exactly
+  (:mod:`repro.cpu.steady`); used for the evaluation sweeps.  The
+  shape-level :class:`repro.cpu.analytic.AnalyticCoreModel` runs the same
+  walk on a shape's skeleton without building a program.
 - :class:`repro.cpu.ooo.core.OutOfOrderCore` — a cycle-by-cycle OoO core
   (fetch/rename/ROB/scheduler/execute/retire) used to validate the fast
   model's timing on small programs.

@@ -1,11 +1,15 @@
-"""Exact steady-state fast-forward of the fast core model over a skeleton.
+"""The one engine behind ``fast`` and ``analytic``: the fast core model
+over a skeleton, with exact steady-state jumps.
 
 :class:`SteadyStateWalk` computes exactly what
-:class:`repro.cpu.fast.FastCoreModel` computes for a program whose decode
-carries a :class:`~repro.cpu.decode.Skeleton` — the same last retire time,
-counters and engine span, with the same arithmetic — but steps only the
-first periods of each repeating run of K steps, blocks and block rows, and
-jumps over the rest.
+:class:`repro.cpu.fast.FastCoreModel` computes for the program a
+:class:`~repro.cpu.decode.Skeleton` encodes — the same
+:class:`~repro.cpu.result.SimResult`, with the same arithmetic — but steps
+only the first periods of each repeating run of K steps, blocks and block
+rows, and jumps over the rest.  ``fast`` walks a program's skeleton
+(:func:`repro.cpu.decode.decode_program`); ``analytic`` walks the skeleton
+of a shape (:func:`repro.workloads.array_lowering.gemm_skeleton`) and
+never builds a program.
 
 **Why a jump is exact (max-plus cyclicity).**  The fast model only adds
 constants and takes maxes, so it commutes with a uniform shift: started
@@ -42,19 +46,19 @@ candidate match.
 or ⌈x / ratio⌉ would not commute with the shift.  Fetch and retire widths
 must be powers of two, so every timestamp is a dyadic rational float64
 holds exactly and ``k·Δ`` adds without rounding (with widths 3/6 a jump on
-``GemmShape(316, 302, 1295)`` lands one cycle off); the caller walks only
-then, and only with the ideal memory, whose latency is a constant.
+``GemmShape(316, 302, 1295)`` lands one cycle off).  The walk reads the
+widths from the core and jumps only then; at other widths it steps every
+instruction, which is ``fast-ref``'s own arithmetic.  The load latency is
+one constant, so the walk models the ideal memory only.
 
-**Why the skeleton suffices.**  Every tile operand is produced inside its
-own block and only the loop counter ``r0`` crosses blocks
-(:mod:`repro.workloads.array_lowering`), so register scoreboards over the
-skeleton's ops replay ``fast-ref``'s walk exactly.  A drain-port
-:class:`~repro.errors.ScheduleError` keeps ``fast-ref``'s text: a conflict
-inside the periodic regime already occurs in the first stepped period.
-
-The walk gives up after :data:`WALK_BUDGET` stepped instructions (the
-caller then walks the whole program), so no work here grows with program
-length beyond that.
+**Why the skeleton suffices.**  Every tile operand of a generated program
+is produced inside its own block and only the loop counter ``r0`` crosses
+blocks (:mod:`repro.workloads.array_lowering`), so register scoreboards
+over the skeleton's ops replay ``fast-ref``'s walk exactly; any other
+program's skeleton is its whole stream, one block stepped op by op.  A
+drain-port :class:`~repro.errors.ScheduleError` keeps ``fast-ref``'s text:
+a conflict inside the periodic regime already occurs in the first stepped
+period.
 
 This module sits on the deterministic simulation path: no wall clock, no
 randomness (enforced by ``tools/lint_invariants.py``).
@@ -77,6 +81,7 @@ from repro.cpu.decode import (
     SkeletonOp,
     SkeletonRow,
 )
+from repro.cpu.result import SimResult
 from repro.engine.config import ControlPolicy, EngineConfig
 from repro.errors import ScheduleError
 from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
@@ -84,9 +89,6 @@ from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
 #: Earlier boundaries of a run each new boundary is compared with: the
 #: longest period a jump can take.
 MAX_PERIOD = 8
-
-#: Instructions a walk may step before it gives up finding its periods.
-WALK_BUDGET = 1 << 15
 
 
 class _Snapshot(NamedTuple):
@@ -102,20 +104,22 @@ class _Snapshot(NamedTuple):
     resident_version: int
 
 
-class _OverBudget(Exception):
-    """The walk stepped :data:`WALK_BUDGET` instructions."""
+def _is_pow2(value: int) -> bool:
+    return value > 0 and (value & (value - 1)) == 0
 
 
 class SteadyStateWalk:
     """One fast-model run over a skeleton, with exact periodic jumps.
 
-    After :meth:`run` returns ``True`` the attributes hold the run's
-    totals: ``retire`` (the last retire time), ``mm_count``, ``bypasses``,
-    ``weight_loads``, ``first_wl``, ``last_complete``, and ``walked``, the
-    instructions actually stepped.
+    ``load_latency`` is the ideal memory's constant tile-load latency.
+    After :meth:`run`, ``walked`` holds the instructions actually stepped.
     """
 
     def __init__(self, core: CoreConfig, engine: EngineConfig, load_latency: int) -> None:
+        self.core = core
+        self.engine = engine
+        #: Whether a jump is exact at this core's widths (module doc).
+        self.jumps = _is_pow2(core.fetch_width) and _is_pow2(core.retire_width)
         self.rob = core.rob_size
         self.ratio = core.engine_clock_ratio(engine.clock_mhz)
         self.inv_fetch = 1.0 / core.fetch_width
@@ -154,8 +158,8 @@ class SteadyStateWalk:
 
     # -- the walk ----------------------------------------------------------
 
-    def run(self, skeleton: Skeleton) -> bool:
-        """Walk ``skeleton``; ``False`` if it ran out of :data:`WALK_BUDGET`."""
+    def run(self, skeleton: Skeleton, program: str) -> SimResult:
+        """Walk ``skeleton``: ``fast-ref``'s result for it, named ``program``."""
         self._scalars = tuple(sorted({
             reg
             for row, _ in skeleton.rows
@@ -164,16 +168,25 @@ class SteadyStateWalk:
             if op[0] == KIND_ALU
             for reg in op[2]
         }))
-        try:
-            for row, repeat in skeleton.rows:
-                if len(row) == 1:  # rows of one block run are one longer run
-                    block, count = row[0]
-                    self._repeat(repeat * count, functools.partial(self._block, block))
-                else:
-                    self._repeat(repeat, functools.partial(self._row, row))
-        except _OverBudget:
-            return False
-        return True
+        for row, repeat in skeleton.rows:
+            if len(row) == 1:  # rows of one block run are one longer run
+                block, count = row[0]
+                self._repeat(repeat * count, functools.partial(self._block, block))
+            else:
+                self._repeat(repeat, functools.partial(self._row, row))
+        return SimResult(
+            design=self.engine.describe(),
+            program=program,
+            cycles=int(-(-self.retire // 1)),
+            instructions=skeleton.instructions,
+            mm_count=self.mm_count,
+            bypass_count=self.bypasses,
+            weight_loads=self.weight_loads,
+            engine_busy_cycles=(
+                self.last_complete - self.first_wl if self.first_wl is not None else 0
+            ),
+            clock_mhz=self.core.clock_mhz,
+        )
 
     def _row(self, row: SkeletonRow) -> None:
         for block, count in row:
@@ -186,7 +199,7 @@ class SteadyStateWalk:
 
     def _repeat(self, count: int, body: Callable[[], None]) -> None:
         """Walk ``count`` repeats of ``body``, jumping once the state recurs."""
-        history: Optional[List[_Snapshot]] = []
+        history: Optional[List[_Snapshot]] = [] if self.jumps else None
         done = 0
         while done < count:
             body()
@@ -359,8 +372,6 @@ class SteadyStateWalk:
         self.first_wl = first_wl
         self.last_complete = last_complete
         self.walked += len(ops)
-        if self.walked > WALK_BUDGET:
-            raise _OverBudget
 
     # -- periods -------------------------------------------------------------
 
@@ -440,4 +451,4 @@ class SteadyStateWalk:
         )
 
 
-__all__ = ["MAX_PERIOD", "WALK_BUDGET", "SteadyStateWalk"]
+__all__ = ["MAX_PERIOD", "SteadyStateWalk"]

@@ -3,9 +3,9 @@
 A program is either built from its instructions, or *deferred*: it knows
 its length and name up front and builds its :class:`Instruction` objects
 on first iteration or indexing.  The code generator hands out deferred
-programs that carry their structure-of-arrays decode
-(:mod:`repro.cpu.decode`), so consumers that only read the decode (the
-vectorized fast model) never build the objects.
+programs that carry their run-length skeleton (:mod:`repro.cpu.decode`),
+so consumers that only read the skeleton (the ``fast`` model) never build
+the objects.
 
 This module sits on the deterministic path: no wall clock, no randomness
 (enforced by ``tools/lint_invariants.py``).
@@ -54,7 +54,7 @@ class Program:
         self._length = len(self._built)
         self.name = name
         #: A decode its producer already holds (a
-        #: :class:`repro.cpu.decode.DecodedProgram`), or ``None``.
+        #: :class:`repro.cpu.decode.Skeleton`), or ``None``.
         self.decoded: Optional[object] = None
 
     @classmethod

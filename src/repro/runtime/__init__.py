@@ -5,9 +5,9 @@ cycle-accurate OoO — runs through this subsystem:
 
 - :mod:`repro.runtime.backend` defines the :class:`SimBackend` protocol
   (``prepare(program)`` then ``run()`` -> :class:`repro.cpu.result.SimResult`)
-  and one adapter per fidelity: ``analytic`` (the closed-form
-  :class:`repro.cpu.analytic.AnalyticCoreModel`, shape-level), ``fast``
-  and ``fast-ref`` (the vectorized and scalar fast core models), ``ooo``
+  and one adapter per fidelity: ``analytic`` (the shape-level
+  :class:`repro.cpu.analytic.AnalyticCoreModel`), ``fast`` and
+  ``fast-ref`` (the skeleton-walking and scalar fast core models), ``ooo``
   (:class:`repro.cpu.ooo.core.OutOfOrderCore`) and ``engine``
   (:class:`repro.engine.engine.MatrixEngine`);
 - :mod:`repro.runtime.registry` maps (design key x fidelity) to a ready

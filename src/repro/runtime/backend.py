@@ -16,20 +16,21 @@ convenience combining both.
 Five fidelities exist:
 
 - ``"analytic"`` — :class:`repro.cpu.analytic.AnalyticCoreModel`, the
-  closed-form O(1)-per-point model.  Shape-level: it never builds a
-  program, so it implements :meth:`ShapeBackend.run_shape` instead of
+  ``fast`` model's skeleton walk on a shape's skeleton alone, equal to
+  ``fast`` field for field.  Shape-level: it never builds a program, so
+  it implements :meth:`ShapeBackend.run_shape` instead of
   ``prepare``/``run`` (the runtime layer dispatches on that);
 - ``"engine"`` — engine-bound :class:`repro.engine.engine.MatrixEngine`
   execution: operands always ready, optional functional data movement
   (``"array"`` / ``"oracle"`` / ``"off"``);
 - ``"fast"``   — :class:`repro.cpu.fastvec.FastVecCoreModel`, the
-  timestamp-propagation core model (the default for sweeps): generated
-  GEMMs step a few periods of each repeating run and jump the rest
-  exactly (:mod:`repro.cpu.steady`), other programs take a vectorized
-  O(n) walk; bit-identical to the scalar reference;
+  timestamp-propagation core model (the default for sweeps): it walks the
+  program's skeleton (:mod:`repro.cpu.steady`), stepping a few periods of
+  each repeating run of a generated GEMM and jumping the rest exactly,
+  and any other program op by op; bit-identical to the scalar reference;
 - ``"fast-ref"`` — :class:`repro.cpu.fast.FastCoreModel`, the scalar
-  per-instruction reference the vectorized kernel is cross-checked
-  against (the oracle tier; same results, slower);
+  per-instruction reference the skeleton walk is cross-checked against
+  (the oracle tier; same results, slower);
 - ``"ooo"``    — :class:`repro.cpu.ooo.core.OutOfOrderCore`, the
   cycle-accurate validation model.
 """
@@ -120,13 +121,11 @@ class _BaseBackend:
 
 
 class AnalyticBackend:
-    """Adapter over the closed-form analytic model (shape-level).
+    """Adapter over the shape-level analytic model.
 
     This backend deliberately does *not* implement the program-based
     :class:`SimBackend` phases: the whole point of the analytic tier is
-    that no program ever exists.  Probe memoization lives in the model, so
-    holding one backend across a sweep amortizes the scheduler probes over
-    every shape that hits the same block geometries.
+    that no program ever exists.
     """
 
     fidelity = "analytic"
@@ -160,10 +159,10 @@ class AnalyticBackend:
 class FastCoreBackend(_BaseBackend):
     """Adapter over the fast timestamp-propagation core model.
 
-    The model shares one :class:`repro.cpu.decode.DecodedProgram` per
-    distinct program across every design and is bit-identical to the
-    scalar reference (``"fast-ref"``), so existing ``"fast"`` cache entries
-    stay valid.
+    The model shares one :class:`repro.cpu.decode.Skeleton` per distinct
+    program across every design and is bit-identical to the scalar
+    reference (``"fast-ref"``), so existing ``"fast"`` cache entries stay
+    valid.
     """
 
     fidelity = "fast"

@@ -297,8 +297,8 @@ class Session:
         unlabeled program identity: a grid of 8 designs over one GEMM
         verifies once, and sessions running many plans never re-lint a
         stream they already proved clean.  Shape-level (analytic) jobs are
-        linted too: the whole point is checking the program the closed
-        forms claim to summarize.
+        linted too: the whole point is checking the program whose
+        skeleton they walk.
         """
         from repro.analysis import verifier  # deferred: pulls in codegen + engine
 

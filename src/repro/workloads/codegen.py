@@ -10,12 +10,12 @@ The generator also lays the three operand matrices out in simulation memory
 (A row-major BF16, B VNNI-packed BF16, C row-major FP32) so the very same
 program can be executed functionally and checked against the NumPy oracle.
 
-Lowering builds the stream's structure-of-arrays decode directly
+Lowering writes the stream's run-length skeleton down directly
 (:mod:`repro.workloads.array_lowering`) and returns a *deferred*
 :class:`~repro.isa.program.Program` carrying it: the ``Instruction``
 objects are emitted by :func:`_emit_block` only when a consumer first
 iterates or indexes the program (asm/disasm, the verifier, bounds and the
-object-walking models), never for the vectorized ``fast`` model.
+object-walking models), never for the ``fast`` model.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.isa.program import Program
 from repro.tile.hostmem import HostMatrix, layout_gemm_operands
 from repro.tile.memory import TileMemory
 from repro.tile.vnni import pack_b_vnni
-from repro.workloads.array_lowering import lower_gemm_arrays
+from repro.workloads.array_lowering import gemm_skeleton
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import Block, BlockingConfig, TileLoopNest
 
@@ -167,8 +167,8 @@ def build_gemm_kernel(
 ) -> GemmKernel:
     """Generate the full kernel (program + operand layout) for ``shape``.
 
-    The program carries its decode and builds its instructions on first use
-    (see the module docstring).
+    The program carries its skeleton and builds its instructions on first
+    use (see the module docstring).
     """
     padded = GemmShape(
         m=shape.padded_m, n=shape.padded_n, k=shape.padded_k, name=shape.name
@@ -177,7 +177,7 @@ def build_gemm_kernel(
         padded.m, padded.n, padded.k, base=base_address
     )
     name = shape.name or f"gemm_{shape.m}x{shape.n}x{shape.k}"
-    decoded = lower_gemm_arrays(padded, options, a_host, b_host, c_host)
+    skeleton = gemm_skeleton(padded, options)
     emit = functools.partial(
         _emit_program, name, padded, options, a_host, b_host, c_host
     )
@@ -188,7 +188,9 @@ def build_gemm_kernel(
         a_host=a_host,
         b_host=b_host,
         c_host=c_host,
-        program=Program.deferred(decoded.n, emit, name=name, decoded=decoded),
+        program=Program.deferred(
+            skeleton.instructions, emit, name=name, decoded=skeleton
+        ),
     )
 
 

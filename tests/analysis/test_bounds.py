@@ -1,12 +1,12 @@
 """Tests for the static cycle-bound analyzer (:mod:`repro.analysis.bounds`).
 
 The load-bearing assertions are the cross-tier oracle — ``LB <= fast``
-exactly, ``fast == fast-ref``, static and analytic counters equal to
-``fast``'s, analytic cycles within its documented tolerance — over every
-design, and the seeded-mutation tests proving the oracle actually *fails*
-when a tier is wrong (an inflated dependence-edge latency applied at the
-analyzer's documented seam, a miscounting static replay, a scalar
-reference off by one cycle, a miscounting or drifting analytic model).
+exactly, ``fast == fast-ref`` and ``analytic == fast`` field for field,
+static counters equal to ``fast``'s — over every design, and the
+seeded-mutation tests proving the oracle actually *fails* when a tier is
+wrong (an inflated dependence-edge latency applied at the analyzer's
+documented seam, a miscounting static replay, a scalar reference off by
+one cycle, a miscounting or drifting analytic model).
 """
 
 from __future__ import annotations
@@ -48,16 +48,16 @@ class TestOracle:
         for check in checks:
             assert check.ok, (shape, check.violations)
 
-    def test_out_of_domain_core_still_checks_every_other_tier(self, monkeypatch):
-        # The analytic checks are skipped off its verified core; the static
-        # counter check must still run there and catch a miscount.
+    def test_non_default_core_checks_every_tier(self, monkeypatch):
+        # Off the default core the analytic tier still equals fast, and the
+        # static counter check still runs and catches a miscount.
         real = bounds.static_counters
         monkeypatch.setattr(
             bounds, "static_counters",
             lambda program: dataclasses.replace(real(program), mm_count=0),
         )
         for check in cross_check_bounds(SMALL, core=CoreConfig(rob_size=16)):
-            assert check.analytic_cycles is None, check.design_key
+            assert check.analytic_cycles == check.fast_cycles, check.design_key
             assert {v.kind for v in check.violations} == {
                 "static-counter-mismatch"
             }, check.design_key
@@ -110,7 +110,7 @@ class TestSeededMutations:
             if design.config.control.bypasses_on_reuse
         }
 
-    def test_miscounted_analytic_model_is_an_analytic_counter_mismatch(
+    def test_miscounted_analytic_model_is_an_analytic_fast_mismatch(
         self, monkeypatch
     ):
         real = AnalyticCoreModel.run_shape
@@ -122,9 +122,9 @@ class TestSeededMutations:
         monkeypatch.setattr(AnalyticCoreModel, "run_shape", miscounting)
         for check in cross_check_bounds(SMALL):
             assert [v.kind for v in check.violations] == [
-                "analytic-counter-mismatch"
+                "analytic-fast-mismatch"
             ], check.design_key
-            assert "analytic mm_count" in check.violations[0].detail
+            assert check.violations[0].detail.startswith("analytic SimResult(")
 
     def test_diverging_scalar_reference_is_a_fast_ref_mismatch(self, monkeypatch):
         real = bounds.resolve_backend
@@ -154,31 +154,19 @@ class TestSeededMutations:
                 "fast-ref-mismatch"
             ], check.design_key
 
-    def test_drifting_analytic_cycles_are_an_analytic_fast_drift(self, monkeypatch):
+    def test_drifting_analytic_cycles_are_an_analytic_fast_mismatch(self, monkeypatch):
+        # One cycle off is a violation: there is no tolerance left.
         real = AnalyticCoreModel.run_shape
 
         def drifting(self, shape, codegen):
             result = real(self, shape, codegen)
-            return dataclasses.replace(result, cycles=2 * result.cycles)
+            return dataclasses.replace(result, cycles=result.cycles + 1)
 
         monkeypatch.setattr(AnalyticCoreModel, "run_shape", drifting)
         for check in cross_check_bounds(SMALL):
-            assert check.analytic_cycles == 2 * check.fast_cycles, check.design_key
+            assert check.analytic_cycles == check.fast_cycles + 1, check.design_key
             assert [v.kind for v in check.violations] == [
-                "analytic-fast-drift"
-            ], check.design_key
-
-    def test_analytic_cycles_under_the_lower_bound_are_flagged(self, monkeypatch):
-        # LB <= fast, so an estimate below the LB has drifted from fast too.
-        real = AnalyticCoreModel.run_shape
-
-        def undercounting(self, shape, codegen):
-            return dataclasses.replace(real(self, shape, codegen), cycles=1)
-
-        monkeypatch.setattr(AnalyticCoreModel, "run_shape", undercounting)
-        for check in cross_check_bounds(SMALL):
-            assert [v.kind for v in check.violations] == [
-                "analytic-fast-drift", "analytic-below-lb"
+                "analytic-fast-mismatch"
             ], check.design_key
 
 

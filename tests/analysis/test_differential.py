@@ -3,14 +3,13 @@
 Hypothesis draws a GEMM, a legal register blocking and mm order, both
 scalar overheads and a :class:`CoreConfig`, and runs
 :func:`repro.analysis.bounds.cross_check_bounds` on it: ``fast ==
-fast-ref``, ``LB <= fast`` and static counters == ``fast`` counters on any
-input, plus the analytic counts and cycle contract inside the analytic
-tier's verified domain (the default core and the default overheads).
-About half the draws sit inside that domain, so the analytic checks run.
+fast-ref``, ``analytic == fast``, ``LB <= fast`` and static counters ==
+``fast`` counters on any input.  About half the draws keep the default
+core and overheads, where the walk jumps; the rest draw both freely.
 
-The regression corpus pins the inputs on which the analytic closed forms
-were silently wrong before the domain guard: each must now be refused by
-the analytic model while every other tier still agrees.
+The regression corpus pins the inputs on which the retired analytic
+closed forms were silently wrong: the analytic model must now return
+``fast-ref``'s whole result on each.
 
 ``ooo`` is compared on tiny programs at the default core only, with
 ``test_model_fuzz.py``'s tolerance.  Random cores are left out of that
@@ -26,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.bounds import cross_check_bounds
 from repro.cpu.analytic import AnalyticCoreModel
 from repro.cpu.config import CoreConfig
+from repro.cpu.fast import FastCoreModel
 from repro.engine.designs import DESIGNS, get_design
-from repro.errors import ExperimentError
 from repro.runtime.registry import resolve_backend
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
@@ -66,7 +65,7 @@ def codegens(draw, overheads=overheads):
 
 @st.composite
 def points(draw):
-    """(shape, codegen, core): half in the analytic domain, half drawn freely."""
+    """(shape, codegen, core): half at the default core and overheads, half free."""
     shape = GemmShape(
         draw(st.integers(1, 160)), draw(st.integers(1, 160)), draw(st.integers(1, 320))
     )
@@ -75,47 +74,41 @@ def points(draw):
     return shape, draw(codegens()), draw(cores)
 
 
-def _in_analytic_domain(codegen: CodegenOptions, core: CoreConfig) -> bool:
-    overheads = (codegen.scalar_overhead_per_kstep, codegen.scalar_overhead_per_block)
-    return core == CoreConfig() and overheads == DEFAULT_OVERHEADS
-
-
 @settings(max_examples=100, deadline=None)
 @given(point=points(), design=designs)
 def test_every_tier_agrees(point, design):
     shape, codegen, core = point
     (check,) = cross_check_bounds(shape, codegen, design_keys=[design], core=core)
     assert check.ok, (shape, codegen, core, check.violations)
-    in_domain = _in_analytic_domain(codegen, core)
-    assert (check.analytic_cycles is None) == (not in_domain)
+    assert check.analytic_cycles == check.fast_cycles
 
 
-#: Inputs on which ``analytic`` returned wrong cycles with no warning,
-#: with the field the domain guard names.  ``fast == fast-ref`` on each.
+#: Inputs on which the retired closed forms returned wrong cycles with no
+#: warning (``fast == fast-ref`` on each).
 REGRESSIONS = {
-    # analytic 7,362 vs fast 10,494 (-29.8 %)
+    # closed forms 7,362 vs fast 10,494 (-29.8 %)
     "block-overhead-20-db-wls": (
         GemmShape(157, 168, 12),
         CodegenOptions(blocking=BlockingConfig(1, 1), scalar_overhead_per_block=20),
-        CoreConfig(), "rasa-db-wls", "scalar_overhead_per_block",
+        CoreConfig(), "rasa-db-wls",
     ),
-    # analytic 7,270 vs fast 7,918 (-8.2 %)
+    # closed forms 7,270 vs fast 7,918 (-8.2 %)
     "block-overhead-20-dmdb-wls": (
         GemmShape(157, 168, 12),
         CodegenOptions(blocking=BlockingConfig(1, 1), scalar_overhead_per_block=20),
-        CoreConfig(), "rasa-dmdb-wls", "scalar_overhead_per_block",
+        CoreConfig(), "rasa-dmdb-wls",
     ),
-    # analytic 16,643 vs fast 19,643 (-15.3 %)
+    # closed forms 16,643 vs fast 19,643 (-15.3 %)
     "rob-16-dmdb-wls": (
         GemmShape(128, 128, 128), CodegenOptions(), CoreConfig(rob_size=16),
-        "rasa-dmdb-wls", "rob_size",
+        "rasa-dmdb-wls",
     ),
-    # analytic 97,379 vs fast 97,979 (-0.6 %)
+    # closed forms 97,379 vs fast 97,979 (-0.6 %)
     "rob-16-baseline": (
         GemmShape(128, 128, 128), CodegenOptions(), CoreConfig(rob_size=16),
-        "baseline", "rob_size",
+        "baseline",
     ),
-    # analytic 6,147 vs fast 11,547 (-46.8 %)
+    # closed forms 6,147 vs fast 11,547 (-46.8 %)
     "overheads-7-24-db-wls": (
         GemmShape(99, 208, 6),
         CodegenOptions(
@@ -123,20 +116,20 @@ REGRESSIONS = {
             scalar_overhead_per_kstep=7,
             scalar_overhead_per_block=24,
         ),
-        CoreConfig(), "rasa-db-wls", "scalar_overhead_per_kstep",
+        CoreConfig(), "rasa-db-wls",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSIONS))
 def test_regression_corpus(name):
-    shape, codegen, core, design, field = REGRESSIONS[name]
-    model = AnalyticCoreModel(core=core, engine=get_design(design).config)
-    with pytest.raises(ExperimentError, match=field):
-        model.run_shape(shape, codegen)
+    shape, codegen, core, design = REGRESSIONS[name]
+    config = get_design(design).config
+    analytic = AnalyticCoreModel(core=core, engine=config).run_shape(shape, codegen)
+    program = generate_gemm_program(shape, codegen)
+    assert analytic == FastCoreModel(core=core, engine=config).run(program)
     (check,) = cross_check_bounds(shape, codegen, design_keys=[design], core=core)
     assert check.ok, check.violations
-    assert check.analytic_cycles is None
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,10 @@
 """Analytic-tier tests: the analytic SimResult equals the fast model's.
 
-The contract (see :mod:`repro.cpu.analytic`): inside the verified domain,
-counts are *exact* against the fast model and cycles stay within
-:data:`~repro.cpu.analytic.ANALYTIC_CYCLE_ERROR_BOUND`.  Empirically the
-model is exact on cycles too, so every test below asserts equality.
-Inputs outside the domain are refused (``tests/analysis/test_differential.py``).
+The analytic model walks a shape's skeleton with the ``fast`` model's own
+steady-state walk (see :mod:`repro.cpu.analytic`), so every test below
+asserts equality with the scalar reference, field for field — on any core
+and codegen, including the inputs the retired closed forms got wrong
+(``tests/analysis/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 
 from repro.cpu.analytic import AnalyticCoreModel
+from repro.cpu.config import CoreConfig
 from repro.cpu.fast import FastCoreModel
 from repro.engine.designs import DESIGNS, get_design
 from repro.experiments import ExperimentSettings, run_design
@@ -68,6 +69,22 @@ class TestAnalyticMatchesFast:
             GemmShape(64, 64, 64), CodegenOptions()
         )
         assert result.program == "gemm_64x64x64"
+
+    def test_non_power_of_two_widths_step_every_instruction(self):
+        # The pinned input on which a jump at widths 3/6 lands one cycle off.
+        options = CodegenOptions(
+            blocking=BlockingConfig(1, 3, MMOrder.ALTERNATE),
+            scalar_overhead_per_kstep=0,
+            scalar_overhead_per_block=12,
+        )
+        core = CoreConfig(rob_size=25, fetch_width=3, retire_width=6, store_ports=2,
+                          l1_latency=10, pipeline_stages=10)
+        config = get_design("rasa-wlbp").config
+        shape = GemmShape(316, 302, 1295)
+        analytic = AnalyticCoreModel(core=core, engine=config).run_shape(shape, options)
+        assert analytic.cycles == 4_974_628
+        program = generate_gemm_program(shape, options)
+        assert analytic == FastCoreModel(core=core, engine=config).run(program)
 
     def test_energy_matches_fast_pipeline(self):
         config = get_design("rasa-dmdb-wls").config

@@ -1,18 +1,19 @@
-"""Bit-identity of the vectorized fast model against the scalar reference.
+"""Bit-identity of the ``fast`` model against the scalar reference.
 
-The vectorized kernel (`repro.cpu.fastvec`) is only allowed to exist
-because it is *exactly* the scalar `FastCoreModel` — same `SimResult`
-field for field, same per-mm `StageTimes`, same exceptions.  These tests
-enforce that contract three ways:
+The skeleton walk behind ``fast`` (`repro.cpu.fastvec`, `repro.cpu.steady`)
+is only allowed to exist because it is *exactly* the scalar
+`FastCoreModel` — same `SimResult` field for field, same per-mm
+`StageTimes` (a kept schedule runs the reference itself), same
+exceptions.  These tests enforce that contract three ways:
 
 - a hypothesis sweep over random well-formed programs, random designs and
-  random core configurations (including the non-power-of-two and
-  multi-store-port shapes that must fall back to the scalar path), with
-  the WLBP FF/FS overlap flag drawn too;
+  random core configurations (non-power-of-two widths and several store
+  ports included), each walked op by op as a one-block skeleton, with the
+  WLBP FF/FS overlap flag drawn too;
 - every suite workload at scale 4 across all 8 paper designs, the exact
   grid the CI equality oracle gates on, plus one workload with that flag
   off — no registered design turns it off, so these two are the only
-  checks of fastvec's FS-end bypass floor against the reference
+  checks of the walk's FS-end bypass floor against the reference
   :class:`~repro.engine.scheduler.EngineScheduler`;
 - targeted edge cases (empty programs, drain-conflict exceptions, decode
   memoization identity).
@@ -33,7 +34,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu import fast, fastvec, steady
+from repro.cpu import analytic, fast, fastvec
 from repro.cpu.config import CoreConfig
 from repro.cpu.decode import decode_program
 from repro.cpu.fast import FastCoreModel
@@ -73,7 +74,7 @@ def assert_identical(
 ) -> FastVecCoreModel:
     """Full-result equality: SimResult fields AND the kept StageTimes.
 
-    Returns the vectorized model, its last run the plain one.
+    Returns the ``fast`` model, its last run the plain (walked) one.
     """
     scalar = FastCoreModel(core=core, engine=config, memory=memory)
     vector = FastVecCoreModel(core=core, engine=config, memory=memory)
@@ -126,9 +127,9 @@ def tile_programs(draw):
 
 @st.composite
 def core_configs(draw):
-    """Core shapes spanning the vectorized gate and the scalar fallback:
-    non-power-of-two fetch/retire widths and store_ports > 1 must delegate,
-    and still be bit-identical."""
+    """Core shapes on both sides of the jump gate: non-power-of-two
+    fetch/retire widths, several ports and tiny ROBs must be bit-identical
+    too."""
     return CoreConfig(
         rob_size=draw(st.sampled_from([1, 3, 8, 13, 97])),
         fetch_width=draw(st.sampled_from([1, 2, 3, 4])),
@@ -154,7 +155,7 @@ class TestPropertyEquality:
             DESIGNS[design].config, wlbp_ff_overlaps_fs=ff_overlaps_fs
         )
         vector = assert_identical(program, config, core=core)
-        assert vector.last_walked == len(program)  # no skeleton: the full walk
+        assert vector.last_walked == len(program)  # one block: every op stepped
 
 
 class TestSuitePrograms:
@@ -275,17 +276,9 @@ class TestSteadyStateJump:
         assert_jumps(program, DESIGNS["rasa-dmdb-wls"].config,
                      core=CoreConfig(rob_size=16), most=108)
 
-    def test_walk_out_of_budget_takes_the_full_walk(self, monkeypatch):
-        monkeypatch.setattr(steady, "WALK_BUDGET", 100)
-        program = generate_gemm_program(GemmShape(256, 256, 512))
-        vector = FastVecCoreModel()
-        assert vector.run(program) == FastCoreModel().run(program)
-        # The abandoned walk's steps, then every instruction.
-        assert vector.last_walked > len(program) + 100
-
     def test_non_power_of_two_widths_never_jump(self):
         # With widths 3/6 a jump here lands one cycle off fast-ref
-        # (4,974,627 against 4,974,628); the model must take the full walk.
+        # (4,974,627 against 4,974,628); the walk must step every op.
         options = CodegenOptions(
             blocking=BlockingConfig(1, 3, MMOrder.ALTERNATE),
             scalar_overhead_per_kstep=0,
@@ -348,7 +341,7 @@ class TestGeneratedDifferential:
 
 def test_fast_point_enters_through_the_names_perfbench_traces(monkeypatch):
     """perfbench's tracer wraps these names; a moved entry point would
-    leave its fast layer silent."""
+    leave its layer silent."""
     calls: collections.Counter = collections.Counter()
 
     def count(label: str, owner, name: str) -> None:
@@ -363,5 +356,16 @@ def test_fast_point_enters_through_the_names_perfbench_traces(monkeypatch):
     count("fast", fastvec.FastVecCoreModel, "run")
     count("decode", fastvec, "decode_program")
     count("fast-ref", fast.FastCoreModel, "run")
-    run_design("rasa-dmdb-wls", GemmShape(96, 80, 200))
+    count("analytic", analytic.AnalyticCoreModel, "run_shape")
+    shape = GemmShape(96, 80, 200)
+    run_design("rasa-dmdb-wls", shape)
     assert calls == {"fast": 1, "decode": 1}  # and no scalar fallback
+    run_design("rasa-dmdb-wls", shape, fidelity="analytic")
+    assert calls == {"fast": 1, "decode": 1, "analytic": 1}  # and still no fast-ref
+    # perfbench reads the walk memo's statistics: one miss, then hits.
+    before = decode_program.cache_info()
+    hand_built = ProgramBuilder("hand").tl(T[0], 0).build()
+    decode_program(hand_built)
+    decode_program(hand_built)
+    after = decode_program.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)

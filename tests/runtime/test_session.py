@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cpu.config import CoreConfig
@@ -96,13 +98,21 @@ class TestSessionRun:
         assert (warm.simulated, warm.cache_hits) == (0, 4)
         assert warm == cold
 
-    def test_analytic_refuses_a_plan_outside_its_domain(self, tmp_path):
-        # A non-default core used to return wrong analytic cycles silently.
+    def test_analytic_runs_a_plan_off_the_default_core_and_equals_fast(self, tmp_path):
+        # The analytic fidelity takes any core; rob_size=16 changes which
+        # recurrence binds, so only an exact model equals fast here.
+        core = CoreConfig(rob_size=16)
         cache = ResultCache(tmp_path)
-        plan = grid_plan(fidelity="analytic", core=CoreConfig(rob_size=16))
-        with pytest.raises(ExperimentError, match="rob_size"):
-            Session(cache=cache, workers=1).run(plan)
-        assert len(ResultCache(tmp_path)) == 0
+        analytic = Session(cache=cache, workers=1).run(
+            grid_plan(fidelity="analytic", core=core)
+        )
+        assert len(ResultCache(tmp_path)) == 4
+        fast = Session(workers=1).run(grid_plan(core=core)).grid()
+        for name, row in analytic.grid().items():
+            for design, result in row.items():
+                # Only the name differs: fast runs the unlabeled program.
+                expected = fast[name][design]
+                assert dataclasses.replace(result, program=expected.program) == expected
 
     def test_session_from_env_no_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")

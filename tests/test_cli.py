@@ -127,6 +127,18 @@ class TestGridSweep:
                      "--scale", "8", "--no-cache"]) == 1
         assert "--scale does not apply" in capsys.readouterr().err
 
+    def test_workloads_rejected_for_adhoc_gemm(self, capsys):
+        # Running only the ad-hoc GEMM would silently drop the suite.
+        assert main(["sweep", "--m", "64", "--n", "64", "--k", "64",
+                     "--workloads", "bert-base", "--designs", "rasa-pipe",
+                     "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --m/--n/--k (one ad-hoc GEMM) and --workloads (suites) "
+            "are mutually exclusive\n"
+        )
+
 
 class TestSuiteSweep:
     def test_bert_base_dedups_72_layers_to_3_points(self, tmp_path, capsys):
@@ -466,6 +478,14 @@ class TestPlanShow:
     def test_unknown_suite_exits_1(self, capsys):
         assert main(["plan", "show", "--workloads", "bogus-model,dlrm"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_workloads_rejected_for_adhoc_gemm(self, tmp_path, capsys):
+        # The plan would hold only the ad-hoc GEMM; no file may be written.
+        plan_file = tmp_path / "plan.json"
+        assert main(["plan", "show", "--m", "64", "--n", "64", "--k", "64",
+                     "--workloads", "bert-base", "-o", str(plan_file)]) == 1
+        assert "mutually exclusive" in capsys.readouterr().err
+        assert not plan_file.exists()
 
 
 class TestPlanRunAndMerge:

@@ -39,6 +39,7 @@ class TestBoundsCommand:
         for check in program["checks"]:
             assert check["violations"] == []
             assert check["lower_bound"] <= check["fast_cycles"]
+            assert check["analytic_cycles"] == check["fast_cycles"]
             assert check["binding"] in check["components"]
 
     def test_designs_subset(self, capsys):
@@ -85,23 +86,6 @@ class TestBoundsCommand:
         )
         assert main(["bounds", "--m", "64", "--n", "64", "--k", "64"]) == 1
         assert "lb-exceeds-fast" in capsys.readouterr().out
-
-    def test_skipped_analytic_is_a_dash_and_null(self, capsys, monkeypatch):
-        # Outside the analytic domain the oracle reports no analytic cycles.
-        monkeypatch.setattr(
-            bounds_analysis, "analytic_domain_error",
-            lambda core, codegen: "core.rob_size=16 (verified only at 97)",
-        )
-        target = ["--m", "64", "--n", "64", "--k", "64", "--designs", "baseline"]
-        assert main(["bounds", *target]) == 0
-        (row,) = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("cli ")
-        ]
-        assert [cell.strip() for cell in row.split("|")][4] == "-"
-        assert main(["bounds", *target, "--json"]) == 0
-        (program,) = json.loads(capsys.readouterr().out)["programs"]
-        assert [c["analytic_cycles"] for c in program["checks"]] == [None]
 
 
 class TestLintBoundsFlag:

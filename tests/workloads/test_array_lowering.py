@@ -1,12 +1,12 @@
-"""Direct array lowering == the decode walk over the emitted objects.
+"""The carried skeleton == the decode walk over the emitted objects.
 
-``build_gemm_kernel`` builds each program's structure-of-arrays decode
-straight from the loop nest (:mod:`repro.workloads.array_lowering`); the
-vectorized fast model then runs on it without an ``Instruction`` ever
-existing.  The oracle is the object path it replaces: emit the
-instructions with ``codegen._emit_block`` and walk them with
-``repro.cpu.decode``.  Every field must be equal, dtypes and the per-op
-``alu_reads`` tuples included, over
+``build_gemm_kernel`` writes each program's run-length skeleton straight
+from the loop nest (:mod:`repro.workloads.array_lowering`); the ``fast``
+model then walks it without an ``Instruction`` ever existing.  The oracle
+is the object path it replaces: emit the instructions with
+``codegen._emit_block`` and walk them with ``decode_program``.  The
+carried skeleton, unrolled, must equal that walk op for op, and encode
+exactly ``len(program)`` instructions, over
 
 - every registered suite's distinct shapes at scale 4;
 - hypothesis-drawn shapes up to 300 per dim (edge-clipped blocks in M and
@@ -17,16 +17,16 @@ instructions with ``codegen._emit_block`` and walk them with
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+from typing import Iterable, Iterator, List
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu.decode import KIND_ALU, DecodedProgram, _decode, decode_program
+from repro.cpu.decode import KIND_ALU, Skeleton, SkeletonBlock, SkeletonOp, decode_program
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import NUM_TILE_REGS
+from repro.isa.program import Program
 from repro.workloads import codegen
 from repro.workloads.codegen import CodegenOptions, build_gemm_kernel
 from repro.workloads.gemm import GemmShape
@@ -47,64 +47,63 @@ FULL_WALK_LIMIT = 150_000
 PREFIX_BLOCKS = 64
 
 
-def assert_same_decode(actual: DecodedProgram, expected: DecodedProgram) -> None:
-    for field in dataclasses.fields(DecodedProgram):
-        got, want = getattr(actual, field.name), getattr(expected, field.name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype, field.name
-            np.testing.assert_array_equal(got, want, err_msg=field.name)
-        else:
-            assert got == want, field.name
+def blocks_of(skeleton: Skeleton) -> Iterator[SkeletonBlock]:
+    """Every block of the stream, in program order."""
+    for row, repeat in skeleton.rows:
+        for _ in range(repeat):
+            for block, count in row:
+                for _ in range(count):
+                    yield block
 
 
-def prefix_of(decoded: DecodedProgram, n: int) -> DecodedProgram:
-    """``decoded`` restricted to its first ``n`` instructions.
+def unrolled(blocks: Iterable[SkeletonBlock]) -> List[SkeletonOp]:
+    """Every op of ``blocks``, in program order."""
+    return [
+        op
+        for block in blocks
+        for op in block.prologue + block.kstep * block.k_steps + block.epilogue
+    ]
 
-    Every array is in program order and every writer precedes its reader,
-    so this is exactly the decode of the stream's first ``n`` instructions.
+
+def assert_same_decode(actual: Skeleton, expected: Skeleton) -> None:
+    """Two skeletons encode the same stream, op for op."""
+    assert actual.instructions == expected.instructions
+    assert unrolled(blocks_of(actual)) == unrolled(blocks_of(expected))
+
+
+def walked(program: Program) -> Skeleton:
+    """``decode_program``'s walk of a copy of ``program`` that carries no decode.
+
+    The walk memo is cleared afterwards, so no test keeps the copies (and
+    their objects) alive.
     """
-    def cut(positions: np.ndarray) -> int:
-        return int(np.searchsorted(positions, n))
-
-    loads, stores, mms, alus = (
-        cut(decoded.load_pos), cut(decoded.store_pos), cut(decoded.mm_pos),
-        cut(decoded.alu_pos),
-    )
-    return DecodedProgram(
-        n=n,
-        kind=decoded.kind[:n],
-        load_pos=decoded.load_pos[:loads],
-        load_addr=decoded.load_addr[:loads],
-        load_stride=decoded.load_stride[:loads],
-        store_pos=decoded.store_pos[:stores],
-        store_writer=decoded.store_writer[:stores],
-        mm_pos=decoded.mm_pos[:mms],
-        mm_a_writer=decoded.mm_a_writer[:mms],
-        mm_b_writer=decoded.mm_b_writer[:mms],
-        mm_c_writer=decoded.mm_c_writer[:mms],
-        mm_b_reg=decoded.mm_b_reg[:mms],
-        mm_b_version=decoded.mm_b_version[:mms],
-        alu_pos=decoded.alu_pos[:alus],
-        alu_reads=decoded.alu_reads[:alus],
-    )
+    copy = program[:]  # emits the objects
+    assert copy.decoded is None
+    try:
+        return decode_program(copy)
+    finally:
+        decode_program.cache_clear()
 
 
 def assert_lowering_matches_walk(shape: GemmShape, options: CodegenOptions) -> None:
     kernel = build_gemm_kernel(shape, options)
     carried = kernel.program.decoded
-    assert isinstance(carried, DecodedProgram)
-    assert carried.n == len(kernel.program)
+    assert isinstance(carried, Skeleton)
+    assert carried.instructions == len(kernel.program)
+    assert decode_program(kernel.program) is carried
     assert not kernel.program.built
     if len(kernel.program) <= FULL_WALK_LIMIT:
-        assert_same_decode(carried, _decode(kernel.program))  # emits the objects
+        assert_same_decode(carried, walked(kernel.program))
         return
     builder = ProgramBuilder()
     nest = TileLoopNest(kernel.padded, options.blocking)
     for block in itertools.islice(nest.blocks(), PREFIX_BLOCKS):
         codegen._emit_block(builder, block, kernel.padded, options,
                             kernel.a_host, kernel.b_host, kernel.c_host)
-    prefix = builder.build()
-    assert_same_decode(prefix_of(carried, len(prefix)), _decode(prefix))
+    prefix = walked(builder.build())
+    assert unrolled(itertools.islice(blocks_of(carried), PREFIX_BLOCKS)) == unrolled(
+        blocks_of(prefix)
+    )
 
 
 def _suite_shapes():
@@ -143,9 +142,8 @@ def test_every_scalar_overhead_matches_the_walk(per_kstep, per_block):
 
 def test_no_overhead_lowers_no_alu_ops():
     options = CodegenOptions(scalar_overhead_per_kstep=0, scalar_overhead_per_block=0)
-    decoded = decode_program(build_gemm_kernel(GemmShape(48, 48, 64), options).program)
-    assert decoded.alu_pos.size == 0 and decoded.alu_reads == ()
-    assert not (decoded.kind == KIND_ALU).any()
+    skeleton = decode_program(build_gemm_kernel(GemmShape(48, 48, 64), options).program)
+    assert not any(op[0] == KIND_ALU for op in unrolled(blocks_of(skeleton)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,6 @@
 """The contract of the deferred programs code generation hands out.
 
-A generated program knows its length and name and carries its decode; its
+A generated program knows its length and name and carries its skeleton; its
 ``Instruction`` objects are emitted only when a consumer first iterates or
 indexes it.  Everything a consumer can observe must match the eager stream
 the emitter builds directly: the objects (tags included), slicing,
@@ -64,7 +64,7 @@ class TestDeferral:
         assert len(program) == len(eager(SHAPE, OPTIONS))
         assert program.name == "gemm_80x48x100"
         assert decode_program(program) is program.decoded
-        FastVecCoreModel().run(program)  # the vectorized kernel reads the decode
+        FastVecCoreModel().run(program)  # the walk reads the skeleton
         assert not program.built
 
     def test_first_iteration_is_the_eager_stream(self):
@@ -106,7 +106,7 @@ class TestUnchangedViews:
         assert list(part) == list(expected) and part.name == expected.name
         both, expected = program + reference, reference + reference
         assert list(both) == list(expected) and both.name == expected.name
-        # Derived programs carry no decode: walking one agrees with the carried.
+        # Derived programs carry no skeleton: walking one agrees with the carried.
         whole = program[:]
         assert whole.decoded is None
         assert_same_decode(decode_program(whole), decode_program(program))
@@ -131,7 +131,7 @@ class TestSimulation:
         core = CoreConfig(fetch_width=3, retire_width=6)
         program = generate_gemm_program(SHAPE, OPTIONS)
         fast = resolve_backend(design, fidelity="fast", core=core).prepare(program).run()
-        assert program.built  # the scalar fallback walks the objects
+        assert not program.built  # the walk steps the skeleton op by op
         fresh = generate_gemm_program(SHAPE, OPTIONS)
         reference = resolve_backend(design, fidelity="fast-ref", core=core)
         assert fast == reference.prepare(fresh).run()
