@@ -13,15 +13,13 @@ to the pure II ratio with less to recover.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.cpu.fast import FastCoreModel
 from repro.engine.designs import DESIGNS
 from repro.runtime.session import cached_program
 from repro.utils.tables import format_table
 from repro.workloads.layers import TABLE1_LAYERS
-from repro.workloads.ops import ConvOp, lower
-from repro.workloads.training import TrainingStep
+from repro.workloads.ops import ConvOp, lower_ops
+from repro.workloads.training import training_ops
 
 FC_LAYERS = ("DLRM-1", "BERT-1")
 
@@ -39,16 +37,9 @@ CONV_OPS = tuple(
 
 def _training_shapes(settings):
     """(label, scaled GemmShape) for every FC and conv training pass."""
-    rows = []
-    for layer_name in FC_LAYERS:
-        step = TrainingStep(TABLE1_LAYERS[layer_name])
-        for pass_name, shape in step.gemms().items():
-            rows.append((f"{layer_name} {pass_name}", shape.scaled(settings.scale)))
-    for op in CONV_OPS:
-        for pass_ in ("fwd", "dgrad", "wgrad"):
-            (_, shape, _), = lower(dataclasses.replace(op, pass_=pass_))
-            rows.append((f"{op.name} {pass_}", shape.scaled(settings.scale)))
-    return rows
+    fc = [TABLE1_LAYERS[name] for name in FC_LAYERS]
+    ops = training_ops(fc, forward="forward") + training_ops(CONV_OPS)
+    return [(label, shape.scaled(settings.scale)) for label, shape in lower_ops(ops)]
 
 
 def test_training_passes(benchmark, emit, settings):

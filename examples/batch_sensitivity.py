@@ -14,15 +14,16 @@ import dataclasses
 
 from repro import FastCoreModel, build_gemm_kernel, get_design
 from repro.workloads.layers import TABLE1_LAYERS
+from repro.workloads.ops import lower
 
 BATCHES = (1, 4, 16, 64, 256, 1024)
 SCALE = 4  # shrink NIN/NON for a quick run; the asymptote is unaffected
 
 
 def normalized_runtime(layer_name: str, batch: int) -> float:
-    gemm = TABLE1_LAYERS[layer_name].with_batch(batch).gemm()
+    (_, gemm, _), = lower(TABLE1_LAYERS[layer_name].with_batch(batch))
     shape = dataclasses.replace(
-        gemm, m=batch, n=max(32, gemm.n // SCALE), k=max(32, gemm.k // SCALE)
+        gemm, n=max(32, gemm.n // SCALE), k=max(32, gemm.k // SCALE)
     )
     program = build_gemm_kernel(shape).program
     base = FastCoreModel(engine=get_design("baseline").config).run(program)

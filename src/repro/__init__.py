@@ -48,8 +48,8 @@ from repro.systolic import SystolicArray
 from repro.tile import TileMemory, TileRegisterFile
 from repro.workloads import (
     CodegenOptions,
-    ConvLayer,
-    FCLayer,
+    ConvOp,
+    FCOp,
     GemmShape,
     TABLE1_LAYERS,
     gemm_reference,
@@ -86,8 +86,8 @@ __all__ = [
     "TileMemory",
     "TileRegisterFile",
     "GemmShape",
-    "ConvLayer",
-    "FCLayer",
+    "ConvOp",
+    "FCOp",
     "TABLE1_LAYERS",
     "CodegenOptions",
     "generate_gemm_program",

@@ -1029,35 +1029,40 @@ def _print_report_tables(report: SweepReport) -> None:
             _print_suite_tables(report)
 
 
+def _dedup_figure(plan: SweepPlan) -> str:
+    """The plan's one dedup figure: distinct points against the runs they cover.
+
+    Key dedup collapses points across suites, batches and designs by
+    tile-padded dims, the cache key identity.  Suite GEMM runs are
+    occurrence-weighted (every suite GEMM, duplicates included, on every
+    design); a batch-curve plan counts its per-batch suite points.
+    ``sweep``, ``plan show``, ``plan run`` and ``plan merge`` all print it.
+    """
+    distinct = len(plan.distinct_keys())
+    if plan.suites and plan.batches is not None:
+        runs, unit, dedup = plan.job_count(), "per-batch suite points", "cross-batch dedup"
+    else:
+        gemms = len(plan.workloads) + sum(len(suite) for suite, _ in plan.built_suites())
+        runs = gemms * len(plan.designs)
+        unit = "suite GEMM runs" if plan.suites else "GEMM runs"
+        dedup = "dedup"
+    return f"{distinct} distinct points for {runs} {unit} ({runs / distinct:.1f}x {dedup})"
+
+
 def _sweep_stats_line(report: SweepReport, session: Session, elapsed: float) -> str:
-    """``repro sweep``'s closing line, worded for a grid, suite or batch plan."""
+    """The closing line of ``repro sweep`` and ``repro plan run`` (whole plan)."""
     plan = report.plan
     if not plan.suites:
-        line = f"{report.job_count} simulations in {elapsed:.2f}s"
+        line = f"{report.distinct_points} simulations in {elapsed:.2f}s"
         if session.cache is None:
             return line + " — cache disabled"
         return line + (
             f" — cache: {report.cache_hits} hits, {report.simulated} misses "
             f"({session.cache.path})"
         )
-    # Key dedup collapses points across suites (and batches) by tile-padded
-    # dims, the cache key identity, which the report's distinct points count.
-    distinct = report.distinct_points
-    if plan.batches is not None:
-        expanded = report.job_count
-        line = (
-            f"{distinct} distinct points for {expanded} per-batch suite points "
-            f"({expanded / distinct:.1f}x cross-batch dedup) in {elapsed:.2f}s"
-        )
-    else:
-        layer_runs = sum(len(suite) for suite, _ in plan.built_suites())
-        layer_runs *= len(plan.designs)
-        line = (
-            f"{distinct} distinct points for {layer_runs} suite GEMM runs "
-            f"({layer_runs / distinct:.1f}x dedup) in {elapsed:.2f}s"
-        )
+    line = f"{_dedup_figure(plan)} in {elapsed:.2f}s"
     if session.cache is None:
-        return line + f" — {distinct} simulated, cache disabled"
+        return line + f" — {report.distinct_points} simulated, cache disabled"
     return line + (
         f" — {report.simulated} simulated, {report.cache_hits} cached "
         f"({session.cache.path})"
@@ -1096,8 +1101,7 @@ def _describe_plan(plan: SweepPlan) -> List[str]:
         + (f", batch 1/{plan.scale_batch}" if plan.scale_batch != 1 else "")
         + (f", spatial 1/{plan.scale_spatial}" if plan.scale_spatial != 1 else "")
         + f", fidelity: {plan.fidelity}",
-        f"jobs      : {plan.job_count()} expanded, {len(distinct)} distinct "
-        f"points ({plan.job_count() / len(distinct):.1f}x dedup)",
+        f"jobs      : {_dedup_figure(plan)}",
     ]
     if plan.shard_spec is not None:
         index, count = plan.shard_spec
@@ -1143,11 +1147,7 @@ def _cmd_plan_run(args) -> int:
         )
     else:
         _print_report_tables(report)
-        print(
-            f"{report.job_count} jobs, {report.distinct_points} distinct "
-            f"points ({report.dedup_factor:.1f}x dedup) in {elapsed:.2f}s — "
-            f"{report.simulated} simulated, {report.cache_hits} cached"
-        )
+        print(_sweep_stats_line(report, session, elapsed))
     if args.output is not None:
         args.output.write_text(report.to_json())
         print(f"wrote {args.output}")
@@ -1158,10 +1158,7 @@ def _cmd_plan_merge(args) -> int:
     reports = [SweepReport.from_json(path.read_text()) for path in args.reports]
     merged = reports[0].merge(*reports[1:])
     _print_report_tables(merged)
-    print(
-        f"merged {len(reports)} report(s): {merged.distinct_points} distinct "
-        f"points, {merged.job_count} jobs"
-    )
+    print(f"merged {len(reports)} report(s): {_dedup_figure(merged.plan)}")
     if args.output is not None:
         args.output.write_text(merged.to_json())
         print(f"wrote {args.output}")

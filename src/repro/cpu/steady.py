@@ -67,8 +67,9 @@ randomness (enforced by ``tools/lint_invariants.py``).
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.decode import (
@@ -96,7 +97,7 @@ class _Snapshot(NamedTuple):
 
     key: tuple  # the compared state (module doc) without the ROB ring
     floor: float  # F, the last dispatch time
-    ring_end: int  # the ROB ring is ``retires[ring_end - rob:ring_end]``
+    retires: Tuple[float, ...]  # the ROB ring's retire times, unclamped
     mm_count: int
     bypasses: int
     weight_loads: int
@@ -120,7 +121,6 @@ class SteadyStateWalk:
         self.engine = engine
         #: Whether a jump is exact at this core's widths (module doc).
         self.jumps = _is_pow2(core.fetch_width) and _is_pow2(core.retire_width)
-        self.rob = core.rob_size
         self.ratio = core.engine_clock_ratio(engine.clock_mhz)
         self.inv_fetch = 1.0 / core.fetch_width
         self.inv_retire = 1.0 / core.retire_width
@@ -136,9 +136,13 @@ class SteadyStateWalk:
         # CPU side, as FastCoreModel.run keeps it; port free times sorted.
         self.dispatch = float(core.frontend_latency)
         self.retire = 0.0
-        #: Retire times, oldest first: ``retires[-rob]`` is the ROB entry the
-        #: next instruction waits for (the walk appends, never rotates).
-        self.retires: List[float] = [0.0] * core.rob_size
+        #: The ROB ring: the last ``rob`` retire times, oldest first, so
+        #: ``retires[0]`` is the entry the next instruction waits for.  The
+        #: deque drops the oldest on each append, so a walk that steps every
+        #: instruction holds ``rob`` of them, as ``fast-ref`` does.
+        self.retires: Deque[float] = collections.deque(
+            [0.0] * core.rob_size, maxlen=core.rob_size
+        )
         self.tile_ready = [0.0] * NUM_TILE_REGS
         self.tile_version = [0] * NUM_TILE_REGS
         self.scalar_ready = [0.0] * NUM_SCALAR_REGS
@@ -223,7 +227,6 @@ class SteadyStateWalk:
     # -- one stretch of instructions: FastCoreModel.run's arithmetic -------
 
     def _step(self, ops: Sequence[SkeletonOp]) -> None:
-        neg_rob = -self.rob
         inv_fetch = self.inv_fetch
         inv_retire = self.inv_retire
         transfer = self.transfer
@@ -254,7 +257,7 @@ class SteadyStateWalk:
 
         for op in ops:
             d = dispatch + inv_fetch
-            t = retires[neg_rob]
+            t = retires[0]
             if t > d:
                 d = t
             dispatch = d
@@ -395,16 +398,14 @@ class SteadyStateWalk:
         key.append(b)
         key.append(self.tile_version[b] - v if b >= 0 else 0)
         return _Snapshot(
-            tuple(key), floor, len(self.retires), self.mm_count, self.bypasses,
+            tuple(key), floor, tuple(self.retires), self.mm_count, self.bypasses,
             self.weight_loads, tuple(self.tile_version), v,
         )
 
-    def _ring(self, snapshot: _Snapshot) -> List[float]:
-        floor, end = snapshot.floor, snapshot.ring_end
-        return [
-            (t if t > floor else floor) - floor
-            for t in self.retires[end - self.rob:end]
-        ]
+    @staticmethod
+    def _ring(snapshot: _Snapshot) -> List[float]:
+        floor = snapshot.floor
+        return [(t if t > floor else floor) - floor for t in snapshot.retires]
 
     def _match(
         self, now: _Snapshot, history: List[_Snapshot]
@@ -427,7 +428,7 @@ class SteadyStateWalk:
         self.dispatch += shift
         self.retire += shift
         retires = self.retires
-        retires.extend([t + shift for t in retires[-self.rob:]])
+        retires.extend([t + shift for t in retires])
         for times in (self.tile_ready, self.scalar_ready, self.load_ports,
                       self.store_ports, self.alu_ports):
             times[:] = [t + shift for t in times]

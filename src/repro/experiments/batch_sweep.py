@@ -26,6 +26,7 @@ from repro.experiments.runner import (
 from repro.runtime.plan import SweepPlan
 from repro.utils.tables import format_table
 from repro.workloads.layers import FC_LAYER_NAMES, TABLE1_LAYERS
+from repro.workloads.ops import lower
 
 DEFAULT_BATCHES: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -71,11 +72,10 @@ def fig7_batch_sensitivity(
     for name in FC_LAYER_NAMES:
         layer = TABLE1_LAYERS[name]
         for batch in batches:
-            gemm = layer.with_batch(batch).gemm()
+            (_, gemm, _), = lower(layer.with_batch(batch))
             # Shrink the fixed layer dimensions, sweep the batch at full range.
             shape = dataclasses.replace(
                 gemm,
-                m=batch,
                 n=max(32, gemm.n // settings.scale),
                 k=max(32, gemm.k // settings.scale),
             )

@@ -803,11 +803,6 @@ class SweepReport:
         """Distinct simulation points this report's shard owns."""
         return len(self.results)
 
-    @property
-    def dedup_factor(self) -> float:
-        """Expanded jobs per distinct point, within this report's shard."""
-        return self.job_count / self.distinct_points if self.results else 0.0
-
     # -- merging -------------------------------------------------------------------
 
     def merge(self, *others: "SweepReport") -> "SweepReport":

@@ -1,12 +1,15 @@
-"""Workloads: DL layers -> ops -> GEMMs -> RASA instruction streams.
+"""Workloads: DL layers as ops -> GEMMs -> RASA instruction streams.
 
 The paper evaluates nine MLPerf layers (Table I): three ResNet50
 convolutions, three DLRM FC layers, three BERT FC layers.  This package
 
-- catalogs those layers (:mod:`repro.workloads.layers`),
-- models whole networks as sequences of ops that know their own GEMM
-  lowering — matmuls, head-batched matmuls, conv and FC layers per
-  training pass (:mod:`repro.workloads.ops`),
+- declares every layer as an op that knows its own GEMM lowering —
+  matmuls, head-batched matmuls, conv and FC layers per training pass
+  (:mod:`repro.workloads.ops`); the registered lowerings are the one place
+  a layer becomes a GEMM, and there are no separate layer types,
+- catalogs Table I (:mod:`repro.workloads.layers`), whole networks
+  (:mod:`repro.workloads.models`) and their training passes
+  (:mod:`repro.workloads.training`) as op sequences,
 - lowers convolutions to GEMM via im2col, forward and backward
   (:mod:`repro.workloads.lowering`, adjoint oracles in
   :mod:`repro.workloads.reference`),
@@ -22,13 +25,6 @@ convolutions, three DLRM FC layers, three BERT FC layers.  This package
 """
 
 from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import (
-    ConvLayer,
-    FCLayer,
-    TABLE1_LAYERS,
-    table1_gemms,
-)
-from repro.workloads.lowering import im2col, conv_to_gemm_shape, conv_reference
 from repro.workloads.ops import (
     BatchedMatmulOp,
     ConvOp,
@@ -40,6 +36,8 @@ from repro.workloads.ops import (
     lower_ops,
     op_kind_counts,
 )
+from repro.workloads.layers import TABLE1_LAYERS, table1_gemms
+from repro.workloads.lowering import im2col, conv_reference
 from repro.workloads.tiling import BlockingConfig, TileLoopNest
 from repro.workloads.codegen import (
     CodegenOptions,
@@ -48,8 +46,8 @@ from repro.workloads.codegen import (
     generate_gemm_program,
 )
 from repro.workloads.reference import gemm_reference
-from repro.workloads.training import TrainingStep, training_gemms
-from repro.workloads.models import resnet50_conv_layers
+from repro.workloads.training import training_ops
+from repro.workloads.models import resnet50_ops
 from repro.workloads.suites import (
     DistinctGemm,
     SUITES,
@@ -61,13 +59,6 @@ from repro.workloads.suites import (
 
 __all__ = [
     "GemmShape",
-    "ConvLayer",
-    "FCLayer",
-    "TABLE1_LAYERS",
-    "table1_gemms",
-    "im2col",
-    "conv_to_gemm_shape",
-    "conv_reference",
     "Op",
     "MatmulOp",
     "BatchedMatmulOp",
@@ -77,6 +68,10 @@ __all__ = [
     "lower",
     "lower_ops",
     "op_kind_counts",
+    "TABLE1_LAYERS",
+    "table1_gemms",
+    "im2col",
+    "conv_reference",
     "BlockingConfig",
     "TileLoopNest",
     "CodegenOptions",
@@ -84,9 +79,8 @@ __all__ = [
     "build_gemm_kernel",
     "generate_gemm_program",
     "gemm_reference",
-    "TrainingStep",
-    "training_gemms",
-    "resnet50_conv_layers",
+    "training_ops",
+    "resnet50_ops",
     "DistinctGemm",
     "SUITES",
     "SuiteSpec",

@@ -1,129 +1,43 @@
-"""The MLPerf layer catalog of Table I.
+"""The MLPerf layer catalog of Table I, declared as ops.
 
 Notation follows the paper: for convolutions, N = batch, K = filters,
 C = input channels, X/Y = input spatial dims, R/S = filter dims; for FC
 layers, N = batch, NIN/NON = input/output neurons.  All evaluation is on
-inference (forward pass).
+inference (forward pass), so every layer is a forward
+:class:`~repro.workloads.ops.ConvOp` or :class:`~repro.workloads.ops.FCOp`
+and its GEMM is the op's registered lowering
+(:func:`repro.workloads.ops.lower`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Union
 
-from repro.utils.validation import check_positive
 from repro.workloads.gemm import GemmShape
-
-
-@dataclasses.dataclass(frozen=True)
-class ConvLayer:
-    """A convolution layer ('same' zero padding; Table I layers use stride 1).
-
-    ``stride > 1`` is supported for GEMM-shape purposes (the full-model
-    catalogs need it); the functional im2col path in
-    :mod:`repro.workloads.lowering` implements stride 1 only.
-    """
-
-    name: str
-    batch: int   # N
-    filters: int  # K
-    channels: int  # C
-    x: int
-    y: int
-    r: int
-    s: int
-    stride: int = 1
-
-    def __post_init__(self) -> None:
-        for field in ("batch", "filters", "channels", "x", "y", "r", "s", "stride"):
-            check_positive(field, getattr(self, field))
-
-    @property
-    def out_x(self) -> int:
-        return -(-self.x // self.stride)  # 'same' padding
-
-    @property
-    def out_y(self) -> int:
-        return -(-self.y // self.stride)
-
-    def gemm(self) -> GemmShape:
-        """Lower to GEMM dimensions via im2col (Sec. II-A):
-        M = N·X'·Y', K = C·R·S, N = filters."""
-        return GemmShape(
-            m=self.batch * self.out_x * self.out_y,
-            n=self.filters,
-            k=self.channels * self.r * self.s,
-            name=self.name,
-        )
-
-    def with_batch(self, batch: int) -> "ConvLayer":
-        """The same layer at a different batch size (the ``Layer`` protocol).
-
-        Every layer kind implements ``with_batch``, so suite factories
-        rebatch uniformly instead of reaching for ``dataclasses.replace``
-        on some kinds — a new layer type cannot silently miss batch
-        overrides.
-        """
-        return dataclasses.replace(self, batch=batch)
-
-    def __str__(self) -> str:
-        return (
-            f"{self.name}: N={self.batch} K={self.filters} C={self.channels} "
-            f"X=Y={self.x} R=S={self.r}"
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class FCLayer:
-    """A fully connected layer; batched inference makes it a GEMM."""
-
-    name: str
-    batch: int  # N
-    nin: int
-    non: int
-
-    def __post_init__(self) -> None:
-        for field in ("batch", "nin", "non"):
-            check_positive(field, getattr(self, field))
-
-    def gemm(self) -> GemmShape:
-        """M = batch, K = NIN, N = NON."""
-        return GemmShape(m=self.batch, n=self.non, k=self.nin, name=self.name)
-
-    def with_batch(self, batch: int) -> "FCLayer":
-        """The same layer at a different batch size (Fig. 7's sweep)."""
-        return FCLayer(name=self.name, batch=batch, nin=self.nin, non=self.non)
-
-    def __str__(self) -> str:
-        return f"{self.name}: N={self.batch} NIN={self.nin} NON={self.non}"
-
-
-#: Every layer kind supports ``gemm()`` and ``with_batch(batch)`` — the
-#: protocol suite factories and the op IR build on.
-Layer = Union[ConvLayer, FCLayer]
+from repro.workloads.ops import ConvOp, FCOp, lower_ops
 
 #: Table I, verbatim.
-TABLE1_LAYERS: Dict[str, Layer] = {
-    layer.name: layer
-    for layer in (
-        ConvLayer("ResNet50-1", batch=32, filters=64, channels=64, x=56, y=56, r=1, s=1),
-        ConvLayer("ResNet50-2", batch=32, filters=64, channels=64, x=56, y=56, r=3, s=3),
-        ConvLayer("ResNet50-3", batch=32, filters=512, channels=1024, x=14, y=14, r=1, s=1),
-        FCLayer("DLRM-1", batch=512, nin=1024, non=1024),
-        FCLayer("DLRM-2", batch=512, nin=1024, non=64),
-        FCLayer("DLRM-3", batch=512, nin=2048, non=2048),
-        FCLayer("BERT-1", batch=256, nin=768, non=768),
-        FCLayer("BERT-2", batch=256, nin=3072, non=768),
-        FCLayer("BERT-3", batch=256, nin=768, non=3072),
+TABLE1_LAYERS: Dict[str, Union[ConvOp, FCOp]] = {
+    op.name: op
+    for op in (
+        ConvOp("ResNet50-1", batch=32, filters=64, channels=64, x=56, y=56, r=1, s=1),
+        ConvOp("ResNet50-2", batch=32, filters=64, channels=64, x=56, y=56, r=3, s=3),
+        ConvOp("ResNet50-3", batch=32, filters=512, channels=1024, x=14, y=14, r=1, s=1),
+        FCOp("DLRM-1", batch=512, nin=1024, non=1024),
+        FCOp("DLRM-2", batch=512, nin=1024, non=64),
+        FCOp("DLRM-3", batch=512, nin=2048, non=2048),
+        FCOp("BERT-1", batch=256, nin=768, non=768),
+        FCOp("BERT-2", batch=256, nin=3072, non=768),
+        FCOp("BERT-3", batch=256, nin=768, non=3072),
     )
 }
 
 #: The six FC layers used in the Fig. 7 batch-size sensitivity study.
 FC_LAYER_NAMES: List[str] = [
-    name for name, layer in TABLE1_LAYERS.items() if isinstance(layer, FCLayer)
+    name for name, op in TABLE1_LAYERS.items() if isinstance(op, FCOp)
 ]
 
 
 def table1_gemms() -> Dict[str, GemmShape]:
     """GEMM shapes of every Table I layer, in table order."""
-    return {name: layer.gemm() for name, layer in TABLE1_LAYERS.items()}
+    return dict(lower_ops(TABLE1_LAYERS.values()))

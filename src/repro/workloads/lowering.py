@@ -32,8 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import ConvLayer
 
 
 def _check_conv_operands(inputs: np.ndarray, weights: np.ndarray) -> None:
@@ -80,11 +78,6 @@ def gemm_output_to_conv(output: np.ndarray, n: int, x: int, y: int) -> np.ndarra
     """Reshape the GEMM output (N·X·Y, K) back to the (N, K, X, Y) tensor."""
     k = output.shape[1]
     return output.reshape(n, x, y, k).transpose(0, 3, 1, 2).copy()
-
-
-def conv_to_gemm_shape(layer: ConvLayer) -> GemmShape:
-    """The GEMM dimensions im2col produces for ``layer`` (same as layer.gemm())."""
-    return layer.gemm()
 
 
 def dgrad_filters(weights: np.ndarray) -> np.ndarray:

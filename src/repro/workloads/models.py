@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.errors import WorkloadError
-from repro.workloads.layers import ConvLayer
 from repro.workloads.ops import BatchedMatmulOp, ConvOp, FCOp, Op
 
 # -- ResNet-50 ------------------------------------------------------------------
@@ -33,10 +32,11 @@ _RESNET50_STAGES = (
 )
 
 
-def resnet50_conv_layers(batch: int = 32) -> List[ConvLayer]:
-    """Every convolution of ResNet-50 (ImageNet geometry), in order."""
-    layers: List[ConvLayer] = [
-        ConvLayer("conv1", batch, filters=64, channels=3, x=224, y=224, r=7, s=7, stride=2)
+def resnet50_ops(batch: int = 32) -> List[Op]:
+    """Every ResNet-50 convolution (ImageNet geometry), in order, as a
+    forward :class:`ConvOp`."""
+    ops: List[Op] = [
+        ConvOp("conv1", batch, filters=64, channels=3, x=224, y=224, r=7, s=7, stride=2)
     ]
     in_channels = 64
     for stage_index, (size, mid, out, blocks) in enumerate(_RESNET50_STAGES, start=2):
@@ -47,25 +47,20 @@ def resnet50_conv_layers(batch: int = 32) -> List[ConvLayer]:
             first = block == 0
             stride = 2 if (first and stage_index > 2) else 1
             in_size = size * stride
-            layers.append(
-                ConvLayer(f"{prefix}a", batch, mid, in_channels, in_size, in_size, 1, 1, stride)
+            ops.append(
+                ConvOp(f"{prefix}a", batch, mid, in_channels, in_size, in_size, 1, 1, stride)
             )
-            layers.append(ConvLayer(f"{prefix}b", batch, mid, mid, size, size, 3, 3))
-            layers.append(ConvLayer(f"{prefix}c", batch, out, mid, size, size, 1, 1))
+            ops.append(ConvOp(f"{prefix}b", batch, mid, mid, size, size, 3, 3))
+            ops.append(ConvOp(f"{prefix}c", batch, out, mid, size, size, 1, 1))
             if first:
-                layers.append(
-                    ConvLayer(
+                ops.append(
+                    ConvOp(
                         f"{prefix}_proj", batch, out, in_channels,
                         in_size, in_size, 1, 1, stride,
                     )
                 )
             in_channels = out
-    return layers
-
-
-def resnet50_ops(batch: int = 32) -> List[Op]:
-    """Every ResNet-50 convolution as a forward :class:`ConvOp`."""
-    return [ConvOp.from_layer(layer) for layer in resnet50_conv_layers(batch)]
+    return ops
 
 
 # -- BERT-base --------------------------------------------------------------------

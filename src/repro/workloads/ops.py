@@ -28,8 +28,9 @@ scale them role-aware, which the generic every-dimension
   output- (and dgrad's input-) spatial product, and a batched matmul's
   sequence axes.
 
-With both knobs at 1 every lowering reproduces the legacy catalog shapes
-bit for bit, so unscaled suites keep their cache keys (and warm caches).
+With both knobs at 1 every lowering reproduces the shapes of the pre-IR
+catalogs bit for bit, so unscaled suites keep their cache keys (and warm
+caches).
 
 Shape conventions (M = streamed rows, ``C(MxN) += A(MxK) @ B(KxN)``):
 
@@ -54,12 +55,11 @@ against the direct adjoint oracles in :mod:`repro.workloads.reference`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type, Union
+from typing import Callable, Dict, Iterable, List, Tuple, Type, Union
 
 from repro.errors import WorkloadError
 from repro.utils.validation import check_positive
 from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import ConvLayer, FCLayer
 
 #: One lowered multiset row: (layer label, GEMM shape, occurrence count).
 LoweredGemm = Tuple[str, GemmShape, int]
@@ -169,7 +169,14 @@ class BatchedMatmulOp:
 
 @dataclasses.dataclass(frozen=True)
 class ConvOp:
-    """A convolution ('same' padding) in forward, dgrad, or wgrad form."""
+    """A convolution ('same' padding) in forward, dgrad, or wgrad form.
+
+    Notation follows the paper (Table I): N = batch, K = filters, C = input
+    channels, X/Y = input spatial dims, R/S = filter dims.  ``stride > 1``
+    is supported for GEMM-shape purposes (the ResNet-50 catalog needs it);
+    the functional im2col path in :mod:`repro.workloads.lowering`
+    implements stride 1 only.
+    """
 
     name: str
     batch: int    # N
@@ -186,23 +193,6 @@ class ConvOp:
         for field in ("batch", "filters", "channels", "x", "y", "r", "s", "stride"):
             check_positive(field, getattr(self, field))
         _check_pass(self.pass_)
-
-    @classmethod
-    def from_layer(
-        cls, layer: ConvLayer, pass_: str = "fwd", name: Optional[str] = None
-    ) -> "ConvOp":
-        return cls(
-            name=name if name is not None else layer.name,
-            batch=layer.batch,
-            filters=layer.filters,
-            channels=layer.channels,
-            x=layer.x,
-            y=layer.y,
-            r=layer.r,
-            s=layer.s,
-            stride=layer.stride,
-            pass_=pass_,
-        )
 
     @property
     def kind(self) -> str:
@@ -223,10 +213,13 @@ class ConvOp:
 
 @dataclasses.dataclass(frozen=True)
 class FCOp:
-    """A fully connected layer in forward, dgrad, or wgrad form."""
+    """A fully connected layer in forward, dgrad, or wgrad form.
+
+    N = batch rows, NIN/NON = input/output neurons (Table I notation).
+    """
 
     name: str
-    batch: int
+    batch: int  # N
     nin: int
     non: int
     pass_: str = "fwd"
@@ -235,18 +228,6 @@ class FCOp:
         for field in ("batch", "nin", "non"):
             check_positive(field, getattr(self, field))
         _check_pass(self.pass_)
-
-    @classmethod
-    def from_layer(
-        cls, layer: FCLayer, pass_: str = "fwd", name: Optional[str] = None
-    ) -> "FCOp":
-        return cls(
-            name=name if name is not None else layer.name,
-            batch=layer.batch,
-            nin=layer.nin,
-            non=layer.non,
-            pass_=pass_,
-        )
 
     @property
     def kind(self) -> str:
@@ -283,7 +264,7 @@ def lower(op: Op, config: LoweringConfig = DEFAULT_LOWERING) -> Tuple[LoweredGem
 
     The registered pipeline dispatches on the op's exact type; unknown op
     types raise :class:`WorkloadError` naming the registered kinds.  With
-    the identity config, every lowering reproduces the legacy catalog
+    the identity config, every lowering reproduces the pre-IR catalog
     shape for its op bit for bit (golden-tested), so dedup keys — and warm
     result caches — survive the IR.
     """

@@ -1,8 +1,8 @@
 """First-class model workload suites: name -> GEMM multiset.
 
 The paper evaluates three layers per MLPerf model (Table I); the op
-catalogs in :mod:`repro.workloads.models` and
-:mod:`repro.workloads.training` carry the *complete* matrix-engine work of
+catalogs in :mod:`repro.workloads.models`, with the training passes of
+:mod:`repro.workloads.training`, carry the *complete* matrix-engine work of
 each network.  A :class:`WorkloadSuite` makes that sweepable: an ordered
 multiset of (layer label, GEMM shape) pairs whose
 :meth:`~WorkloadSuite.distinct` view collapses dimensionally identical
@@ -33,29 +33,26 @@ uses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.utils.validation import check_positive
 from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import FC_LAYER_NAMES, TABLE1_LAYERS, FCLayer
+from repro.workloads.layers import FC_LAYER_NAMES, TABLE1_LAYERS
 from repro.workloads.models import (
     bert_encoder_ops,
     bert_full_ops,
     dlrm_ops,
-    resnet50_conv_layers,
     resnet50_ops,
 )
 from repro.workloads.ops import (
     DEFAULT_LOWERING,
-    ConvOp,
-    FCOp,
     LoweringConfig,
     Op,
     lower_ops,
     op_kind_counts,
 )
-from repro.workloads.training import conv_training_ops, fc_training_ops
+from repro.workloads.training import training_ops
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,28 +150,22 @@ class WorkloadSuite:
 # -- registry ----------------------------------------------------------------------
 
 
+def _rebatched(ops: Iterable[Op], batch: Optional[int]) -> List[Op]:
+    """``ops`` at ``batch`` (every op kind rebatches via ``with_batch``)."""
+    return [op if batch is None else op.with_batch(batch) for op in ops]
+
+
 def _table1_ops(batch: Optional[int]) -> List[Op]:
-    """Table I as ops: every layer kind rebatches via ``Layer.with_batch``."""
-    ops: List[Op] = []
-    for layer in TABLE1_LAYERS.values():
-        if batch is not None:
-            layer = layer.with_batch(batch)
-        if isinstance(layer, FCLayer):
-            ops.append(FCOp.from_layer(layer))
-        else:
-            ops.append(ConvOp.from_layer(layer))
-    return ops
+    return _rebatched(TABLE1_LAYERS.values(), batch)
 
 
 def _training_ops(batch: Optional[int]) -> List[Op]:
-    layers = [TABLE1_LAYERS[name] for name in FC_LAYER_NAMES]
-    if batch is not None:
-        layers = [layer.with_batch(batch) for layer in layers]
-    return fc_training_ops(layers)
+    fc = _rebatched([TABLE1_LAYERS[name] for name in FC_LAYER_NAMES], batch)
+    return training_ops(fc, forward="forward")
 
 
 def _resnet50_train_ops(batch: Optional[int]) -> List[Op]:
-    return conv_training_ops(resnet50_conv_layers(batch=batch))
+    return training_ops(resnet50_ops(batch=batch))
 
 
 @dataclasses.dataclass(frozen=True)

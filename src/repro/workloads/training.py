@@ -1,4 +1,4 @@
-"""Training-pass GEMMs (extension; Sec. V: "our proposed concept is not
+"""Training-pass ops (extension; Sec. V: "our proposed concept is not
 limited to inference since GEMM is also a key building block for training").
 
 For an FC layer ``Y = X · W`` with batch N, input width NIN, output width
@@ -11,94 +11,30 @@ NON, one training step runs three GEMMs:
 wgrad is the interesting one for RASA: its streamed M dimension equals NIN
 (large), so even the serialized baseline amortizes fill/drain well there —
 the RASA gain concentrates in forward/dgrad, whose M is the (small) batch.
+Convolutions follow the same pattern through their transposed-filter
+im2col lowerings; :mod:`repro.workloads.ops` holds every pass's shape.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Iterable, List
 
-from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import ConvLayer, FCLayer
-from repro.workloads.ops import ConvOp, FCOp, Op
+from repro.workloads.ops import PASSES, Op
 
 
-@dataclasses.dataclass(frozen=True)
-class TrainingStep:
-    """The three GEMMs of one FC training step."""
+def training_ops(ops: Iterable[Op], forward: str = "fwd") -> List[Op]:
+    """The fwd/dgrad/wgrad ops of one training step per forward conv/FC op.
 
-    layer: FCLayer
-
-    @property
-    def forward(self) -> GemmShape:
-        return GemmShape(
-            m=self.layer.batch, n=self.layer.non, k=self.layer.nin,
-            name=f"{self.layer.name}-fwd",
-        )
-
-    @property
-    def dgrad(self) -> GemmShape:
-        return GemmShape(
-            m=self.layer.batch, n=self.layer.nin, k=self.layer.non,
-            name=f"{self.layer.name}-dgrad",
-        )
-
-    @property
-    def wgrad(self) -> GemmShape:
-        return GemmShape(
-            m=self.layer.nin, n=self.layer.non, k=self.layer.batch,
-            name=f"{self.layer.name}-wgrad",
-        )
-
-    def gemms(self) -> Dict[str, GemmShape]:
-        """All three passes, keyed by pass name."""
-        return {"forward": self.forward, "dgrad": self.dgrad, "wgrad": self.wgrad}
-
-    @property
-    def total_macs(self) -> int:
-        return sum(shape.macs for shape in self.gemms().values())
-
-
-def training_gemms(layers: List[FCLayer]) -> Dict[str, GemmShape]:
-    """Flat {``layer-pass``: shape} map over a list of FC layers."""
-    out: Dict[str, GemmShape] = {}
-    for layer in layers:
-        step = TrainingStep(layer)
-        for pass_name, shape in step.gemms().items():
-            out[f"{layer.name}-{pass_name}"] = shape
-    return out
-
-
-#: Suite label suffix per pass (``forward`` predates the op IR; kept so
-#: the ``training`` suite's multiset labels stay byte-identical).
-_FC_PASS_LABELS = (("forward", "fwd"), ("dgrad", "dgrad"), ("wgrad", "wgrad"))
-
-
-def fc_training_ops(layers: List[FCLayer]) -> List[Op]:
-    """fwd/dgrad/wgrad :class:`FCOp`\\ s of one training step per FC layer.
-
-    The lowered shapes equal :func:`training_gemms` exactly — the op IR
-    spelling of the same suite (golden-tested against the legacy dict).
+    Each pass is its op with ``pass_`` replaced and ``-<pass>`` appended to
+    its name, so every pass's GEMM is its op kind's registered lowering.
+    ``forward`` is the forward pass's name suffix: the ``training`` suite
+    spells it ``forward``, which predates the op IR and keeps its multiset
+    labels byte-identical.
     """
+    suffixes = {"fwd": forward, "dgrad": "dgrad", "wgrad": "wgrad"}
     return [
-        FCOp.from_layer(layer, pass_=pass_, name=f"{layer.name}-{label}")
-        for layer in layers
-        for label, pass_ in _FC_PASS_LABELS
-    ]
-
-
-def conv_training_ops(layers: List[ConvLayer]) -> List[Op]:
-    """fwd/dgrad/wgrad :class:`ConvOp`\\ s of one training step per conv.
-
-    dgrad streams the *input* spatial extent (M = N·X·Y against
-    K-dim = filters·R·S, the transposed-filter im2col); wgrad streams the
-    filter taps (M = C·R·S) and reduces over every (batch, output
-    spatial) position — the conv analogs of the FC pass shapes above,
-    validated numerically in :mod:`repro.workloads.lowering` /
-    :mod:`repro.workloads.reference`.
-    """
-    return [
-        ConvOp.from_layer(layer, pass_=pass_, name=f"{layer.name}-{pass_}")
-        for layer in layers
-        for pass_ in ("fwd", "dgrad", "wgrad")
+        dataclasses.replace(op, pass_=pass_, name=f"{op.name}-{suffixes[pass_]}")
+        for op in ops
+        for pass_ in PASSES
     ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,6 +292,42 @@ class TestSteadyStateJump:
         vector = FastVecCoreModel(core=core, engine=config)
         assert vector.run(program) == FastCoreModel(core=core, engine=config).run(program)
         assert vector.last_walked == len(program)
+
+
+class TestWalkMemory:
+    """A walk that steps every instruction keeps the ROB ring, not a history.
+
+    A history of one retire time per stepped instruction would peak at
+    about 360 KiB on each program below (11,136 instructions) and grow
+    linearly with length.
+    """
+
+    #: Peak bytes one walk may allocate: the ring, the snapshots, the result.
+    MOST_BYTES = 64 * 1024
+
+    SHAPE = GemmShape(256, 256, 512)
+
+    def assert_bounded(self, program, core):
+        config = DESIGNS["rasa-dmdb-wls"].config
+        vector = FastVecCoreModel(core=core, engine=config)
+        decode_program(program)  # a hand-built program's walk is memoized
+        tracemalloc.start()
+        try:
+            actual = vector.run(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vector.last_walked == len(program) == 11_136  # no jump
+        assert peak < self.MOST_BYTES
+        assert actual == FastCoreModel(core=core, engine=config).run(program)
+
+    def test_generated_program_at_non_power_of_two_widths(self):
+        program = generate_gemm_program(self.SHAPE)
+        self.assert_bounded(program, CoreConfig(fetch_width=3, retire_width=6))
+
+    def test_hand_built_program(self):
+        program = Program(list(generate_gemm_program(self.SHAPE)), name="hand")
+        self.assert_bounded(program, CoreConfig())
 
 
 @st.composite

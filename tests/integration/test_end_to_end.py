@@ -18,13 +18,13 @@ from repro.engine.engine import MatrixEngine
 from repro.tile.memory import TileMemory
 from repro.workloads.codegen import CodegenOptions, build_gemm_kernel
 from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import ConvLayer
 from repro.workloads.lowering import (
     conv_reference,
     filters_to_gemm_b,
     gemm_output_to_conv,
     im2col,
 )
+from repro.workloads.ops import ConvOp, lower
 from repro.workloads.reference import gemm_reference
 from repro.workloads.tiling import BlockingConfig, MMOrder
 
@@ -34,14 +34,14 @@ class TestConvThroughFullPipeline:
 
     @pytest.mark.parametrize("design_key", ["baseline", "rasa-wlbp", "rasa-dmdb-wls"])
     def test_conv_layer_exact(self, rng, design_key):
-        layer = ConvLayer("tiny", batch=2, filters=18, channels=3, x=5, y=5, r=3, s=3)
+        layer = ConvOp("tiny", batch=2, filters=18, channels=3, x=5, y=5, r=3, s=3)
         inputs = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
         weights = rng.standard_normal((18, 3, 3, 3)).astype(np.float32)
 
         # Lower to GEMM.
         a = im2col(inputs, 3, 3)
         b = filters_to_gemm_b(weights)
-        shape = layer.gemm()
+        (_, shape, _), = lower(layer)
         assert a.shape == (shape.m, shape.k)
 
         # Generate, place in memory, execute on the engine.

@@ -93,6 +93,13 @@ class TestGridSweep:
         # Bit-identical cycles: the tables match apart from the stats line.
         assert cold.splitlines()[:-1] == warm.splitlines()[:-1]
 
+    def test_stats_line_counts_distinct_points(self, capsys):
+        # At scale 2048 the nine Table I layers floor onto 2 distinct points.
+        assert main(["sweep", "--workloads", "table1", "--scale", "2048",
+                     "--designs", "baseline", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("2 simulations in ")
+
     def test_design_subset_gets_baseline_for_normalization(self, tmp_path, capsys):
         assert main(["sweep", "--designs", "rasa-wlbp", "--workloads", "DLRM-2",
                      "--scale", "16", "--cache-dir", str(tmp_path)]) == 0
@@ -497,6 +504,20 @@ class TestPlanRunAndMerge:
         out = capsys.readouterr().out
         assert "suite sweep" in out and "dlrm" in out
         assert "simulated" in out
+
+    def test_every_command_prints_one_dedup_figure(self, tmp_path, capsys):
+        # 9 dlrm GEMMs on 6 distinct points, on the design and the baseline.
+        figure = "12 distinct points for 18 suite GEMM runs (1.5x dedup)"
+        shards = [str(tmp_path / f"s{index}.json") for index in range(2)]
+        for index, path in enumerate(shards):
+            assert main(["plan", "run"] + self.ARGS
+                        + ["--shard", f"{index}/2", "-o", path]) == 0
+        capsys.readouterr()
+        show = [arg for arg in self.ARGS if arg != "--no-cache"]
+        for argv in (["sweep"] + self.ARGS, ["plan", "show"] + show,
+                     ["plan", "run"] + self.ARGS, ["plan", "merge", *shards]):
+            assert main(argv) == 0
+            assert figure in capsys.readouterr().out, argv
 
     def test_two_shards_merge_bit_identical_to_single_shot(
         self, tmp_path, capsys

@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI transcripts of the sweep, plan, models and bounds commands.
+"""Byte-for-byte CLI transcripts of the sweep, plan, models, bounds and report commands.
 
 Each ``data/cli/<name>.txt`` is the stdout of one command run through
 :func:`repro.cli.main` — serial and cache-free, so every point simulates —
@@ -40,6 +40,16 @@ def _stdout(capsys, argv) -> str:
 def test_transcript(name, capsys):
     expected = (DATA / f"{name}.txt").read_text()
     assert _stdout(capsys, TRANSCRIPTS[name]) == expected
+
+
+def test_report_transcript(monkeypatch, capsys):
+    """The whole ``repro report`` — Table I, Fig. 1/2/5/6/7, Sec. V and
+    E15–E18 over every registered suite — end to end, serial and
+    cache-free through the experiment drivers' environment knobs."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
+    expected = (DATA / "report_scale16.txt").read_text()
+    assert _stdout(capsys, ["report", "--scale", "16"]) == expected
 
 
 def test_plan_merge_transcript(tmp_path, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.layers import ConvLayer
 from repro.workloads.lowering import (
     conv_dgrad,
     conv_reference,
@@ -16,6 +15,7 @@ from repro.workloads.lowering import (
     gemm_output_to_conv,
     im2col,
 )
+from repro.workloads.ops import ConvOp, lower
 from repro.workloads.reference import (
     conv_dgrad_reference,
     conv_wgrad_reference,
@@ -63,15 +63,14 @@ class TestLoweringExactness:
 
 class TestGemmShapes:
     def test_table1_shape_consistency(self):
-        layer = ConvLayer("t", batch=2, filters=8, channels=3, x=5, y=5, r=3, s=3)
-        g = layer.gemm()
+        (_, g, _), = lower(ConvOp("t", batch=2, filters=8, channels=3, x=5, y=5, r=3, s=3))
         assert (g.m, g.n, g.k) == (2 * 5 * 5, 8, 27)
 
     def test_im2col_dims_match_layer_gemm(self, rng):
-        layer = ConvLayer("t", batch=2, filters=8, channels=3, x=5, y=5, r=3, s=3)
+        (_, g, _), = lower(ConvOp("t", batch=2, filters=8, channels=3, x=5, y=5, r=3, s=3))
         inputs = rng.standard_normal((2, 3, 5, 5))
         a = im2col(inputs, 3, 3)
-        assert a.shape == (layer.gemm().m, layer.gemm().k)
+        assert a.shape == (g.m, g.k)
 
 
 #: Two ResNet-50 layer geometries, shrunk for the numeric oracle (the

@@ -9,23 +9,21 @@ from repro.workloads.models import (
     bert_encoder_ops,
     dlrm_ops,
     mlp_ops,
-    resnet50_conv_layers,
     resnet50_ops,
 )
-from repro.workloads.ops import lower_ops
+from repro.workloads.ops import lower, lower_ops
 from repro.workloads.suites import get_suite
 
 
 class TestResNet50:
     def test_conv_count(self):
         # 1 stem + Σ blocks*3 + 4 projection convs = 1 + 48 + 4 = 53.
-        layers = resnet50_conv_layers()
-        assert len(layers) == 53
+        assert len(resnet50_ops()) == 53
 
     def test_stem_geometry(self):
-        stem = resnet50_conv_layers(batch=32)[0]
+        stem = resnet50_ops(batch=32)[0]
         assert (stem.filters, stem.channels, stem.r, stem.stride) == (64, 3, 7, 2)
-        g = stem.gemm()
+        (_, g, _), = lower(stem)
         assert g.m == 32 * 112 * 112  # stride-2 output
         assert g.k == 3 * 7 * 7 == 147  # the paper's Sec. III example: K=147
 
@@ -45,8 +43,7 @@ class TestResNet50:
 
     def test_channel_chaining(self):
         # Every block's input channels must equal the previous block's output.
-        layers = resnet50_conv_layers()
-        gemms = {layer.name: layer for layer in layers}
+        gemms = {op.name: op for op in resnet50_ops()}
         assert gemms["conv3_1a"].channels == 256
         assert gemms["conv5_1a"].channels == 1024
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import TABLE1_LAYERS, ConvLayer, FCLayer
 from repro.workloads.models import bert_full_ops
 from repro.workloads.ops import (
     LOWERINGS,
@@ -69,19 +68,6 @@ class TestShapeTables:
     def test_fc_passes(self, pass_, dims):
         (_, shape, _), = lower(dataclasses.replace(FC, pass_=pass_))
         assert shape.dims == dims
-
-    def test_fwd_lowerings_match_layer_gemms(self):
-        """Identity-config op lowering == the legacy ``layer.gemm()`` path."""
-        for layer in TABLE1_LAYERS.values():
-            op = (
-                FCOp.from_layer(layer)
-                if isinstance(layer, FCLayer)
-                else ConvOp.from_layer(layer)
-            )
-            (label, shape, count), = lower(op)
-            assert count == 1
-            assert label == layer.name
-            assert shape.dims == layer.gemm().dims
 
 
 class TestLoweringConfig:
@@ -148,14 +134,6 @@ class TestOpProtocol:
         assert BatchedMatmulOp("b", 2, 8, 8, 8).with_batch(4).count == 4
         assert CONV.with_batch(16).batch == 16
         assert FC.with_batch(16).batch == 16
-
-    def test_layer_with_batch_protocol(self):
-        """Both Table I layer kinds rebatch through one protocol method."""
-        conv = ConvLayer("c", batch=32, filters=8, channels=8, x=4, y=4, r=1, s=1)
-        fc = FCLayer("f", batch=32, nin=16, non=16)
-        assert conv.with_batch(8).batch == 8
-        assert conv.with_batch(8).gemm().m == 8 * 4 * 4
-        assert fc.with_batch(8).batch == 8
 
     def test_kind_strings(self):
         assert MatmulOp("m", 1, 1, 1).kind == "matmul"
