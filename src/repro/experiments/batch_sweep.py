@@ -18,12 +18,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Sequence
 
-from repro.experiments.runner import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    default_session,
-)
+from repro.experiments.runner import DEFAULT_SETTINGS, ExperimentSettings
 from repro.runtime.plan import SweepPlan
+from repro.runtime.session import Session
 from repro.utils.tables import format_table
 from repro.workloads.layers import FC_LAYER_NAMES, TABLE1_LAYERS
 from repro.workloads.ops import lower
@@ -65,8 +62,8 @@ def fig7_batch_sensitivity(
 
     The (layer x batch x {design, baseline}) grid is declared as one
     :class:`SweepPlan` — each (layer, batch) point is a named workload —
-    and fanned out through the shared :func:`default_session`: parallel
-    workers plus the persistent cache.
+    and fanned out through the environment-driven :meth:`Session.from_env`:
+    parallel workers plus the persistent cache.
     """
     workloads: List = []
     for name in FC_LAYER_NAMES:
@@ -86,7 +83,7 @@ def fig7_batch_sensitivity(
         core=settings.core,
         codegen=settings.codegen,
     )
-    grid = default_session().run(plan).grid()
+    grid = Session.from_env().run(plan).grid()
     series: Dict[str, Dict[int, float]] = {name: {} for name in FC_LAYER_NAMES}
     for name in FC_LAYER_NAMES:
         for batch in batches:

@@ -25,7 +25,6 @@ from repro.errors import ExperimentError
 from repro.experiments.runner import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    _resolve_session,
     geometric_mean,
 )
 from repro.physical.energy import EnergyModel
@@ -121,9 +120,9 @@ def model_report(
     """Run every suite on every design and aggregate end-to-end totals.
 
     The whole (suite x design) cross-product is one :class:`SweepPlan`
-    executed through ``session`` (default: the shared environment-driven
-    session).  Suites are scaled by ``settings.scale`` like every other
-    sweep; ``batch`` overrides each suite's streamed-rows dimension, and
+    executed through ``session`` (default: :meth:`Session.from_env`).
+    Suites are scaled by ``settings.scale`` like every other sweep;
+    ``batch`` overrides each suite's streamed-rows dimension, and
     ``fidelity`` selects the simulation backend (``"fast"`` default;
     ``"ooo"`` for cycle-accurate validation runs).  The design list must
     include ``"baseline"`` (normalization anchor).
@@ -143,5 +142,5 @@ def model_report(
         codegen=settings.codegen,
         fidelity=fidelity,
     )
-    totals = _resolve_session(session).run(plan).suite_totals()
+    totals = (session or Session.from_env()).run(plan).suite_totals()
     return ModelReport(totals=totals, design_keys=design_keys)

@@ -3,9 +3,9 @@
 Every simulation below goes through the backend registry
 (:func:`repro.runtime.resolve_backend`) and every grid is declared as a
 :class:`repro.runtime.SweepPlan` and executed by the shared
-:class:`repro.runtime.Session` (:func:`default_session`) — parallel across
-worker processes and memoized in the on-disk result cache.  Environment
-knobs:
+:class:`repro.runtime.Session` (:meth:`repro.runtime.Session.from_env`) —
+parallel across worker processes and memoized in the on-disk result cache.
+Environment knobs:
 
 - ``REPRO_SWEEP_WORKERS`` — worker process count (default: CPU count);
 - ``REPRO_NO_CACHE``      — any non-empty value disables the disk cache;
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
@@ -52,28 +51,6 @@ class ExperimentSettings:
 
 
 DEFAULT_SETTINGS = ExperimentSettings()
-
-
-def default_session(
-    workers: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
-    use_cache: bool = True,
-) -> Session:
-    """The :class:`Session` the experiment drivers share.
-
-    Honors the ``REPRO_SWEEP_WORKERS`` / ``REPRO_NO_CACHE`` /
-    ``REPRO_CACHE_DIR`` environment knobs documented in the module doc.
-    """
-    return Session.from_env(
-        workers=workers, cache_dir=cache_dir, use_cache=use_cache
-    )
-
-
-def _resolve_session(session: Optional[Session]) -> Session:
-    """An explicit driver session, or the shared environment-driven one."""
-    if session is not None:
-        return session
-    return default_session()
 
 
 def workload_shapes(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict[str, GemmShape]:
@@ -109,9 +86,9 @@ def runtime_sweep(
 ) -> Dict[str, Dict[str, SimResult]]:
     """Run every design on every Table I workload (the Fig. 5 grid).
 
-    Declares the grid as a :class:`SweepPlan` and runs it through the
-    shared :func:`default_session` — parallel workers plus the persistent
-    result cache — and memoizes in-process on top: Fig. 6 and the energy
+    Declares the grid as a :class:`SweepPlan` and runs it through
+    :meth:`Session.from_env` — parallel workers plus the persistent result
+    cache — and memoizes in-process on top: Fig. 6 and the energy
     table reuse the same grid without a second lookup pass.
 
     Returns ``results[workload_name][design_key]``.
@@ -122,7 +99,7 @@ def runtime_sweep(
         core=settings.core,
         codegen=settings.codegen,
     )
-    return default_session().run(plan).grid()
+    return Session.from_env().run(plan).grid()
 
 
 def normalized_runtimes(

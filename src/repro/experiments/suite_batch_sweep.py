@@ -31,11 +31,7 @@ from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError
 from repro.experiments.batch_sweep import ASYMPTOTE
 from repro.experiments.model_report import BEST_DESIGN
-from repro.experiments.runner import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    _resolve_session,
-)
+from repro.experiments.runner import DEFAULT_SETTINGS, ExperimentSettings
 from repro.runtime.plan import SuiteBatchCurve, SweepPlan
 from repro.runtime.session import Session
 from repro.utils.tables import format_table
@@ -118,8 +114,8 @@ def suite_batch_sweep(
     Every suite is rebuilt at every batch (``settings.scale`` shrinks the
     rebuilt shapes with the usual floors) and the full
     (suite x batch x {design, baseline}) cross-product is one dedup-aware
-    :class:`SweepPlan` executed through ``session`` (default: the shared
-    environment-driven session).  ``lowering`` carries the role-aware
+    :class:`SweepPlan` executed through ``session`` (default:
+    :meth:`Session.from_env`).  ``lowering`` carries the role-aware
     ``scale_batch``/``scale_spatial`` knobs — the way to keep conv-suite
     curves (batch x output-spatial streamed rows) tractable at large
     batches.
@@ -141,7 +137,7 @@ def suite_batch_sweep(
         codegen=settings.codegen,
         fidelity=fidelity,
     )
-    report = _resolve_session(session).run(plan)
+    report = (session or Session.from_env()).run(plan)
     return SuiteBatchSweep(
         design_key=design_key,
         batches=tuple(batches),

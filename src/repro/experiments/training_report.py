@@ -31,11 +31,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError
 from repro.experiments.model_report import BEST_DESIGN
-from repro.experiments.runner import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    _resolve_session,
-)
+from repro.experiments.runner import DEFAULT_SETTINGS, ExperimentSettings
 from repro.runtime.plan import SuiteTotals, SweepPlan
 from repro.runtime.session import Session
 from repro.utils.tables import format_table
@@ -158,7 +154,7 @@ def training_report(
         codegen=settings.codegen,
         fidelity=fidelity,
     )
-    report = _resolve_session(session).run(plan)
+    report = (session or Session.from_env()).run(plan)
     totals = report.suite_totals()
     label_cycles = report.suite_layer_cycles()
     passes = {

@@ -2,9 +2,9 @@
 
 Simulations here are deterministic: the same (design, workload shape, core
 config, codegen options, simulator version) always produces the same
-:class:`SimResult`.  :class:`ResultCache` exploits that with an on-disk JSON
-store keyed by :func:`cache_key` — a SHA-256 over a canonical JSON rendering
-of the full simulation input plus :data:`CODE_VERSION`.
+:class:`SimResult`.  :class:`ResultCache` exploits that with an on-disk store
+keyed by :func:`cache_key` — a SHA-256 over a canonical JSON rendering of the
+full simulation input plus :data:`CODE_VERSION`.
 
 Bump :data:`CODE_VERSION` whenever a change alters *timing semantics*
 (scheduler, core models, codegen ordering) or the key schema itself: every
@@ -18,11 +18,19 @@ share one key.  Full-model suites rely on this — BERT-base's 48
 identically-shaped q/k/v/attn-out projections collapse to a single cached
 entry.
 
-The store location defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
-writes are atomic (tempfile + ``os.replace``, so concurrent readers only
-ever see a complete file) and corrupt/partial/alien files load as an empty
-cache with a :class:`RuntimeWarning` rather than an error — sweep-service
-workers sharing one store must degrade to re-simulating, never crash.
+The store is an append-only log, ``simresults.jsonl`` under
+``$REPRO_CACHE_DIR`` or ``~/.cache/repro``: each :meth:`ResultCache.put`
+appends one ``[key, result]`` JSON line with a single ``os.write`` on an
+``O_APPEND`` descriptor, so the result is on disk before ``put`` returns
+and a killed sweep keeps every finished point.  Nothing is ever rewritten
+or merged: processes sharing one store on a local filesystem each append
+whole lines and keep every one, and a key written twice loads its last
+line.  Loading skips a last line without its newline (a write in
+progress), a line whose fields no longer build a :class:`SimResult`
+(stale), and warns once per load with the count of lines that are not a
+JSON ``[key, object]`` pair (damaged) — sweep-service workers sharing one
+store must degrade to re-simulating, never crash.  The pre-log
+``simresults.json`` store is not read; one cold run refills the log.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ import enum
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -46,7 +53,7 @@ from repro.cpu.result import SimResult
 #: streams, so e.g. batches 1..16 of an FC layer share one entry).
 CODE_VERSION = 3
 
-_CACHE_FILENAME = "simresults.json"
+_CACHE_FILENAME = "simresults.jsonl"
 
 
 def _canonical(value: Any) -> Any:
@@ -120,14 +127,14 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """A dict-like JSON-backed store of :class:`SimResult` by cache key.
+    """A dict-like store of :class:`SimResult` by cache key, backed by a log.
 
     Usage::
 
         cache = ResultCache()               # default location
         result = cache.get(key)             # None on miss
-        cache.put(key, result)
-        cache.flush()                       # atomic write-back
+        cache.put(key, result)              # appended to the log on disk
+        cache.flush()                       # closes the log
 
     ``hits``/``misses`` count ``get`` outcomes since construction.
     """
@@ -135,48 +142,34 @@ class ResultCache:
     def __init__(self, directory: Optional[Path] = None) -> None:
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.path = self.directory / _CACHE_FILENAME
-        self._entries: Dict[str, Dict[str, Any]] = self._load()
-        self._dirty = False
-        self._cleared = False
+        self._entries: Dict[str, SimResult] = {}
+        self._fd: Optional[int] = None
         self.hits = 0
         self.misses = 0
-
-    def _load(self) -> Dict[str, Dict[str, Any]]:
-        """Read the store, treating damage as an empty cache — with a warning.
-
-        A missing file is the normal cold start and stays silent.  A file
-        that exists but does not parse (a writer was killed mid-write
-        before the atomic rename existed, or the file was truncated or
-        hand-edited) or parses to something other than the store schema
-        warns and yields an empty cache: concurrent service workers must
-        degrade to re-simulating, never crash.  The next flush rewrites
-        the file atomically and the store heals.
-        """
         try:
-            text = self.path.read_text()
+            log = self.path.read_bytes()
         except OSError:
-            return {}  # no store yet: the normal cold start
-        try:
-            raw = json.loads(text)
-        except ValueError:
-            self._warn_damaged("is corrupt or partially written")
-            return {}
-        if not isinstance(raw, dict) or raw.get("format") != 1:
-            self._warn_damaged("has an unrecognized format")
-            return {}
-        entries = raw.get("results")
-        if not isinstance(entries, dict):
-            self._warn_damaged("has no result section")
-            return {}
-        return entries
-
-    def _warn_damaged(self, what: str) -> None:
-        warnings.warn(
-            f"result cache {self.path} {what}; treating it as empty "
-            "(it will be rewritten on the next flush)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+            return  # no store yet: the normal cold start
+        *lines, _in_progress = log.split(b"\n")
+        damaged = 0
+        for line in lines:
+            try:
+                key, fields = json.loads(line)
+            except (TypeError, ValueError):  # not JSON, or not a pair
+                key = fields = None
+            if not isinstance(key, str) or not isinstance(fields, dict):
+                damaged += 1
+                continue
+            try:
+                self._entries[key] = SimResult(**fields)
+            except TypeError:
+                pass  # field set drifted without a version bump: stale
+        if damaged:
+            warnings.warn(
+                f"result cache {self.path}: skipped {damaged} damaged line(s)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -185,56 +178,24 @@ class ResultCache:
         return key in self._entries
 
     def get(self, key: str) -> Optional[SimResult]:
-        entry = self._entries.get(key)
-        if entry is None:
+        result = self._entries.get(key)
+        if result is None:
             self.misses += 1
-            return None
-        try:
-            result = SimResult(**entry)
-        except TypeError:
-            # Field set drifted without a version bump: drop the stale entry.
-            del self._entries[key]
-            self._dirty = True
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def put(self, key: str, result: SimResult) -> None:
-        self._entries[key] = dataclasses.asdict(result)
-        self._dirty = True
-
-    def clear(self) -> None:
-        """Drop every entry; the next flush truncates the store (no merge)."""
-        self._entries = {}
-        self._dirty = True
-        self._cleared = True
+        """Record ``result`` and append its line to the log before returning."""
+        self._entries[key] = result
+        if self._fd is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        line = json.dumps([key, dataclasses.asdict(result)], separators=(",", ":"))
+        os.write(self._fd, (line + "\n").encode("utf-8"))
 
     def flush(self) -> None:
-        """Atomically persist pending entries (no-op when nothing changed).
-
-        Entries written to the file by other processes since this cache
-        loaded are re-read and merged first (our entries win ties), so
-        concurrent sweeps sharing one store don't drop each other's work.
-        """
-        if not self._dirty:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if not self._cleared:
-            merged = self._load()
-            merged.update(self._entries)
-            self._entries = merged
-        payload = json.dumps({"format": 1, "results": self._entries})
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._dirty = False
-        self._cleared = False
+        """Close the log; every ``put`` is already on disk."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None

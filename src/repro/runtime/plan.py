@@ -592,9 +592,11 @@ def _field_types(cls: type) -> Dict[str, Any]:
 def _decode(kind: Any, raw: Any) -> Any:
     """Rebuild a value of the declared type ``kind`` from its JSON form.
 
-    Handles the types plan fields declare — dataclasses, ``Tuple[...]``,
-    ``Optional[...]`` and enums; scalars pass through to the constructors'
-    own validation.  Raises ``TypeError``/``ValueError`` on a mismatch.
+    Handles the types plan and result fields declare — dataclasses,
+    ``Tuple[...]``, ``Optional[...]``, enums, and ``int`` (booleans
+    excluded) and ``str``, which must arrive as that JSON type; other
+    scalars pass through to the constructors' own validation.  Raises
+    ``TypeError``/``ValueError`` on a mismatch.
     """
     origin = typing.get_origin(kind)
     if origin is typing.Union:  # Optional[X]
@@ -624,6 +626,10 @@ def _decode(kind: Any, raw: Any) -> Any:
                        for name, value in raw.items()})
     if isinstance(kind, type) and issubclass(kind, enum.Enum):
         return kind(raw)
+    if kind is int and (isinstance(raw, bool) or not isinstance(raw, int)):
+        raise TypeError(f"expected a JSON integer, got {raw!r}")
+    if kind is str and not isinstance(raw, str):
+        raise TypeError(f"expected a JSON string, got {raw!r}")
     return raw
 
 
@@ -886,8 +892,8 @@ class SweepReport:
                 "malformed report JSON: results must map cache keys to results"
             )
         try:
-            results = {key: SimResult(**entry) for key, entry in raw.items()}
-        except TypeError as exc:
+            results = {key: _decode(SimResult, entry) for key, entry in raw.items()}
+        except (TypeError, ValueError) as exc:
             raise ExperimentError(f"malformed report JSON: {exc}") from None
         owned = set(plan.shard_keys())
         if set(results) != owned:

@@ -30,14 +30,14 @@ Execution layers three accelerations on top of the backend registry:
    deterministic simulations.
 
 Write-back is **crash-safe**: results stream back from the pool
-*unordered*, each is written to the cache the moment it completes, and
-the cache flushes in a ``finally`` block — a job that raises loses only
-the genuinely unfinished work, never a point that already completed,
-regardless of submission order.  (A worker *process* that dies outright —
-OOM kill, segfault — is a ``multiprocessing.Pool`` limitation: that one
-task's result never arrives, so the run eventually blocks until
-interrupted; every completed point still flushes on that interrupt via
-the same ``finally``.)
+*unordered*, and each is appended to the cache's on-disk log the moment
+it completes, before the next one is taken — a job that raises, or a
+sweep that is SIGKILLed, loses only the genuinely unfinished work, never
+a point that already completed, regardless of submission order.  The
+``finally`` block only closes the log.  (A worker *process* that dies
+outright — OOM kill, segfault — is a ``multiprocessing.Pool`` limitation:
+that one task's result never arrives, so the run eventually blocks until
+interrupted; every completed point is already on disk by then.)
 
 Sharded plans (:meth:`repro.runtime.plan.SweepPlan.shard`) run only the
 distinct keys the shard owns; the partial reports merge bit-identically
@@ -243,9 +243,9 @@ class Session:
         Each job's key (a canonical-JSON SHA-256) is computed exactly once
         per run; dedup, the cache lookup, the shard filter, the miss
         write-back and the report's positional views all reuse the
-        precomputed keys.  Results completed before a mid-run crash are
-        already in the cache — write-back streams per result and flushes
-        in a ``finally``.
+        precomputed keys.  Results completed before a mid-run crash or kill
+        are already on disk — each is appended to the cache's log as it
+        arrives, and the ``finally`` only closes the log.
 
         Args:
             plan: the declarative sweep description.

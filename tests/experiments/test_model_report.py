@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.model_report import model_report, suite_energy_j
-from repro.experiments.runner import ExperimentSettings, default_session
+from repro.experiments.runner import ExperimentSettings
 from repro.runtime import Session
 
 SETTINGS = ExperimentSettings(scale=16)
@@ -121,17 +121,17 @@ class TestDefaultSessionEnv:
     def test_bad_workers_env_raises_experiment_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "lots")
         with pytest.raises(ExperimentError, match="REPRO_SWEEP_WORKERS"):
-            default_session()
+            Session.from_env()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_workers_env_raises(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", value)
         with pytest.raises(ExperimentError, match="REPRO_SWEEP_WORKERS"):
-            default_session()
+            Session.from_env()
 
     def test_good_workers_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-        assert default_session().workers == 3
+        assert Session.from_env().workers == 3
 
     def test_deprecated_default_runner_is_gone(self):
         import repro.experiments.runner as runner_module

@@ -5,6 +5,7 @@ across suites by padded shape, so the textual syntax provably covers the
 whole codegen output space — not just hand-picked examples.
 """
 
+import gc
 import operator
 
 import pytest
@@ -15,6 +16,20 @@ from repro.workloads.codegen import build_gemm_kernel
 from repro.workloads.suites import get_suite, suite_names
 
 SCALE = 8
+
+
+@pytest.fixture(autouse=True)
+def _no_cyclic_gc():
+    """Pause cyclic garbage collection while a test runs.
+
+    Instructions form no reference cycles, yet the full collections their
+    allocation triggers take about half the time of the largest programs.
+    """
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 #: Every field of an :class:`~repro.isa.instructions.Instruction` but ``tag``.

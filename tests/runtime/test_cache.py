@@ -1,10 +1,12 @@
-"""Result-cache tests: keys, hit/miss, invalidation, persistence."""
+"""Result-cache tests: keys, hit/miss, invalidation, the append-only log."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import warnings
 
 import pytest
@@ -31,6 +33,32 @@ RESULT = SimResult(
     engine_busy_cycles=300,
     clock_mhz=2000,
 )
+
+LOG = "simresults.jsonl"
+
+
+def _line(key, fields):
+    return (json.dumps([key, fields]) + "\n").encode()
+
+
+def _put_keys(directory, prefix, count, start):
+    """Child process: put ``count`` distinct keys, flushing after each."""
+    cache = ResultCache(directory)
+    start.wait(60)
+    for index in range(count):
+        cache.put(f"{prefix}-{index:03d}", RESULT)
+        cache.flush()
+
+
+def _put_then_die(directory, count):
+    """Child process: put ``count`` results, then SIGKILL itself unflushed."""
+    cache = ResultCache(directory)
+    for index in range(count):
+        cache.put(f"killed-{index}", RESULT)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+SPAWN = multiprocessing.get_context("spawn")
 
 
 class TestCacheKey:
@@ -128,25 +156,22 @@ class TestResultCache:
         assert not cache.path.exists()
 
     def test_corrupt_file_treated_as_empty(self, tmp_path):
-        path = tmp_path / "simresults.json"
-        path.write_text("{this is not json")
+        (tmp_path / LOG).write_bytes(b"{this is not json\n")
         with pytest.warns(RuntimeWarning):
             cache = ResultCache(tmp_path)
         assert len(cache) == 0
 
     def test_alien_format_treated_as_empty(self, tmp_path):
-        (tmp_path / "simresults.json").write_text(json.dumps({"format": 99}))
+        (tmp_path / LOG).write_bytes(b'{"format": 99}\n')
         with pytest.warns(RuntimeWarning):
             assert len(ResultCache(tmp_path)) == 0
 
     def test_stale_field_set_dropped(self, tmp_path):
         key = cache_key("baseline", SHAPE, CORE, CODEGEN)
-        blob = {
-            "format": 1,
-            "results": {key: {"cycles": 1, "unknown_field": 2}},
-        }
-        (tmp_path / "simresults.json").write_text(json.dumps(blob))
-        cache = ResultCache(tmp_path)
+        (tmp_path / LOG).write_bytes(_line(key, {"cycles": 1, "unknown_field": 2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # stale is not damage: silent
+            cache = ResultCache(tmp_path)
         assert cache.get(key) is None
         assert key not in cache
 
@@ -156,12 +181,12 @@ class TestResultCache:
         bumped = cache_key("baseline", SHAPE, CORE, CODEGEN, version=CODE_VERSION + 1)
         assert cache.get(bumped) is None
 
-    def test_flush_merges_concurrent_writers(self, tmp_path):
-        """Two caches over one store: the second flush keeps both entries."""
+    def test_interleaved_writers_keep_both_entries(self, tmp_path):
+        """Two caches over one store: each one's put survives the other's."""
         key_a = cache_key("baseline", SHAPE, CORE, CODEGEN)
         key_b = cache_key("rasa-pipe", SHAPE, CORE, CODEGEN)
         first = ResultCache(tmp_path)
-        second = ResultCache(tmp_path)  # loaded before first's flush
+        second = ResultCache(tmp_path)  # loaded before first's put
         first.put(key_a, RESULT)
         first.flush()
         second.put(key_b, RESULT)
@@ -170,58 +195,120 @@ class TestResultCache:
         assert merged.get(key_a) == RESULT
         assert merged.get(key_b) == RESULT
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache_key("baseline", SHAPE, CORE, CODEGEN)
-        cache.put(key, RESULT)
-        cache.clear()
-        cache.flush()
-        assert len(ResultCache(tmp_path)) == 0
-
     def test_env_var_controls_default_location(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
         cache = ResultCache()
         assert cache.directory == tmp_path / "custom"
 
 
-class TestDamagedStores:
-    """Corrupt/partial stores warn and load empty — they never crash.
+class TestAppendOnlyLog:
+    """One line per result, written before ``put`` returns; never rewritten."""
 
-    Sweep-service workers share one on-disk store; a worker SIGKILLed
-    mid-write (or a hand-edited file) must degrade to re-simulating.
-    """
+    def test_put_is_on_disk_before_it_returns(self, tmp_path):
+        key = cache_key("baseline", SHAPE, CORE, CODEGEN)
+        cache = ResultCache(tmp_path)
+        cache.put(key, RESULT)  # no flush
+        assert cache.path == tmp_path / LOG
+        assert cache.path.read_bytes() == (
+            json.dumps([key, dataclasses.asdict(RESULT)], separators=(",", ":"))
+            + "\n"
+        ).encode()
+        assert ResultCache(tmp_path).get(key) == RESULT
+        cache.flush()
 
-    def test_corrupt_file_warns(self, tmp_path):
-        (tmp_path / "simresults.json").write_text("{this is not json")
-        with pytest.warns(RuntimeWarning, match="corrupt or partially written"):
+    def test_put_after_flush_appends(self, tmp_path):
+        """A session runs many plans on one cache: flush is not the end."""
+        cache = ResultCache(tmp_path)
+        cache.put("a", RESULT)
+        cache.flush()
+        cache.put("b", RESULT)
+        cache.flush()
+        assert len(cache.path.read_bytes().splitlines()) == 2
+        assert len(ResultCache(tmp_path)) == 2
+
+    def test_last_line_of_a_key_wins(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("a", RESULT)
+        cache.put("a", dataclasses.replace(RESULT, cycles=99))
+        cache.flush()
+        assert ResultCache(tmp_path).get("a").cycles == 99
+
+    def test_old_json_store_is_not_read(self, tmp_path):
+        key = cache_key("baseline", SHAPE, CORE, CODEGEN)
+        blob = {"format": 1, "results": {key: dataclasses.asdict(RESULT)}}
+        (tmp_path / "simresults.json").write_text(json.dumps(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cache = ResultCache(tmp_path)
         assert len(cache) == 0
 
-    def test_truncated_flush_warns(self, tmp_path):
-        """A store cut off mid-write (the pre-atomic-rename failure mode)."""
+    def test_concurrent_processes_keep_every_entry(self, tmp_path):
+        """8 processes x 40 keys into one store, flushing after every put."""
+        start = SPAWN.Barrier(8)  # every writer loads, then all put at once
+        writers = [
+            SPAWN.Process(target=_put_keys, args=(tmp_path, f"p{index}", 40, start))
+            for index in range(8)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(60)
+            assert writer.exitcode == 0
+        assert len(ResultCache(tmp_path)) == 320
+
+    def test_killed_writer_keeps_its_finished_puts(self, tmp_path):
+        victim = SPAWN.Process(target=_put_then_die, args=(tmp_path, 5))
+        victim.start()
+        victim.join(60)
+        assert victim.exitcode == -signal.SIGKILL
         cache = ResultCache(tmp_path)
-        cache.put(cache_key("baseline", SHAPE, CORE, CODEGEN), RESULT)
+        assert len(cache) == 5
+        assert cache.get("killed-4") == RESULT
+
+
+class TestDamagedStores:
+    """Damaged lines are skipped — a load never crashes.
+
+    Sweep-service workers share one on-disk store; a reader may catch a
+    writer mid-line, and a hand-edited file must degrade to
+    re-simulating the lines it broke.
+    """
+
+    def test_torn_last_line_is_skipped_silently(self, tmp_path):
+        """A last line without its newline is a write in progress."""
+        cache = ResultCache(tmp_path)
+        cache.put("a", RESULT)
+        cache.put("b", RESULT)
         cache.flush()
-        full = cache.path.read_text()
-        cache.path.write_text(full[: len(full) // 2])
-        with pytest.warns(RuntimeWarning, match="corrupt or partially written"):
-            assert len(ResultCache(tmp_path)) == 0
+        with open(cache.path, "ab") as log:
+            log.write(_line("c", dataclasses.asdict(RESULT))[:-20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = ResultCache(tmp_path)
+        assert len(loaded) == 2 and "a" in loaded and "b" in loaded
 
-    def test_valid_json_that_is_not_an_object_warns(self, tmp_path):
-        (tmp_path / "simresults.json").write_text("[1, 2, 3]")
-        with pytest.warns(RuntimeWarning, match="unrecognized format"):
-            assert len(ResultCache(tmp_path)) == 0
-
-    def test_alien_format_number_warns(self, tmp_path):
-        (tmp_path / "simresults.json").write_text(json.dumps({"format": 99}))
-        with pytest.warns(RuntimeWarning, match="unrecognized format"):
-            assert len(ResultCache(tmp_path)) == 0
-
-    def test_missing_results_section_warns(self, tmp_path):
-        blob = {"format": 1, "results": ["not", "a", "mapping"]}
-        (tmp_path / "simresults.json").write_text(json.dumps(blob))
-        with pytest.warns(RuntimeWarning, match="no result section"):
-            assert len(ResultCache(tmp_path)) == 0
+    def test_malformed_lines_warn_once_with_their_count(self, tmp_path, recwarn):
+        fields = dataclasses.asdict(RESULT)
+        (tmp_path / LOG).write_bytes(_line("before", fields))
+        writer = ResultCache(tmp_path)  # loaded before the damage
+        with open(tmp_path / LOG, "ab") as log:
+            for damaged in (
+                b"garbage",
+                b"",
+                b'["truncated", {"cycles"',
+                json.dumps({"key": "x", "result": fields}).encode(),
+                json.dumps(["k"]).encode(),
+                json.dumps(["k", fields, 3]).encode(),
+                json.dumps([5, fields]).encode(),
+                json.dumps(["k", [1, 2]]).encode(),
+            ):
+                log.write(damaged + b"\n")
+        writer.put("after", RESULT)
+        writer.flush()
+        loaded = ResultCache(tmp_path)
+        (warning,) = [w for w in recwarn if w.category is RuntimeWarning]
+        assert "skipped 8 damaged line(s)" in str(warning.message)
+        assert len(loaded) == 2 and "before" in loaded and "after" in loaded
 
     def test_missing_file_stays_silent(self, tmp_path):
         """A cold start is normal, not damage — no warning allowed."""
@@ -229,55 +316,3 @@ class TestDamagedStores:
             warnings.simplefilter("error")
             cache = ResultCache(tmp_path / "never-flushed")
         assert len(cache) == 0
-
-    def test_damaged_store_heals_on_the_next_flush(self, tmp_path):
-        (tmp_path / "simresults.json").write_text("garbage")
-        with pytest.warns(RuntimeWarning):
-            cache = ResultCache(tmp_path)
-        key = cache_key("baseline", SHAPE, CORE, CODEGEN)
-        cache.put(key, RESULT)
-        with pytest.warns(RuntimeWarning):  # flush re-reads for the merge
-            cache.flush()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            healed = ResultCache(tmp_path)
-        assert healed.get(key) == RESULT
-
-
-class TestAtomicFlush:
-    def test_failed_replace_leaves_the_store_intact(self, tmp_path, monkeypatch):
-        """The write is all-or-nothing: a dying writer never truncates."""
-        key = cache_key("baseline", SHAPE, CORE, CODEGEN)
-        first = ResultCache(tmp_path)
-        first.put(key, RESULT)
-        first.flush()
-        before = first.path.read_text()
-
-        second = ResultCache(tmp_path)
-        second.put(cache_key("rasa-pipe", SHAPE, CORE, CODEGEN), RESULT)
-
-        def exploding_replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr("repro.runtime.cache.os.replace", exploding_replace)
-        with pytest.raises(OSError, match="disk full"):
-            second.flush()
-        assert second.path.read_text() == before  # untouched
-        assert list(tmp_path.glob("*.tmp")) == []  # temp file cleaned up
-
-    def test_flush_goes_through_a_rename(self, tmp_path, monkeypatch):
-        """Readers can never observe a half-written store file."""
-        calls = []
-        real_replace = os.replace
-
-        def recording_replace(src, dst):
-            calls.append((str(src), str(dst)))
-            return real_replace(src, dst)
-
-        monkeypatch.setattr("repro.runtime.cache.os.replace", recording_replace)
-        cache = ResultCache(tmp_path)
-        cache.put(cache_key("baseline", SHAPE, CORE, CODEGEN), RESULT)
-        cache.flush()
-        ((src, dst),) = calls
-        assert src.endswith(".tmp")
-        assert dst == str(cache.path)

@@ -420,6 +420,19 @@ class TestMalformedReports:
         with pytest.raises(ExperimentError, match="malformed report JSON"):
             self._load(document, edit)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("cycles", None), ("cycles", "12"), ("cycles", True), ("design", 5)],
+        ids=["null-cycles", "string-cycles", "bool-cycles", "numeric-design"],
+    )
+    def test_mistyped_result_field_rejected(self, document, field, value):
+        """Result fields are declared ``int``/``str``: other JSON types fail."""
+        def edit(results, body):
+            results[sorted(results)[0]][field] = value
+
+        with pytest.raises(ExperimentError, match="malformed report JSON"):
+            self._load(document, edit)
+
 
 class TestMerging:
     @pytest.fixture(scope="class")

@@ -21,6 +21,11 @@ def coordinator(job_store):
     )
 
 
+def _null_cycles(results):
+    results[sorted(results)[0]]["cycles"] = None
+    return results
+
+
 def run_shard(lease) -> str:
     """Simulate one leased shard exactly as a worker would."""
     from repro.runtime.plan import SweepPlan
@@ -142,11 +147,15 @@ class TestCompleteValidation:
         assert shard.report_json == canonical
 
 
-    @pytest.mark.parametrize("results", [{}, []])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda results: {}, lambda results: [], _null_cycles],
+        ids=["empty", "list", "null-cycles"],
+    )
     def test_refuses_malformed_report_and_keeps_the_lease(
-        self, coordinator, job_store, results
+        self, coordinator, job_store, corrupt
     ):
-        """A truncated shard report must not seal its shard COMPLETED.
+        """A truncated or mistyped shard report must not seal its shard.
 
         Accepting it would leave the plan unmergeable with nothing left to
         claim; refused, the shard stays ACTIVE for a retry or the reaper.
@@ -154,13 +163,10 @@ class TestCompleteValidation:
         plan = tiny_plan()
         response = coordinator.submit(plan.to_json(), 2)
         lease = coordinator.claim("w1")
-        index, count = lease["shard_index"], lease["shard_count"]
-        truncated = json.loads(
-            SweepReport(plan=plan.shard(index, count), results={}).to_json()
-        )
-        truncated["report"]["results"] = results
+        document = json.loads(run_shard(lease))
+        document["report"]["results"] = corrupt(document["report"]["results"])
         with pytest.raises(ExperimentError, match="malformed report JSON"):
-            coordinator.complete(lease["shard_id"], "w1", json.dumps(truncated))
+            coordinator.complete(lease["shard_id"], "w1", json.dumps(document))
         assert job_store.get_shard(lease["shard_id"]).state is ShardState.ACTIVE
 
         coordinator.complete(lease["shard_id"], "w1", run_shard(lease))

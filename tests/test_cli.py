@@ -620,6 +620,22 @@ class TestPlanRunAndMerge:
         assert err.startswith("error: malformed report JSON")
         assert "Traceback" not in err
 
+    def test_merge_null_cycles_report_exits_1(self, tmp_path, capsys):
+        """A mistyped result field is refused at decode, not in the merge."""
+        s0, s1 = tmp_path / "s0.json", tmp_path / "s1.json"
+        for index, path in enumerate((s0, s1)):
+            assert main(["plan", "run"] + self.ARGS
+                        + ["--shard", f"{index}/2", "-o", str(path)]) == 0
+        doc = json.loads(s0.read_text())
+        results = doc["report"]["results"]
+        results[sorted(results)[0]]["cycles"] = None
+        s0.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["plan", "merge", str(s0), str(s1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report JSON")
+        assert len(err.splitlines()) == 1
+
     def test_merge_mismatched_plans_exits_1(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["plan", "run"] + self.ARGS + ["-o", str(a)]) == 0
