@@ -12,11 +12,12 @@ cycle-accurate OoO — runs through this subsystem:
   (:class:`repro.engine.engine.MatrixEngine`);
 - :mod:`repro.runtime.registry` maps (design key x fidelity) to a ready
   backend in one lookup (:func:`resolve_backend`);
-- :mod:`repro.runtime.cache` persists :class:`SimResult`s in an on-disk
-  JSON store keyed by a stable, *label-independent* hash of the full
-  simulation input (bump :data:`CODE_VERSION` on timing or key-schema
-  changes — version 2 dropped display labels from keys, version 3 keys
-  shapes by their tile-padded dimensions);
+- :mod:`repro.runtime.cache` holds the one JSON codec (cache keys, plan
+  and report JSON, log lines) and the on-disk result log, keyed by a
+  stable, *label-independent* hash of the full simulation input (bump
+  :data:`CODE_VERSION` on timing or key-schema changes — version 2
+  dropped display labels from keys, version 3 keys shapes by their
+  tile-padded dimensions);
 - :mod:`repro.runtime.plan` declares sweeps: a frozen, serializable
   :class:`SweepPlan` (designs x workloads/suites x batches x knobs x
   fidelity) that expands lazily to dedup-keyed :class:`SweepJob`\\ s,

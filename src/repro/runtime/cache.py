@@ -1,4 +1,10 @@
-"""Persistent memoization of :class:`SimResult`s.
+"""The runtime's one JSON codec, and persistent memoization of :class:`SimResult`.
+
+Cache keys, plan and report JSON and result-log lines share one codec
+over a ``{name: (declared type, keyed)}`` table per dataclass:
+:func:`encode` (display labels kept, so plans round-trip), :func:`decode`
+(which refuses an ``int``/``str`` field of any other JSON type) and the
+memoized :func:`key_fragment` of each config's and shape's key form.
 
 Simulations here are deterministic: the same (design, workload shape, core
 config, codegen options, simulator version) always produces the same
@@ -12,11 +18,10 @@ existing key is thereby invalidated without touching the store.
 
 Keys are **label-independent**: dataclass fields declared with
 ``metadata={"cache_key": False}`` (display labels such as
-:attr:`repro.workloads.gemm.GemmShape.name`) are skipped by the canonical
-rendering, so two simulations that differ only in how a layer is *named*
-share one key.  Full-model suites rely on this — BERT-base's 48
-identically-shaped q/k/v/attn-out projections collapse to a single cached
-entry.
+:attr:`repro.workloads.gemm.GemmShape.name`) are skipped by the key form,
+so two simulations that differ only in how a layer is *named* share one
+key.  Full-model suites rely on this — BERT-base's 48 identically-shaped
+q/k/v/attn-out projections collapse to a single cached entry.
 
 The store is an append-only log, ``simresults.jsonl`` under
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``: each :meth:`ResultCache.put`
@@ -26,23 +31,26 @@ and a killed sweep keeps every finished point.  Nothing is ever rewritten
 or merged: processes sharing one store on a local filesystem each append
 whole lines and keep every one, and a key written twice loads its last
 line.  Loading skips a last line without its newline (a write in
-progress), a line whose fields no longer build a :class:`SimResult`
-(stale), and warns once per load with the count of lines that are not a
-JSON ``[key, object]`` pair (damaged) — sweep-service workers sharing one
-store must degrade to re-simulating, never crash.  The pre-log
-``simresults.json`` store is not read; one cold run refills the log.
+progress) and a line whose field set is not :class:`SimResult`'s (stale),
+and warns once per load with the count of damaged lines: not a JSON
+``[key, object]`` pair, or values not of the declared types — sweep-service
+workers sharing one store must degrade to re-simulating, never crash or
+print a mistyped number.  The pre-log ``simresults.json`` store is not
+read; one cold run refills the log.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
+import typing
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cpu.result import SimResult
 
@@ -56,28 +64,95 @@ CODE_VERSION = 3
 _CACHE_FILENAME = "simresults.jsonl"
 
 
-def _canonical(value: Any) -> Any:
-    """Render configs/shapes as JSON-stable primitives (order-independent).
+@functools.lru_cache(maxsize=None)
+def _fields(cls: type) -> Dict[str, Tuple[Any, bool]]:
+    """``{name: (declared type, keyed)}`` in field order; labels are unkeyed."""
+    hints = typing.get_type_hints(cls)
+    return {
+        field.name: (hints[field.name], field.metadata.get("cache_key", True))
+        for field in dataclasses.fields(cls)
+    }
 
-    Dataclass fields marked ``metadata={"cache_key": False}`` are display
-    labels, not simulation inputs, and are excluded from the rendering.
+
+def encode(value: Any, key: bool = False) -> Any:
+    """``value`` as JSON primitives: dataclasses as objects in field order,
+    enums by value, tuples as arrays.  ``key=True`` is the cache-key form:
+    objects carry a ``"__type__"`` tag and display labels are left out.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.metadata.get("cache_key", True)
-        }
-        return {"__type__": type(value).__name__, **fields}
+        out: Dict[str, Any] = {"__type__": type(value).__name__} if key else {}
+        for name, (kind, keyed) in _fields(type(value)).items():
+            if keyed or not key:
+                item = getattr(value, name)
+                out[name] = item if kind is int or kind is str else encode(item, key)
+        return out
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [encode(item, key) for item in value]
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+        return {str(k): encode(v, key) for k, v in value.items()}
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    raise TypeError(f"cannot canonicalize {type(value).__name__!r} for cache keys")
+    raise TypeError(f"cannot canonicalize {type(value).__name__!r} as JSON")
+
+
+def decode(kind: Any, raw: Any) -> Any:
+    """Rebuild a value of the declared type ``kind`` from its JSON form.
+
+    Handles the types plan and result fields declare — dataclasses,
+    ``Tuple[...]``, ``Optional[...]``, enums, and ``int`` (booleans
+    excluded) and ``str``, which must arrive as that JSON type; other
+    scalars pass through to the constructors' own validation.  Raises
+    ``TypeError``/``ValueError`` on a mismatch.
+    """
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(raw, dict):
+            raise TypeError(f"{kind.__name__} must be a JSON object, got {raw!r}")
+        table = _fields(kind)
+        if not raw.keys() <= table.keys():
+            unknown = ", ".join(sorted(raw.keys() - table.keys()))
+            raise ValueError(f"unknown {kind.__name__} field(s): {unknown}")
+        values: Dict[str, Any] = {}
+        for name, item in raw.items():
+            field_kind, _ = table[name]
+            if type(item) is not field_kind:  # an int/str of its type is taken as is
+                item = decode(field_kind, item)
+            values[name] = item
+        return kind(**values)
+    origin = typing.get_origin(kind)
+    if origin is typing.Union:  # Optional[X]
+        if raw is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        return decode(kind, raw)
+    if origin is tuple:
+        if not isinstance(raw, list):
+            raise TypeError(f"expected a JSON array, got {raw!r}")
+        args = typing.get_args(kind)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(decode(args[0], item) for item in raw)
+        if len(args) != len(raw):
+            raise ValueError(f"expected {len(args)} items, got {raw!r}")
+        return tuple(decode(arg, item) for arg, item in zip(args, raw))
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        return kind(raw)
+    if kind is int and type(raw) is not int:
+        raise TypeError(f"expected a JSON integer, got {raw!r}")
+    if kind is str and type(raw) is not str:
+        raise TypeError(f"expected a JSON string, got {raw!r}")
+    return raw
+
+
+@functools.lru_cache(maxsize=4096)  # a sweep's padded shapes, core and codegen
+def key_fragment(value: Any) -> str:
+    """The compact, sorted JSON of ``value``'s cache-key form, memoized.
+
+    The memo answers any value *equal* to one it has rendered, so equal
+    values must render equally: every config field validates its type
+    (a ``2.0`` would equal ``2`` and render differently).
+    """
+    return json.dumps(encode(value, key=True), sort_keys=True, separators=(",", ":"))
 
 
 def cache_key(
@@ -106,15 +181,12 @@ def cache_key(
     tile_padded = getattr(shape, "tile_padded", None)
     if tile_padded is not None:
         shape = tile_padded()
-    payload = {
-        "design": design_key,
-        "shape": _canonical(shape),
-        "core": _canonical(core),
-        "codegen": _canonical(codegen),
-        "fidelity": fidelity,
-        "version": version,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # The six members in sorted order, as json.dumps(sort_keys=True) writes them.
+    blob = (
+        f'{{"codegen":{key_fragment(codegen)},"core":{key_fragment(core)},'
+        f'"design":{json.dumps(design_key)},"fidelity":{json.dumps(fidelity)},'
+        f'"shape":{key_fragment(shape)},"version":{json.dumps(version)}}}'
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -154,16 +226,17 @@ class ResultCache:
         damaged = 0
         for line in lines:
             try:
-                key, fields = json.loads(line)
-            except (TypeError, ValueError):  # not JSON, or not a pair
+                key, fields = json.loads(line.decode())  # str parses faster
+            except (TypeError, ValueError):  # not UTF-8 or JSON, or not a pair
                 key = fields = None
             if not isinstance(key, str) or not isinstance(fields, dict):
                 damaged += 1
                 continue
             try:
-                self._entries[key] = SimResult(**fields)
-            except TypeError:
-                pass  # field set drifted without a version bump: stale
+                self._entries[key] = decode(SimResult, fields)
+            except (TypeError, ValueError):  # mistyped values, or a stale field set
+                if fields.keys() == _fields(SimResult).keys():
+                    damaged += 1
         if damaged:
             warnings.warn(
                 f"result cache {self.path}: skipped {damaged} damaged line(s)",
@@ -191,7 +264,7 @@ class ResultCache:
         if self._fd is None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        line = json.dumps([key, dataclasses.asdict(result)], separators=(",", ":"))
+        line = json.dumps([key, encode(result)], separators=(",", ":"))
         os.write(self._fd, (line + "\n").encode("utf-8"))
 
     def flush(self) -> None:

@@ -11,9 +11,9 @@ expands the declaration lazily into dedup-keyed :class:`SweepJob`\\ s, and a
 Because a plan is a value, it composes the ways values do:
 
 - **serialization** — :meth:`SweepPlan.to_json` renders the plan as
-  canonical JSON (sorted keys, compact separators — the same convention
-  the result-cache keys use) and :func:`SweepPlan.from_json` reconstructs
-  an equal plan, so plans travel between processes and hosts;
+  canonical JSON (sorted keys, compact separators) through the runtime's
+  one codec (:mod:`repro.runtime.cache`), and :func:`SweepPlan.from_json`
+  reconstructs an equal plan, so plans travel between processes and hosts;
 - **sharding** — :meth:`SweepPlan.shard` marks a deterministic partition
   of the plan's *distinct cache keys*: shard ``i`` of ``n`` owns every
   ``sorted(keys)[i::n]`` point.  Shards are disjoint and exhaustive, each
@@ -34,17 +34,14 @@ view.
 from __future__ import annotations
 
 import dataclasses
-import enum
-import functools
 import json
-import typing
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.engine.designs import get_design
 from repro.errors import ExperimentError
-from repro.runtime.cache import cache_key
+from repro.runtime.cache import cache_key, decode, encode
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.ops import DEFAULT_LOWERING, LoweringConfig
@@ -522,8 +519,9 @@ class SweepPlan:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Canonical JSON (sorted keys; compact when ``indent`` is None)."""
-        payload = {"format": PLAN_FORMAT, "plan": dataclasses.asdict(self)}
-        return _dumps(payload, indent)
+        payload = {"format": PLAN_FORMAT, "plan": encode(self)}
+        separators = (",", ":") if indent is None else None
+        return json.dumps(payload, sort_keys=True, indent=indent, separators=separators)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepPlan":
@@ -546,27 +544,6 @@ def _validated_shard(shard: Sequence[int]) -> Tuple[int, int]:
     return index, count
 
 
-# -- JSON codec --------------------------------------------------------------------
-#
-# Plans encode with ``dataclasses.asdict`` (enums by value) and decode field
-# by field from the declared types, so every dataclass a plan contains
-# round-trips without a hand-written codec.  Unlike the cache's canonical
-# rendering, the codec *keeps* display labels: ``from_json(to_json(p)) == p``
-# must hold for plan equality, which includes workload names.
-
-
-def _enum_value(value: Any) -> Any:
-    if isinstance(value, enum.Enum):
-        return value.value
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _dumps(payload: Any, indent: Optional[int] = None) -> str:
-    separators = (",", ":") if indent is None else None
-    return json.dumps(payload, sort_keys=True, indent=indent,
-                      separators=separators, default=_enum_value)
-
-
 def _loads_payload(text: str, section: str) -> Dict[str, Any]:
     try:
         raw = json.loads(text)
@@ -582,60 +559,9 @@ def _loads_payload(text: str, section: str) -> Dict[str, Any]:
     return body
 
 
-@functools.lru_cache(maxsize=None)
-def _field_types(cls: type) -> Dict[str, Any]:
-    """``{field name: resolved type}`` of a dataclass, resolved once."""
-    hints = typing.get_type_hints(cls)
-    return {field.name: hints[field.name] for field in dataclasses.fields(cls)}
-
-
-def _decode(kind: Any, raw: Any) -> Any:
-    """Rebuild a value of the declared type ``kind`` from its JSON form.
-
-    Handles the types plan and result fields declare — dataclasses,
-    ``Tuple[...]``, ``Optional[...]``, enums, and ``int`` (booleans
-    excluded) and ``str``, which must arrive as that JSON type; other
-    scalars pass through to the constructors' own validation.  Raises
-    ``TypeError``/``ValueError`` on a mismatch.
-    """
-    origin = typing.get_origin(kind)
-    if origin is typing.Union:  # Optional[X]
-        if raw is None:
-            return None
-        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
-        return _decode(kind, raw)
-    if origin is tuple:
-        if not isinstance(raw, list):
-            raise TypeError(f"expected a JSON array, got {raw!r}")
-        args = typing.get_args(kind)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], item) for item in raw)
-        if len(args) != len(raw):
-            raise ValueError(f"expected {len(args)} items, got {raw!r}")
-        return tuple(_decode(arg, item) for arg, item in zip(args, raw))
-    if dataclasses.is_dataclass(kind):
-        if not isinstance(raw, dict):
-            raise TypeError(f"{kind.__name__} must be a JSON object, got {raw!r}")
-        types = _field_types(kind)
-        unknown = sorted(set(raw) - set(types))
-        if unknown:
-            raise ValueError(
-                f"unknown {kind.__name__} field(s): {', '.join(unknown)}"
-            )
-        return kind(**{name: _decode(types[name], value)
-                       for name, value in raw.items()})
-    if isinstance(kind, type) and issubclass(kind, enum.Enum):
-        return kind(raw)
-    if kind is int and (isinstance(raw, bool) or not isinstance(raw, int)):
-        raise TypeError(f"expected a JSON integer, got {raw!r}")
-    if kind is str and not isinstance(raw, str):
-        raise TypeError(f"expected a JSON string, got {raw!r}")
-    return raw
-
-
 def _decode_plan(raw: Any) -> SweepPlan:
     try:
-        return _decode(SweepPlan, raw)
+        return decode(SweepPlan, raw)
     except (TypeError, ValueError) as exc:
         raise ExperimentError(f"malformed plan JSON: {exc}") from None
 
@@ -863,17 +789,10 @@ class SweepReport:
         same string, which is what makes the sharded CI smoke's
         ``merged == single-shot`` comparison a plain file diff.
         """
-        payload = {
-            "format": PLAN_FORMAT,
-            "report": {
-                "plan": dataclasses.asdict(self.plan),
-                "results": {
-                    key: dataclasses.asdict(result)
-                    for key, result in self.results.items()
-                },
-            },
-        }
-        return _dumps(payload, indent)
+        body = {"plan": encode(self.plan), "results": encode(self.results)}
+        payload = {"format": PLAN_FORMAT, "report": body}
+        separators = (",", ":") if indent is None else None
+        return json.dumps(payload, sort_keys=True, indent=indent, separators=separators)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepReport":
@@ -892,7 +811,7 @@ class SweepReport:
                 "malformed report JSON: results must map cache keys to results"
             )
         try:
-            results = {key: _decode(SimResult, entry) for key, entry in raw.items()}
+            results = {key: decode(SimResult, entry) for key, entry in raw.items()}
         except (TypeError, ValueError) as exc:
             raise ExperimentError(f"malformed report JSON: {exc}") from None
         owned = set(plan.shard_keys())

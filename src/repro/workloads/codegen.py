@@ -32,6 +32,7 @@ from repro.isa.program import Program
 from repro.tile.hostmem import HostMatrix, layout_gemm_operands
 from repro.tile.memory import TileMemory
 from repro.tile.vnni import pack_b_vnni
+from repro.utils.validation import check_non_negative
 from repro.workloads.array_lowering import gemm_skeleton
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import Block, BlockingConfig, TileLoopNest
@@ -52,6 +53,10 @@ class CodegenOptions:
     blocking: BlockingConfig = BlockingConfig()
     scalar_overhead_per_kstep: int = 2
     scalar_overhead_per_block: int = 6
+
+    def __post_init__(self) -> None:
+        check_non_negative("scalar_overhead_per_kstep", self.scalar_overhead_per_kstep)
+        check_non_negative("scalar_overhead_per_block", self.scalar_overhead_per_block)
 
 
 @dataclasses.dataclass

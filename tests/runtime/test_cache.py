@@ -36,6 +36,25 @@ RESULT = SimResult(
 
 LOG = "simresults.jsonl"
 
+#: Keys off the default config, captured before key rendering was memoized:
+#: a changed rendering of any core, codegen or shape field fails here.
+PINNED_KEYS = [
+    (lambda: ("rasa-dmdb-wls", GemmShape(100, 70, 40, name="odd"),
+              dataclasses.replace(CoreConfig(), rob_size=224, fetch_width=2,
+                                  scheduler_size=2),
+              CodegenOptions(), "fast"),
+     "08bd4e034175d0607cd04661ee3c4c9a13a4f9de21238590aea444bf1a00d49b"),
+    (lambda: ("rasa-wlbp", GemmShape(64, 64, 64), CoreConfig(),
+              CodegenOptions(
+                  blocking=BlockingConfig(bm=3, bn=1, mm_order=MMOrder.ALTERNATE),
+                  scalar_overhead_per_kstep=0, scalar_overhead_per_block=3),
+              "analytic"),
+     "c0a38b74532e6bcc27b34e1b64da4632fe8d177a2f98fc53b30b966bdad9b19f"),
+    (lambda: ("baseline", GemmShape(16, 16, 32), CoreConfig(), CodegenOptions(),
+              "ooo"),
+     "af79e8638588f8092204c6d44c47059c53fde7eb96ca0b566d8abc9dc4b4627e"),
+]
+
 
 def _line(key, fields):
     return (json.dumps([key, fields]) + "\n").encode()
@@ -126,6 +145,13 @@ class TestCacheKey:
         assert cache_key(
             "baseline", SHAPE, CORE, CODEGEN, version=CODE_VERSION + 1
         ) != cache_key("baseline", SHAPE, CORE, CODEGEN)
+
+    @pytest.mark.parametrize("make_args,key", PINNED_KEYS,
+                             ids=["odd-shape-core", "wlbp-codegen", "ooo-tile"])
+    def test_keys_off_the_default_config_are_pinned(self, make_args, key):
+        assert cache_key(*make_args()) == key
+        # Equal values built afresh, after the first call rendered them.
+        assert cache_key(*make_args()) == key
 
     def test_rejects_unhashable_junk(self):
         with pytest.raises(TypeError, match="canonicalize"):
@@ -301,13 +327,18 @@ class TestDamagedStores:
                 json.dumps(["k", fields, 3]).encode(),
                 json.dumps([5, fields]).encode(),
                 json.dumps(["k", [1, 2]]).encode(),
+                # SimResult's field names, values not of the declared types
+                json.dumps(["k", {**fields, "cycles": None}]).encode(),
+                json.dumps(["k", {**fields, "cycles": "123"}]).encode(),
+                json.dumps(["k", {**fields, "cycles": True}]).encode(),
+                json.dumps(["k", {**fields, "design": 5}]).encode(),
             ):
                 log.write(damaged + b"\n")
         writer.put("after", RESULT)
         writer.flush()
         loaded = ResultCache(tmp_path)
         (warning,) = [w for w in recwarn if w.category is RuntimeWarning]
-        assert "skipped 8 damaged line(s)" in str(warning.message)
+        assert "skipped 12 damaged line(s)" in str(warning.message)
         assert len(loaded) == 2 and "before" in loaded and "after" in loaded
 
     def test_missing_file_stays_silent(self, tmp_path):

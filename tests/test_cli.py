@@ -93,6 +93,25 @@ class TestGridSweep:
         # Bit-identical cycles: the tables match apart from the stats line.
         assert cold.splitlines()[:-1] == warm.splitlines()[:-1]
 
+    def test_mistyped_log_lines_are_resimulated(self, tmp_path, capsys):
+        """A hand-edited log line whose cycles are not an int is re-run, not printed."""
+        argv = ["sweep", "--workloads", "table1", "--designs", "baseline,rasa-pipe",
+                "--scale", "16", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        log = tmp_path / "simresults.jsonl"
+        lines = log.read_text().splitlines()
+        for index, cycles in ((0, None), (1, "123")):
+            key, fields = json.loads(lines[index])
+            lines[index] = json.dumps([key, {**fields, "cycles": cycles}])
+        log.write_text("\n".join(lines) + "\n")
+
+        with pytest.warns(RuntimeWarning, match="skipped 2 damaged line"):
+            assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert warm.splitlines()[:-1] == cold.splitlines()[:-1]
+        assert "cache: 16 hits, 2 misses" in warm.splitlines()[-1]
+
     def test_stats_line_counts_distinct_points(self, capsys):
         # At scale 2048 the nine Table I layers floor onto 2 distinct points.
         assert main(["sweep", "--workloads", "table1", "--scale", "2048",

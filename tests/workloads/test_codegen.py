@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConfigError
 from repro.isa.opcodes import Opcode
 from repro.workloads.codegen import CodegenOptions, build_gemm_kernel, generate_gemm_program
 from repro.workloads.gemm import GemmShape
@@ -38,6 +39,17 @@ class TestStreamStructure:
             shape, CodegenOptions(scalar_overhead_per_kstep=3, scalar_overhead_per_block=5)
         )
         assert some.stats.scalars == 1 * (2 * 3 + 5)  # one block, two K steps
+
+    @pytest.mark.parametrize("value", [-1, -3, 2.0, True])
+    @pytest.mark.parametrize(
+        "field", ["scalar_overhead_per_kstep", "scalar_overhead_per_block"]
+    )
+    def test_overheads_must_be_non_negative_integers(self, field, value):
+        """Every tier must accept the options or none: ``fast-ref`` refuses a
+        negative count and lowering chokes on a float, and ``2.0`` would
+        compare equal to the default yet key differently."""
+        with pytest.raises(ConfigError, match=f"{field} must be a non-negative integer"):
+            CodegenOptions(**{field: value})
 
     def test_each_mm_preceded_by_operand_loads(self):
         # Every mm's A and B registers must have been written earlier in the
