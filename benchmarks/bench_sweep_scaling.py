@@ -26,12 +26,20 @@ pin the perf claims:
   inlined 2-load-port min) changed *no* timing: both the scalar and the
   ``fast`` model still equal the pre-optimization reference values
   pinned below.
+
+Beside those in-process numbers it records, ungated, the cold sweep a user
+waits on: ``process_cold_s``, the median wall time of :data:`COLD_RUNS`
+fresh ``python -m repro sweep`` processes (:data:`PROCESS_COLD_ARGS`),
+interpreter start and ``import repro`` included, with cold memos.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -68,6 +76,12 @@ VECTORIZED_SPEEDUP_FLOOR = 45.0
 #: Cold runs per fidelity; ``cold_s`` is their median.
 COLD_RUNS = 5
 
+#: The fresh-process sweep behind ``process_cold_s`` (serial, no cache).
+PROCESS_COLD_ARGS = (
+    "sweep", "--workloads", "table1", "--designs", "all",
+    "--scale", "4", "--no-cache", "--jobs", "1",
+)
+
 #: FastCoreModel reference results captured immediately *before* the
 #: port-selection micro-opt (commit history: generic min-over-range scan
 #: per instruction).  The optimization is legal only if timing is
@@ -94,6 +108,22 @@ def _timed_run(session: Session, plan: SweepPlan):
     start = time.perf_counter()
     report = session.run(plan)
     return time.perf_counter() - start, report
+
+
+def _process_cold_s() -> float:
+    """Median wall time of fresh ``python -m repro sweep`` processes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in (os.environ.get("PYTHONPATH"),) if p]
+    ))
+    times = []
+    for _ in range(COLD_RUNS):
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "repro", *PROCESS_COLD_ARGS],
+            check=True, stdout=subprocess.DEVNULL, env=env,
+        )
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def test_port_selection_micro_opt_timing_identical(emit):
@@ -179,6 +209,7 @@ def test_sweep_scaling(emit, settings, tmp_path):
         f"{VECTORIZED_SPEEDUP_FLOOR:.0f}x"
     )
 
+    process_cold_s = _process_cold_s()
     record = {
         "schema": 1,
         "generated_by": "benchmarks/bench_sweep_scaling.py",
@@ -186,6 +217,7 @@ def test_sweep_scaling(emit, settings, tmp_path):
         "workers": 1,
         "cold_runs": COLD_RUNS,
         "designs": len(DESIGNS),
+        "process_cold_s": round(process_cold_s, 6),
         "sweeps": sweeps,
         "micro_opt_pins": {
             "shape": list(MICRO_OPT_SHAPE.dims),
@@ -210,5 +242,7 @@ def test_sweep_scaling(emit, settings, tmp_path):
             "(cold)"
             for suite, data in sweeps.items()
         )
+        + f"\nfresh-process `repro {' '.join(PROCESS_COLD_ARGS)}`: "
+        f"{process_cold_s:.3f}s (median of {COLD_RUNS}, import included)"
         + f"\nwrote {BENCH_JSON}",
     )

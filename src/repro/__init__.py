@@ -22,19 +22,24 @@ Quickstart::
     baseline = FastCoreModel(engine=get_design("baseline").config).run(program)
     rasa = FastCoreModel(engine=get_design("rasa-dmdb-wls").config).run(program)
     print(rasa.cycles / baseline.cycles)   # ~0.17-0.2: the paper's headline
+
+``import repro`` loads only what a sweep runs, and no numpy: the
+numpy-backed functional layer, the cycle-accurate OoO core and the
+assembler load on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.cpu import CoreConfig, FastCoreModel, OutOfOrderCore, SimResult
+from typing import TYPE_CHECKING
+
+from repro.cpu import CoreConfig, FastCoreModel, SimResult
 from repro.engine import (
     BASELINE_DESIGN,
     ControlPolicy,
     DESIGNS,
     DesignPoint,
     EngineConfig,
-    MatrixEngine,
     get_design,
 )
-from repro.isa import Program, ProgramBuilder, assemble, disassemble
+from repro.isa import Program, ProgramBuilder
 from repro.runtime import (
     ResultCache,
     Session,
@@ -44,18 +49,35 @@ from repro.runtime import (
     SweepReport,
     resolve_backend,
 )
-from repro.systolic import SystolicArray
-from repro.tile import TileMemory, TileRegisterFile
 from repro.workloads import (
     CodegenOptions,
     ConvOp,
     FCOp,
     GemmShape,
     TABLE1_LAYERS,
-    gemm_reference,
     generate_gemm_program,
 )
 from repro.workloads.codegen import build_gemm_kernel
+from repro.utils.lazy import DeferredExports
+
+if TYPE_CHECKING:
+    from repro.cpu.ooo.core import OutOfOrderCore
+    from repro.engine.engine import MatrixEngine
+    from repro.isa.assembler import assemble, disassemble
+    from repro.systolic.array import SystolicArray
+    from repro.tile.memory import TileMemory
+    from repro.tile.regfile import TileRegisterFile
+    from repro.workloads.reference import gemm_reference
+
+__getattr__ = DeferredExports(__name__, {
+    "repro.cpu.ooo.core": ("OutOfOrderCore",),
+    "repro.engine.engine": ("MatrixEngine",),
+    "repro.isa.assembler": ("assemble", "disassemble"),
+    "repro.systolic.array": ("SystolicArray",),
+    "repro.tile.memory": ("TileMemory",),
+    "repro.tile.regfile": ("TileRegisterFile",),
+    "repro.workloads.reference": ("gemm_reference",),
+})
 
 __version__ = "1.0.0"
 

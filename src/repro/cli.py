@@ -69,6 +69,11 @@ Every sweep — ``sweep`` and ``plan run`` alike — is declared as a
 Every command prints to stdout and returns a process exit code, so the CLI
 is unit-testable by calling :func:`main` directly.  Library errors exit 1
 with a one-line ``error: ...`` message — never a traceback.
+
+The module imports only what the parser and the sweep commands (``sweep``,
+``plan``) run; every other command imports its modules in its handler, so
+a sweep loads no experiment driver (numpy), no service module (``sqlite3``,
+``http.server``) and no static analysis it does not run.
 """
 
 from __future__ import annotations
@@ -79,41 +84,24 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis.bounds import BoundsCheck, cross_check_bounds
-from repro.analysis.verifier import VerifierReport, lint_shape
 from repro.engine.designs import DESIGNS, get_design
 from repro.errors import ReproError
-from repro.experiments.area_energy import area_energy_report
-from repro.experiments.batch_sweep import fig7_batch_sensitivity
-from repro.experiments.layer_table import table1_report
-from repro.experiments.ppa_sweep import fig6_performance_per_area
-from repro.experiments.runner import (
-    ExperimentSettings,
-    geometric_mean,
-    run_design,
-    workload_shapes,
-)
-from repro.experiments.runtime_sweep import fig5_normalized_runtime
-from repro.experiments.suite_batch_sweep import suite_batch_sweep
-from repro.experiments.toy import fig1_toy_example
-from repro.experiments.utilization_sweep import fig2_utilization
-from repro.isa.assembler import assemble, disassemble
-from repro.isa.trace import load_trace, save_trace
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.plan import SweepPlan, SweepReport
 from repro.runtime.registry import FIDELITIES
 from repro.runtime.session import Session
-from repro.service.client import ServiceClient, validate_port
-from repro.service.coordinator import Coordinator, ServiceConfig
-from repro.service.server import DEFAULT_PORT, create_server
-from repro.service.store import JobStore, ShardState
-from repro.service.worker import ShardWorker
-from repro.utils.tables import format_table
+from repro.service import DEFAULT_PORT
+from repro.utils.tables import format_table, geometric_mean
 from repro.workloads.gemm import GemmShape
-from repro.workloads.layers import TABLE1_LAYERS
+from repro.workloads.layers import TABLE1_LAYERS, table1_gemms
 from repro.workloads.suites import SUITES, get_suite, suite_names
+
+if TYPE_CHECKING:
+    from repro.analysis.bounds import BoundsCheck
+    from repro.analysis.verifier import VerifierReport
+    from repro.service.client import ServiceClient
 
 
 def _add_sweep_axes(parser: argparse.ArgumentParser) -> None:
@@ -450,6 +438,14 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_fig(args) -> int:
+    from repro.experiments.batch_sweep import fig7_batch_sensitivity
+    from repro.experiments.ppa_sweep import fig6_performance_per_area
+    from repro.experiments.runner import ExperimentSettings
+    from repro.experiments.runtime_sweep import fig5_normalized_runtime
+    from repro.experiments.suite_batch_sweep import suite_batch_sweep
+    from repro.experiments.toy import fig1_toy_example
+    from repro.experiments.utilization_sweep import fig2_utilization
+
     number = args.number
     settings = ExperimentSettings(scale=args.scale)
     if args.workloads is not None and number != 7:
@@ -475,6 +471,8 @@ def _cmd_fig(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.experiments.runner import run_design
+
     shape = GemmShape(m=args.m, n=args.n, k=args.k, name="cli")
     result = run_design(args.design, shape, fidelity=args.fidelity)
     print(f"design      : {get_design(args.design).label}")
@@ -542,8 +540,9 @@ def _is_suite_spec(spec: str, batch: Optional[int], batches: Optional[str] = Non
     )
 
 
-def _sweep_shapes(spec: str, settings: ExperimentSettings) -> Dict[str, GemmShape]:
-    table1 = workload_shapes(settings)
+def _sweep_shapes(spec: str) -> Dict[str, GemmShape]:
+    """The unscaled Table I GEMMs ``--workloads`` names (all of them for "table1")."""
+    table1 = table1_gemms()
     if spec == "table1":
         return table1
     shapes: Dict[str, GemmShape] = {}
@@ -721,6 +720,8 @@ def _lint_report_json(
 
 
 def _cmd_lint(args) -> int:
+    from repro.analysis.verifier import lint_shape
+
     targets = _lint_targets(args)
     rows = []
     entries = []
@@ -781,6 +782,8 @@ def _bounds_check_json(check: BoundsCheck) -> Dict:
 
 
 def _cmd_bounds(args) -> int:
+    from repro.analysis.bounds import cross_check_bounds
+
     design_keys = _parse_designs(args.designs)
     targets = _lint_targets(args)
     rows = []
@@ -915,7 +918,7 @@ def _plan_from_args(args) -> SweepPlan:
     # workload", not a misleading --batch complaint.  The plan carries the
     # *unscaled* Table I shapes plus the scale knob (applied at expansion,
     # same floors), so its JSON records what will actually run.
-    shapes = _sweep_shapes(workloads, ExperimentSettings(scale=1))
+    shapes = _sweep_shapes(workloads)
     if args.batch is not None or args.batches is not None:
         raise ReproError(
             "--batch/--batches apply to suite workloads "
@@ -1177,6 +1180,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.service.client import validate_port
+    from repro.service.coordinator import Coordinator, ServiceConfig
+    from repro.service.server import create_server
+    from repro.service.store import JobStore
+
     validate_port(args.port)
     db = args.db if args.db is not None else default_cache_dir() / "service.db"
     config = ServiceConfig(
@@ -1219,6 +1227,8 @@ def _emit_served_report(
 
 
 def _cmd_submit(args) -> int:
+    from repro.service.client import ServiceClient
+
     plan = _plan_from_args(args)
     client = ServiceClient(args.url)
     response = client.submit(plan, args.shards, args.priority)
@@ -1245,6 +1255,9 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_worker(args) -> int:
+    from repro.service.client import ServiceClient
+    from repro.service.worker import ShardWorker
+
     client = ServiceClient(args.url)
 
     def _make_session() -> Session:
@@ -1287,6 +1300,9 @@ def _shard_progress_cell(shard) -> str:
 
 
 def _cmd_status(args) -> int:
+    from repro.service.client import ServiceClient
+    from repro.service.store import ShardState
+
     client = ServiceClient(args.url)
     if args.plan_id is None:
         plans = client.list_plans()
@@ -1332,6 +1348,9 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_asm(source: Path, output: Path) -> int:
+    from repro.isa.assembler import assemble
+    from repro.isa.trace import save_trace
+
     program = assemble(source.read_text(), name=source.stem)
     save_trace(program, output)
     print(f"assembled {len(program)} instructions -> {output}")
@@ -1339,6 +1358,9 @@ def _cmd_asm(source: Path, output: Path) -> int:
 
 
 def _cmd_disasm(trace: Path) -> int:
+    from repro.isa.assembler import disassemble
+    from repro.isa.trace import load_trace
+
     print(disassemble(load_trace(trace)), end="")
     return 0
 
@@ -1352,15 +1374,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "models":
             return _cmd_models(args)
         if args.command == "table1":
+            from repro.experiments.layer_table import table1_report
+
             print(table1_report())
             return 0
         if args.command == "fig":
             return _cmd_fig(args)
         if args.command == "area":
+            from repro.experiments.area_energy import area_energy_report
+            from repro.experiments.runner import ExperimentSettings
+
             print(area_energy_report(ExperimentSettings(scale=args.scale)).render())
             return 0
         if args.command == "report":
             from repro.experiments.report import full_report
+            from repro.experiments.runner import ExperimentSettings
 
             text = full_report(
                 ExperimentSettings(scale=args.scale), fidelity=args.fidelity

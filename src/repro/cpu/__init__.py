@@ -17,14 +17,24 @@ RASA :class:`repro.engine.config.EngineConfig`:
   walk on a shape's skeleton without building a program.
 - :class:`repro.cpu.ooo.core.OutOfOrderCore` — a cycle-by-cycle OoO core
   (fetch/rename/ROB/scheduler/execute/retire) used to validate the fast
-  model's timing on small programs.
+  model's timing on small programs.  No sweep runs it, so it loads on
+  first use (:mod:`repro.utils.lazy`).
 """
+
+from typing import TYPE_CHECKING
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.fastvec import FastVecCoreModel
-from repro.cpu.ooo.core import OutOfOrderCore
+from repro.utils.lazy import DeferredExports
+
+if TYPE_CHECKING:
+    from repro.cpu.ooo.core import OutOfOrderCore
+
+__getattr__ = DeferredExports(__name__, {
+    "repro.cpu.ooo.core": ("OutOfOrderCore",),
+})
 
 __all__ = [
     "CoreConfig",

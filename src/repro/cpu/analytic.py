@@ -19,16 +19,18 @@ loads); custom memory hierarchies need a program-level fidelity.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.cpu.steady import SteadyStateWalk
 from repro.engine.config import EngineConfig
-from repro.physical.energy import EnergyBreakdown, EnergyModel
 from repro.workloads.array_lowering import gemm_skeleton
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
+
+if TYPE_CHECKING:
+    from repro.physical.energy import EnergyBreakdown, EnergyModel
 
 
 class AnalyticCoreModel:
@@ -62,7 +64,10 @@ class AnalyticCoreModel:
     ) -> Tuple[SimResult, EnergyBreakdown]:
         """Analytic timing plus the :mod:`repro.physical` energy decomposition.
 
-        The result equals a fast-model run, so the energy does too.
+        The result equals a fast-model run, so the energy does too.  No
+        sweep asks for energy, so :mod:`repro.physical` loads here.
         """
+        from repro.physical.energy import EnergyModel
+
         result = self.run_shape(shape, codegen)
         return result, (model or EnergyModel()).run_energy(result, self.engine)

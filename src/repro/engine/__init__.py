@@ -10,12 +10,16 @@ A :class:`MatrixEngine` wraps the weight-stationary systolic array with:
 
 :mod:`repro.engine.designs` names the eight design points the paper
 evaluates in Fig. 5.
+
+The configs, the scheduler the core models share and the design registry
+load with the package; the functional :class:`MatrixEngine` (numpy-backed)
+and the pipeline diagrams load on first use (:mod:`repro.utils.lazy`).
 """
 
+from typing import TYPE_CHECKING
+
 from repro.engine.config import ControlPolicy, EngineConfig
-from repro.engine.diagram import render_pipeline
 from repro.engine.scheduler import EngineScheduler, StageTimes, check_schedule_legality
-from repro.engine.engine import EngineStats, MatrixEngine
 from repro.engine.designs import (
     BASELINE_DESIGN,
     DESIGNS,
@@ -24,6 +28,16 @@ from repro.engine.designs import (
     DesignPoint,
     get_design,
 )
+from repro.utils.lazy import DeferredExports
+
+if TYPE_CHECKING:
+    from repro.engine.diagram import render_pipeline
+    from repro.engine.engine import EngineStats, MatrixEngine
+
+__getattr__ = DeferredExports(__name__, {
+    "repro.engine.diagram": ("render_pipeline",),
+    "repro.engine.engine": ("EngineStats", "MatrixEngine"),
+})
 
 __all__ = [
     "ControlPolicy",

@@ -30,6 +30,7 @@ from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError
 from repro.runtime.plan import SweepJob, SweepPlan
 from repro.runtime.session import Session, run_job
+from repro.utils.tables import geometric_mean as geometric_mean  # re-exported
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.layers import table1_gemms
@@ -125,17 +126,3 @@ def normalized_runtimes(
             key: result.normalized_to(base) for key, result in per_design.items()
         }
     return table
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean (the conventional normalized-runtime average).
-
-    Empty input returns 0.0 — the "no data" sentinel the tables render.
-    """
-    values = list(values)
-    if not values:
-        return 0.0
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1.0 / len(values))

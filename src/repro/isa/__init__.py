@@ -8,7 +8,12 @@ The matrix engine is driven by three tile instructions (Sec. IV-A):
 
 Scalar ALU/branch opcodes model the loop overhead LIBXSMM-generated kernels
 carry around the tile instructions, so the CPU model sees realistic streams.
+
+The assembler and the JSONL trace format load on first use
+(:mod:`repro.utils.lazy`): no sweep reads or writes program text.
 """
+
+from typing import TYPE_CHECKING
 
 from repro.isa.opcodes import Opcode
 from repro.isa.instructions import (
@@ -23,8 +28,16 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program, ProgramStats
 from repro.isa.builder import ProgramBuilder
-from repro.isa.assembler import assemble, disassemble
-from repro.isa.trace import load_trace, save_trace
+from repro.utils.lazy import DeferredExports
+
+if TYPE_CHECKING:
+    from repro.isa.assembler import assemble, disassemble
+    from repro.isa.trace import load_trace, save_trace
+
+__getattr__ = DeferredExports(__name__, {
+    "repro.isa.assembler": ("assemble", "disassemble"),
+    "repro.isa.trace": ("load_trace", "save_trace"),
+})
 
 __all__ = [
     "Opcode",

@@ -33,6 +33,10 @@ Five fidelities exist:
   (the oracle tier; same results, slower);
 - ``"ooo"``    — :class:`repro.cpu.ooo.core.OutOfOrderCore`, the
   cycle-accurate validation model.
+
+No sweep runs ``ooo`` or ``engine``, so their adapters import their models
+where they build them: ``import repro`` loads neither the OoO core nor the
+numpy-backed engine.
 """
 
 from __future__ import annotations
@@ -43,10 +47,8 @@ from repro.cpu.analytic import AnalyticCoreModel
 from repro.cpu.config import CoreConfig
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.fastvec import FastVecCoreModel
-from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.result import SimResult
 from repro.engine.config import EngineConfig
-from repro.engine.engine import MatrixEngine
 from repro.errors import SimError
 from repro.isa.program import Program
 from repro.workloads.codegen import CodegenOptions
@@ -202,6 +204,8 @@ class OoOCoreBackend(_BaseBackend):
         self.max_cycles = max_cycles
 
     def _execute(self, program: Program) -> SimResult:
+        from repro.cpu.ooo.core import OutOfOrderCore
+
         model = OutOfOrderCore(core=self.core, engine=self.engine)
         return model.run(program, max_cycles=self.max_cycles)
 
@@ -222,6 +226,8 @@ class EngineBackend(_BaseBackend):
         core: Optional[CoreConfig] = None,
         functional: str = "off",
     ) -> None:
+        from repro.engine.engine import MatrixEngine
+
         super().__init__(engine, core)
         self.functional = functional
         self._engine_sim = MatrixEngine(engine, functional=functional)

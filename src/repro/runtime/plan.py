@@ -360,6 +360,12 @@ class SweepPlan:
                 "scale_batch/scale_spatial are dimension-role-aware "
                 "lowering knobs; they apply to suite workloads only"
             )
+        if not isinstance(self.core, CoreConfig):
+            raise ExperimentError(f"core must be a CoreConfig, got {self.core!r}")
+        if not isinstance(self.codegen, CodegenOptions):
+            raise ExperimentError(
+                f"codegen must be a CodegenOptions, got {self.codegen!r}"
+            )
         if not self.fidelity or not isinstance(self.fidelity, str):
             raise ExperimentError(
                 f"fidelity must be a non-empty backend name, got {self.fidelity!r}"

@@ -57,11 +57,9 @@ builds none, while fidelities that walk objects (``fast-ref``, ``ooo``,
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import multiprocessing.pool
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.cpu.result import SimResult
 from repro.errors import ExperimentError, VerificationError
@@ -71,6 +69,10 @@ from repro.runtime.plan import SweepJob, SweepPlan, SweepReport
 from repro.runtime.registry import resolve_backend
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
+
+if TYPE_CHECKING:
+    import multiprocessing
+    import multiprocessing.pool
 
 #: Bound of the per-process program memo.  32 thrashed on full-model suites
 #: (ResNet-50 alone lowers 53 shapes); 256 holds every catalog in the
@@ -143,7 +145,13 @@ def _owned_distinct_jobs(plan: SweepPlan) -> Dict[str, SweepJob]:
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap, inherits warm caches); fall back otherwise."""
+    """Prefer ``fork`` (cheap, inherits warm caches); fall back otherwise.
+
+    Only a parallel fan-out needs a pool, so ``multiprocessing`` loads here:
+    serial runs (``workers=1``) never import it.
+    """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 

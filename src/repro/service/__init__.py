@@ -22,26 +22,60 @@ built from four layers (bottom up):
 The correctness oracle is the runtime's own shard determinism: the merged
 report the coordinator serves for any plan is byte-identical to a
 single-shot ``Session.run`` of that plan.
+
+The package itself loads only :data:`DEFAULT_PORT`, so the CLI's parser can
+name it without loading ``sqlite3`` or ``http.server``; every other name
+loads on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.service.store import (
-    JobStore,
-    LEGAL_TRANSITIONS,
-    PlanRow,
-    ShardRow,
-    ShardState,
-    TERMINAL_STATES,
-    check_transition,
-)
-from repro.service.coordinator import Coordinator, ServiceConfig
-from repro.service.server import DEFAULT_PORT, ServiceHTTPServer, create_server
-from repro.service.client import (
-    SERVICE_URL_ENV,
-    ServiceClient,
-    service_url,
-    validate_port,
-)
-from repro.service.worker import ShardWorker, default_worker_id
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import DeferredExports
+
+#: Default coordinator port (an unassigned port in the registered range),
+#: shared by the server, the client and the CLI's parser.
+DEFAULT_PORT = 8035
+
+if TYPE_CHECKING:
+    from repro.service.store import (
+        JobStore,
+        LEGAL_TRANSITIONS,
+        PlanRow,
+        ShardRow,
+        ShardState,
+        TERMINAL_STATES,
+        check_transition,
+    )
+    from repro.service.coordinator import Coordinator, ServiceConfig
+    from repro.service.server import ServiceHTTPServer, create_server
+    from repro.service.client import (
+        SERVICE_URL_ENV,
+        ServiceClient,
+        service_url,
+        validate_port,
+    )
+    from repro.service.worker import ShardWorker, default_worker_id
+
+__getattr__ = DeferredExports(__name__, {
+    "repro.service.store": (
+        "JobStore",
+        "LEGAL_TRANSITIONS",
+        "PlanRow",
+        "ShardRow",
+        "ShardState",
+        "TERMINAL_STATES",
+        "check_transition",
+    ),
+    "repro.service.coordinator": ("Coordinator", "ServiceConfig"),
+    "repro.service.server": ("ServiceHTTPServer", "create_server"),
+    "repro.service.client": (
+        "SERVICE_URL_ENV",
+        "ServiceClient",
+        "service_url",
+        "validate_port",
+    ),
+    "repro.service.worker": ("ShardWorker", "default_worker_id"),
+})
 
 __all__ = [
     "JobStore",

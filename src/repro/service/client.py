@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ServiceError, ServiceLookupError, TransitionError
 from repro.runtime.plan import SweepPlan
-from repro.service.server import DEFAULT_PORT
+from repro.service import DEFAULT_PORT
 
 #: Environment variable naming the coordinator (used when ``--url`` is omitted).
 SERVICE_URL_ENV = "REPRO_SERVICE_URL"

@@ -40,10 +40,8 @@ from repro.errors import (
     ServiceLookupError,
     TransitionError,
 )
+from repro.service import DEFAULT_PORT
 from repro.service.coordinator import Coordinator
-
-#: Default coordinator port (an unassigned port in the registered range).
-DEFAULT_PORT = 8035
 
 
 def _json_text(value: Union[str, Dict[str, Any]], what: str) -> str:

@@ -4,19 +4,23 @@ The code generator lays each GEMM operand out row-major at a base address
 and emits tile loads/stores whose addresses this module computes.  The same
 arithmetic is used on the functional side to write inputs into simulation
 memory and read results back, so addresses can never diverge between the
-two paths.
+two paths.  The address arithmetic is on every sweep's path; numpy and the
+BF16 codec are imported only by the functional data movement
+(:meth:`HostMatrix.store` / :meth:`HostMatrix.load`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import TileError
-from repro.numerics.bf16 import bf16_bits_to_f32, f32_to_bf16_bits
 from repro.tile.layout import ROWS
-from repro.tile.memory import TileMemory
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.tile.memory import TileMemory
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +94,10 @@ class HostMatrix:
 
         BF16 matrices are encoded with RNE rounding; FP32 stored verbatim.
         """
+        import numpy as np
+
+        from repro.numerics.bf16 import f32_to_bf16_bits
+
         values = np.asarray(values, dtype=np.float32)
         if values.shape != (self.rows, self.cols):
             raise TileError(
@@ -104,6 +112,10 @@ class HostMatrix:
 
     def load(self, memory: TileMemory) -> np.ndarray:
         """Read the matrix back from simulation memory as float32 values."""
+        import numpy as np
+
+        from repro.numerics.bf16 import bf16_bits_to_f32
+
         raw = memory.read(self.base, self.size_bytes)
         if self.element_bytes == 2:
             bits = raw.view(np.uint16).reshape(self.rows, self.cols)

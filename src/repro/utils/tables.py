@@ -2,7 +2,8 @@
 
 The paper reports results as figures and tables; our benches print the same
 rows/series as plain text.  These helpers keep the printing consistent across
-every experiment driver.
+every experiment driver and the CLI, including the geometric mean their
+normalized-runtime rows end with.
 """
 
 from __future__ import annotations
@@ -61,3 +62,17 @@ def format_series(
         raise ValueError("xs and ys must have equal length")
     rows = [(x, y) for x, y in zip(xs, ys)]
     return format_table([x_label, y_label], rows, title=name)
+
+
+def geometric_mean(values) -> float:
+    """Geometric mean (the conventional normalized-runtime average).
+
+    Empty input returns 0.0 — the "no data" sentinel the tables render.
+    """
+    values = list(values)
+    if not values:
+        return 0.0
+    product = 1.0
+    for v in values:
+        product *= v
+    return product ** (1.0 / len(values))

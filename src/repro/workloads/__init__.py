@@ -22,7 +22,12 @@ convolutions, three DLRM FC layers, three BERT FC layers.  This package
   :class:`~repro.workloads.suites.WorkloadSuite`\\ s
   (:mod:`repro.workloads.suites`): ``table1``, ``resnet50``, ``bert-base``,
   ``bert-full``, ``dlrm``, ``training`` and ``resnet50-train``.
+
+The numpy-backed im2col lowering and reference oracles load on first use
+(:mod:`repro.utils.lazy`); everything a sweep runs loads with the package.
 """
+
+from typing import TYPE_CHECKING
 
 from repro.workloads.gemm import GemmShape
 from repro.workloads.ops import (
@@ -37,7 +42,6 @@ from repro.workloads.ops import (
     op_kind_counts,
 )
 from repro.workloads.layers import TABLE1_LAYERS, table1_gemms
-from repro.workloads.lowering import im2col, conv_reference
 from repro.workloads.tiling import BlockingConfig, TileLoopNest
 from repro.workloads.codegen import (
     CodegenOptions,
@@ -45,7 +49,6 @@ from repro.workloads.codegen import (
     build_gemm_kernel,
     generate_gemm_program,
 )
-from repro.workloads.reference import gemm_reference
 from repro.workloads.training import training_ops
 from repro.workloads.models import resnet50_ops
 from repro.workloads.suites import (
@@ -56,6 +59,16 @@ from repro.workloads.suites import (
     get_suite,
     suite_names,
 )
+from repro.utils.lazy import DeferredExports
+
+if TYPE_CHECKING:
+    from repro.workloads.lowering import im2col, conv_reference
+    from repro.workloads.reference import gemm_reference
+
+__getattr__ = DeferredExports(__name__, {
+    "repro.workloads.lowering": ("im2col", "conv_reference"),
+    "repro.workloads.reference": ("gemm_reference",),
+})
 
 __all__ = [
     "GemmShape",

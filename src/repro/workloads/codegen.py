@@ -22,20 +22,21 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
 from repro.tile.hostmem import HostMatrix, layout_gemm_operands
-from repro.tile.memory import TileMemory
-from repro.tile.vnni import pack_b_vnni
 from repro.utils.validation import check_non_negative
 from repro.workloads.array_lowering import gemm_skeleton
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import Block, BlockingConfig, TileLoopNest
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.tile.memory import TileMemory
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,6 +56,10 @@ class CodegenOptions:
     scalar_overhead_per_block: int = 6
 
     def __post_init__(self) -> None:
+        if not isinstance(self.blocking, BlockingConfig):
+            raise ConfigError(
+                f"blocking must be a BlockingConfig, got {self.blocking!r}"
+            )
         check_non_negative("scalar_overhead_per_kstep", self.scalar_overhead_per_kstep)
         check_non_negative("scalar_overhead_per_block", self.scalar_overhead_per_block)
 
@@ -79,6 +84,10 @@ class GemmKernel:
         c: Optional[np.ndarray] = None,
     ) -> None:
         """Zero-pad operands to the padded shape and place them in memory."""
+        import numpy as np
+
+        from repro.tile.vnni import pack_b_vnni
+
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
         if a.shape != (self.shape.m, self.shape.k):

@@ -49,6 +49,12 @@ class BlockingConfig:
     def __post_init__(self) -> None:
         check_positive("bm", self.bm)
         check_positive("bn", self.bn)
+        # Lowering tests the order by identity, while keys render it by
+        # value: a plain string would key like the enum and lower otherwise.
+        if not isinstance(self.mm_order, MMOrder):
+            raise WorkloadError(
+                f"mm_order must be an MMOrder, got {self.mm_order!r}"
+            )
         needed = self.bm * self.bn + self.bm + self.bn
         if needed > NUM_TILE_REGS:
             raise WorkloadError(

@@ -103,6 +103,20 @@ class TestValidation:
     def test_workloads_mapping_normalizes_to_items(self):
         assert grid_plan(workloads={"small": SMALL, "tall": TALL}) == grid_plan()
 
+    @pytest.mark.parametrize("core", [None, {}, CodegenOptions()])
+    def test_core_must_be_a_core_config(self, core):
+        """``core=None`` ran on the default core under other keys, and its
+        own ``to_json()`` was refused by ``from_json``."""
+        with pytest.raises(ExperimentError, match="core must be a CoreConfig"):
+            grid_plan(core=core)
+
+    @pytest.mark.parametrize("codegen", [None, {}, CoreConfig()])
+    def test_codegen_must_be_codegen_options(self, codegen):
+        """``codegen=None`` constructed, then ``Session.run`` died with an
+        ``AttributeError`` on ``None.blocking``."""
+        with pytest.raises(ExperimentError, match="codegen must be a CodegenOptions"):
+            grid_plan(codegen=codegen)
+
 
 class TestRoleAwareLowering:
     """scale_batch/scale_spatial thread from the plan into suite lowering."""

@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.experiments.runner import ExperimentSettings
 from repro.runtime.plan import SweepPlan
 from repro.runtime.session import Session
 
@@ -24,7 +23,7 @@ from repro.runtime.session import Session
 def table1_plan() -> SweepPlan:
     from repro.cli import _sweep_shapes
 
-    shapes = _sweep_shapes("table1", ExperimentSettings(scale=1))
+    shapes = _sweep_shapes("table1")
     return SweepPlan(
         designs=("baseline", "rasa-dmdb-wls"),
         workloads=tuple(list(shapes.items())[:4]),

@@ -2,18 +2,40 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
+from repro.utils.lazy import DeferredExports
+
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
+)
 
 
 def test_version():
     assert repro.__version__
 
 
-def test_all_exports_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+@pytest.mark.parametrize("package", PACKAGES)
+def test_all_exports_resolve(package):
+    """Every ``__all__`` name resolves, deferred ones to their defining
+    module's object, and an unknown name is still an ``AttributeError``."""
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert hasattr(module, name), name
+    deferred = vars(module).get("__getattr__")
+    if deferred is not None:
+        assert isinstance(deferred, DeferredExports)
+        assert set(deferred.owners) <= set(module.__all__)
+        for name, owner in deferred.owners.items():
+            assert getattr(module, name) is getattr(importlib.import_module(owner), name)
+    with pytest.raises(AttributeError, match="no_such_export"):
+        getattr(module, "no_such_export")
 
 
 def test_quickstart_snippet():

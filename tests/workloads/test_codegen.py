@@ -51,6 +51,12 @@ class TestStreamStructure:
         with pytest.raises(ConfigError, match=f"{field} must be a non-negative integer"):
             CodegenOptions(**{field: value})
 
+    @pytest.mark.parametrize("blocking", [None, MMOrder.ALTERNATE, (2, 2)])
+    def test_blocking_must_be_a_blocking_config(self, blocking):
+        """``None`` would key as ``"blocking":null`` and fail only when lowered."""
+        with pytest.raises(ConfigError, match="blocking must be a BlockingConfig"):
+            CodegenOptions(blocking=blocking)
+
     def test_each_mm_preceded_by_operand_loads(self):
         # Every mm's A and B registers must have been written earlier in the
         # stream (no use-before-def), and C loaded before first use.

@@ -34,6 +34,14 @@ class TestBlockingConfig:
         with pytest.raises(WorkloadError):
             BlockingConfig(bm=4, bn=1)  # 4+4+1 = 9
 
+    @pytest.mark.parametrize("order", ["weight_reuse", "alternate", "bogus", None])
+    def test_mm_order_must_be_an_mmorder(self, order):
+        """A string keys like the enum of the same value but lowers as the
+        other order (``Block.mm_pairs`` tests identity), so a store shared
+        by the two configs would return one's cycles for the other."""
+        with pytest.raises(WorkloadError, match="mm_order must be an MMOrder"):
+            BlockingConfig(mm_order=order)
+
 
 class TestBlocks:
     def test_full_coverage_no_overlap(self):
