@@ -57,7 +57,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.verifier import PolicyCounters, static_counters
+from repro.analysis.verifier import PolicyCounters, StaticCounters, static_counters
 from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.engine.config import EngineConfig
@@ -225,6 +225,8 @@ def _critical_path_lb(
     resident: Optional[Tuple[int, int]] = None
     retire = 0.0
 
+    # Operands are plain fields (``Instruction._validate`` pins each
+    # opcode's form) and maxima are compare-and-assign, as in fast-ref.
     for i, inst in enumerate(program):
         dispatch = frontend + (i + 1) * inv_fetch
         op = inst.opcode
@@ -235,36 +237,52 @@ def _critical_path_lb(
             tile[reg] = complete
             version[reg] += 1
         elif op is Opcode.RASA_TS:
-            complete = max(dispatch, tile[inst.srcs[0].index]) + transfer
+            complete = tile[inst.srcs[0].index]
+            if dispatch > complete:
+                complete = dispatch
+            complete += transfer
         elif op is Opcode.RASA_MM:
-            b = inst.mm_b.index
-            a = inst.mm_a.index
-            c = inst.mm_c.index
+            c_reg, a_reg, b_reg = inst.srcs
+            b = b_reg.index
+            c = c_reg.index
             key = (b, version[b])
             loading = _loads_weights(bypasses_on, resident, key)
             resident = key
-            ready_b = int(-(-max(dispatch, tile[b]) // ratio))
-            ready_ac = int(-(-max(dispatch, tile[a], tile[c]) // ratio))
-            ff_start = max(ready_b + (wl if loading else 0), ready_ac)
+            ready = tile[b]
+            if dispatch > ready:
+                ready = dispatch
+            ready_b = int(-(-ready // ratio))
+            ready = tile[a_reg.index]
+            if dispatch > ready:
+                ready = dispatch
+            if tile[c] > ready:
+                ready = tile[c]
+            ready_ac = int(-(-ready // ratio))
+            ff_start = ready_b + wl if loading else ready_b
+            if ready_ac > ff_start:
+                ff_start = ready_ac
             complete = float((ff_start + dataflow) * ratio)
             tile[c] = complete
             version[c] += 1
-        else:  # scalar ALU / branch
+        else:  # scalar ALU / branch / nop: scalar srcs, optional scalar dst
             start = dispatch
-            for src in inst.scalar_reads:
-                start = max(start, scalar[src.index])
+            for src in inst.srcs:
+                if scalar[src.index] > start:
+                    start = scalar[src.index]
             complete = start + 1
-            for dst in inst.scalar_writes:
+            dst = inst.dst
+            if dst is not None:
                 scalar[dst.index] = complete
-        retire = max(complete + 1, retire + inv_retire)
+        retire += inv_retire
+        if complete + 1 > retire:
+            retire = complete + 1
     return _ceil(retire)
 
 
 def _resource_lbs(
-    program: Program, core: CoreConfig, engine: EngineConfig, ratio: int
+    counts: StaticCounters, core: CoreConfig, engine: EngineConfig, ratio: int
 ) -> Dict[str, int]:
     """The per-resource throughput lower bounds (everything but the DAG walk)."""
-    counts = static_counters(program)
     policy_counts = counts.for_policy(engine.control.bypasses_on_reuse)
     n = counts.instructions
     stages = engine.stages
@@ -322,13 +340,21 @@ def bound_program(
     program: Program,
     design_key: str,
     core: Optional[CoreConfig] = None,
+    counters: Optional[StaticCounters] = None,
 ) -> BoundsReport:
-    """Compute the full :class:`BoundsReport` for one (program, design)."""
+    """Compute the full :class:`BoundsReport` for one (program, design).
+
+    ``counters`` are ``program``'s :func:`static_counters`; they do not
+    depend on the design, so a caller bounding one program on many designs
+    computes them once and passes them in.  ``None`` computes them here.
+    """
     core = core if core is not None else CoreConfig()
     engine = get_design(design_key).config
     ratio = core.engine_clock_ratio(engine.clock_mhz)
+    if counters is None:
+        counters = static_counters(program)
 
-    components = _resource_lbs(program, core, engine, ratio)
+    components = _resource_lbs(counters, core, engine, ratio)
     if len(program):
         components["critical-path"] = _critical_path_lb(program, core, engine, ratio)
     lower = max(components.values())
@@ -382,7 +408,8 @@ def cross_check_bounds(
     """The cross-tier oracle: LB, static, analytic, fast and fast-ref, per design.
 
     Cycles depend on the full (PE, control) design pair, so the fast model
-    runs once per requested design.  Per design the check asserts
+    runs once per requested design; the program and its static counters do
+    not, so they are built once per shape.  Per design the check asserts
 
     - the ``fast`` result equal, field for field, to the scalar ``fast-ref``
       reference (any drift is a bug in the skeleton walk or in the
@@ -403,7 +430,7 @@ def cross_check_bounds(
     counters = static_counters(program)
     checks: List[BoundsCheck] = []
     for key in keys:
-        report = bound_program(program, key, core=core)
+        report = bound_program(program, key, core=core, counters=counters)
         fast = resolve_backend(key, fidelity="fast", core=core).prepare(program).run()
         fast_ref = (
             resolve_backend(key, fidelity="fast-ref", core=core)

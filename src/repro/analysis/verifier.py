@@ -334,11 +334,12 @@ def static_counters(program: Program) -> StaticCounters:
             stores += 1
         elif op is Opcode.RASA_MM:
             mms += 1
-            key = (inst.mm_b.index, version[inst.mm_b.index])
-            if resident is not None and resident == key:
+            c, _, b = inst.srcs  # (C, A, B), a plain field: _validate pins it
+            key = (b.index, version[b.index])
+            if resident == key:
                 reuses += 1
             resident = key
-            version[inst.mm_c.index] += 1
+            version[c.index] += 1
         else:
             scalars += 1
     return StaticCounters(

@@ -94,10 +94,15 @@ class FastCoreModel:
         first_wl: Optional[int] = None
         last_complete = 0
 
+        # Operands are read as plain fields (``Instruction._validate`` pins
+        # each opcode's form), and maxima of a few temporaries are
+        # compare-and-assign: this loop runs once per instruction.
         for i, inst in enumerate(program):
             dispatch = dispatch_prev + inv_fetch
             if i >= rob_size:
-                dispatch = max(dispatch, retire_ring[i % rob_size])
+                rob_free = retire_ring[i % rob_size]
+                if rob_free > dispatch:
+                    dispatch = rob_free
             dispatch_prev = dispatch
             op = inst.opcode
 
@@ -107,7 +112,9 @@ class FastCoreModel:
                     port = 0 if load_ports[0] <= load_ports[1] else 1
                 else:
                     port = min(range(core.load_ports), key=load_ports.__getitem__)
-                start = max(dispatch, load_ports[port])
+                start = load_ports[port]
+                if dispatch > start:
+                    start = dispatch
                 load_ports[port] = start + transfer
                 complete = start + memory.tile_load_latency(
                     inst.mem.address, inst.mem.stride, start
@@ -121,24 +128,37 @@ class FastCoreModel:
                     port = 0
                 else:
                     port = min(range(core.store_ports), key=store_ports.__getitem__)
-                start = max(dispatch, tile_ready[inst.srcs[0].index], store_ports[port])
+                start = dispatch
+                ready = tile_ready[inst.srcs[0].index]
+                if ready > start:
+                    start = ready
+                if store_ports[port] > start:
+                    start = store_ports[port]
                 store_ports[port] = start + transfer
                 complete = start + transfer
 
             elif op is Opcode.RASA_MM:
-                b = inst.mm_b.index
-                a = inst.mm_a.index
-                c = inst.mm_c.index
+                c_reg, a_reg, b_reg = inst.srcs
+                b = b_reg.index
+                c = c_reg.index
                 # The mm issues to the engine once all three tile operands are
                 # ready (same rule as the cycle-accurate core, so the two
                 # models agree; loads complete far ahead in steady state, so
                 # splitting B readiness from A/C gains almost nothing).
-                ready = self._to_engine(
-                    max(dispatch, tile_ready[a], tile_ready[b], tile_ready[c])
-                )
+                start = dispatch
+                ready = tile_ready[a_reg.index]
+                if ready > start:
+                    start = ready
+                ready = tile_ready[b]
+                if ready > start:
+                    start = ready
+                ready = tile_ready[c]
+                if ready > start:
+                    start = ready
+                engine_ready = int(-(-start // ratio))  # ceil into the engine clock
                 times = scheduler.schedule_mm(
-                    ready_b=ready,
-                    ready_ac=ready,
+                    ready_b=engine_ready,
+                    ready_ac=engine_ready,
                     weight_key=(b, tile_version[b]),
                 )
                 if first_wl is None:
@@ -151,17 +171,23 @@ class FastCoreModel:
                 if schedule is not None:
                     schedule.append(times)
 
-            else:  # scalar ALU / branch
-                port = min(range(core.alu_ports), key=alu_ports.__getitem__)
-                start = max(dispatch, alu_ports[port])
-                for src in inst.scalar_reads:
-                    start = max(start, scalar_ready[src.index])
-                alu_ports[port] = start + 1
+            else:  # scalar ALU / branch / nop: scalar srcs, optional scalar dst
+                free = min(alu_ports)
+                port = alu_ports.index(free)  # lowest index on ties, as min()
+                start = dispatch if dispatch >= free else free
+                for src in inst.srcs:
+                    ready = scalar_ready[src.index]
+                    if ready > start:
+                        start = ready
                 complete = start + 1
-                for dst in inst.scalar_writes:
+                alu_ports[port] = complete
+                dst = inst.dst
+                if dst is not None:
                     scalar_ready[dst.index] = complete
 
-            retire = max(complete + 1, retire_prev + inv_retire)
+            retire = retire_prev + inv_retire
+            if complete + 1 > retire:
+                retire = complete + 1
             retire_prev = retire
             retire_ring[i % rob_size] = retire
 
@@ -178,7 +204,3 @@ class FastCoreModel:
             engine_busy_cycles=engine_busy,
             clock_mhz=core.clock_mhz,
         )
-
-    def _to_engine(self, cpu_cycle: float) -> int:
-        """Convert a CPU-cycle timestamp to the engine clock domain (ceil)."""
-        return int(-(-cpu_cycle // self.ratio))

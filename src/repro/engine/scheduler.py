@@ -85,6 +85,8 @@ class EngineScheduler:
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
+        # Read once: ``schedule_mm`` runs once per mm of every program.
+        self._bypasses_on_reuse = config.control.bypasses_on_reuse
         self._prev: Optional[StageTimes] = None
         self._resident_weights: Optional[Hashable] = None
         self._count = 0
@@ -146,7 +148,7 @@ class EngineScheduler:
         policy = config.control
 
         bypass = (
-            policy.bypasses_on_reuse
+            self._bypasses_on_reuse
             and self._resident_weights is not None
             and self._resident_weights == weight_key
         )

@@ -116,7 +116,9 @@ def assemble(text: str, name: str = "assembled") -> Program:
         elif mnemonic in _SCALAR_OPCODES:
             opcode = _SCALAR_OPCODES[mnemonic]
             if opcode in (Opcode.BRANCH, Opcode.NOP):
-                instructions.append(scalar_op(opcode))
+                # No destination: every operand is a scalar source.
+                srcs = tuple(_parse_sreg(tok, line_no) for tok in operands)
+                instructions.append(scalar_op(opcode, srcs=srcs))
             else:
                 if not operands:
                     raise AssemblerError(f"line {line_no}: {mnemonic} needs operands")

@@ -9,7 +9,13 @@ Dependency convention (used by both CPU models):
 - ``rasa_tl  t, [m]``  writes ``t``          (reads nothing tile-wise)
 - ``rasa_ts  [m], t``  reads ``t``
 - ``rasa_mm  c, a, b`` reads ``c, a, b`` and writes ``c`` (accumulation)
-- scalar ops read ``srcs`` and write ``dst``
+- scalar ops read ``srcs`` and write ``dst``; every non-tile opcode takes
+  scalar registers only, and ``branch``/``nop`` take no ``dst``
+
+:meth:`Instruction._validate` pins these forms at construction, so the
+per-instruction loops (``fast-ref``, the static counters, the critical-path
+bound) read ``srcs`` and ``dst`` as plain fields; the checked views below
+(``mm_*``, ``tile_*``, ``scalar_*``) serve everything else.
 """
 
 from __future__ import annotations
@@ -90,7 +96,8 @@ class Instruction:
 
     Attributes:
         opcode: the instruction kind.
-        dst: tile or scalar destination register (None for stores/branches).
+        dst: tile or scalar destination register (None for stores, branches
+            and nops).
         srcs: source registers in ISA order.  For ``rasa_mm`` this is
             ``(C, A, B)`` — note C is both source and destination.
         mem: memory operand for ``rasa_tl``/``rasa_ts``.
@@ -123,14 +130,14 @@ class Instruction:
                 raise IsaError(f"rasa_mm requires three tile sources (C, A, B): {self}")
             if self.dst != self.srcs[0]:
                 raise IsaError(f"rasa_mm destination must equal the C source: {self}")
-        elif op in (Opcode.ADD, Opcode.MUL, Opcode.MOV, Opcode.CMP):
-            if self.dst is not None and not isinstance(self.dst, ScalarReg):
-                raise IsaError(f"scalar op requires a scalar dst: {self}")
+        else:  # scalar ALU, branch, nop: scalar registers only
+            if self.dst is not None:
+                if op is Opcode.BRANCH or op is Opcode.NOP:
+                    raise IsaError(f"{op.value} cannot have a destination: {self}")
+                if not isinstance(self.dst, ScalarReg):
+                    raise IsaError(f"scalar op requires a scalar dst: {self}")
             if any(not isinstance(s, ScalarReg) for s in self.srcs):
                 raise IsaError(f"scalar op sources must be scalar registers: {self}")
-        elif op is Opcode.BRANCH:
-            if self.dst is not None:
-                raise IsaError(f"branch cannot have a destination: {self}")
 
     # -- dataflow views -----------------------------------------------------
 

@@ -14,6 +14,7 @@ This module sits on the deterministic path: no wall clock, no randomness
 from __future__ import annotations
 
 import dataclasses
+import gc
 from typing import Callable, Iterable, Iterator, List, Optional, Union, overload
 
 from repro.errors import IsaError
@@ -87,7 +88,16 @@ class Program:
     def _instructions(self) -> List[Instruction]:
         if self._built is None:
             assert self._emit is not None
-            built = list(self._emit())
+            # Instructions form no reference cycles, so a cyclic collection
+            # during emission frees nothing and rescans every object built
+            # so far: pause the collector, then restore the state it was in.
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                built = list(self._emit())
+            finally:
+                if enabled:
+                    gc.enable()
             if len(built) != self._length:
                 raise IsaError(
                     f"program {self.name!r} emitted {len(built)} instructions, "

@@ -51,6 +51,14 @@ from repro.workloads.suites import SUITES, SuiteSpec, WorkloadSuite
 PLAN_FORMAT = 2
 
 
+def _check_settings(core: object, codegen: object) -> None:
+    """Refuse a ``core``/``codegen`` of the wrong type (plans and jobs alike)."""
+    if not isinstance(core, CoreConfig):
+        raise ExperimentError(f"core must be a CoreConfig, got {core!r}")
+    if not isinstance(codegen, CodegenOptions):
+        raise ExperimentError(f"codegen must be a CodegenOptions, got {codegen!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepJob:
     """One simulation of the grid: design x shape under shared settings."""
@@ -61,6 +69,11 @@ class SweepJob:
     core: CoreConfig = dataclasses.field(default_factory=CoreConfig)
     codegen: CodegenOptions = dataclasses.field(default_factory=CodegenOptions)
     fidelity: str = "fast"
+
+    def __post_init__(self) -> None:
+        # Keys render these fields as they are: a stray None would key one
+        # point twice, or fail only when the key is first computed.
+        _check_settings(self.core, self.codegen)
 
     @property
     def key(self) -> str:
@@ -360,12 +373,7 @@ class SweepPlan:
                 "scale_batch/scale_spatial are dimension-role-aware "
                 "lowering knobs; they apply to suite workloads only"
             )
-        if not isinstance(self.core, CoreConfig):
-            raise ExperimentError(f"core must be a CoreConfig, got {self.core!r}")
-        if not isinstance(self.codegen, CodegenOptions):
-            raise ExperimentError(
-                f"codegen must be a CodegenOptions, got {self.codegen!r}"
-            )
+        _check_settings(self.core, self.codegen)
         if not self.fidelity or not isinstance(self.fidelity, str):
             raise ExperimentError(
                 f"fidelity must be a non-empty backend name, got {self.fidelity!r}"

@@ -24,11 +24,13 @@ from repro.analysis.bounds import (
     bound_shape,
     cross_check_bounds,
 )
+from repro.analysis.verifier import static_counters
 from repro.cpu.analytic import AnalyticCoreModel
 from repro.cpu.config import CoreConfig
 from repro.engine.designs import DESIGNS
 from repro.errors import ConfigError, ExperimentError
 from repro.isa.program import Program
+from repro.workloads.codegen import build_gemm_kernel
 from repro.workloads.gemm import GemmShape
 
 SMALL = GemmShape(64, 64, 64, name="small")
@@ -72,6 +74,38 @@ class TestOracle:
         report = bound_shape(GemmShape(256, 256, 256), design_key="baseline")
         assert report.binding == "mm-issue"
         assert report.lower_bound == report.component("mm-issue")
+
+
+class TestCountersOncePerProgram:
+    """Static counters do not depend on the design: one pass per program."""
+
+    def test_cross_check_counts_the_program_once(self, monkeypatch):
+        real = bounds.static_counters
+        calls = []
+
+        def spy(program):
+            calls.append(program.name)
+            return real(program)
+
+        monkeypatch.setattr(bounds, "static_counters", spy)
+        checks = cross_check_bounds(SMALL)
+        assert len(checks) == len(DESIGNS) == 8
+        assert all(check.ok for check in checks)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "shape", [SMALL, TALL, ODD, CLIPPED, NARROW, None],
+        ids=lambda s: s.name if s else "empty",
+    )
+    def test_passed_counters_give_the_computed_report(self, shape):
+        program = (
+            build_gemm_kernel(shape).program if shape else Program(instructions=())
+        )
+        counters = static_counters(program)
+        for key in DESIGNS:
+            assert bound_program(program, key, counters=counters) == (
+                bound_program(program, key)
+            ), key
 
 
 class TestSeededMutations:

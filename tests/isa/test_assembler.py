@@ -56,6 +56,16 @@ class TestAssemble:
         with pytest.raises(AssemblerError, match="ptr"):
             assemble("rasa_tl treg0, [0x1000]")
 
+    def test_branch_and_nop_operands_are_scalar_sources(self):
+        p = assemble("branch r1\nnop r2, r3\n")
+        assert (p[0].dst, p[0].srcs) == (None, (ScalarReg(1),))
+        assert (p[1].dst, p[1].srcs) == (None, (ScalarReg(2), ScalarReg(3)))
+
+    @pytest.mark.parametrize("line", ["nop treg3", "branch treg0", "branch r1, treg2"])
+    def test_branch_and_nop_refuse_tile_operands(self, line):
+        with pytest.raises(AssemblerError, match="line 2: expected scalar register"):
+            assemble(f"nop\n{line}\n")
+
     def test_error_reports_line_number(self):
         with pytest.raises(AssemblerError, match="line 3"):
             assemble("nop\nnop\nbogus one\n")
@@ -66,6 +76,12 @@ class TestRoundTrip:
         p = assemble(EXAMPLE)
         again = assemble(disassemble(p))
         assert [str(i) for i in again] == [str(i) for i in p]
+
+    def test_branch_and_nop_sources_roundtrip(self):
+        p = assemble("branch r1\nnop r2\nbranch\nnop\n")
+        again = assemble(disassemble(p))
+        assert list(again) == list(p)
+        assert disassemble(again) == "branch r1\nnop r2\nbranch\nnop\n"
 
     def test_builder_roundtrip(self):
         b = ProgramBuilder()

@@ -95,6 +95,21 @@ class TestConstruction:
         with pytest.raises(IsaError):
             Instruction(Opcode.BRANCH, dst=ScalarReg(0))
 
+    @pytest.mark.parametrize("opcode", [Opcode.BRANCH, Opcode.NOP])
+    @pytest.mark.parametrize("dst", [ScalarReg(0), TileReg(0)], ids=str)
+    def test_branch_and_nop_take_no_destination(self, opcode, dst):
+        with pytest.raises(IsaError, match="cannot have a destination"):
+            Instruction(opcode, dst=dst)
+
+    @pytest.mark.parametrize(
+        "opcode", [op for op in Opcode if not op.is_tile], ids=lambda op: op.value
+    )
+    def test_non_tile_opcodes_take_scalar_registers_only(self, opcode):
+        with pytest.raises(IsaError, match="scalar registers"):
+            Instruction(opcode, srcs=(TileReg(3),))
+        inst = Instruction(opcode, srcs=(ScalarReg(1),))
+        assert inst.scalar_reads == (ScalarReg(1),) and inst.tile_reads == ()
+
     def test_tl_requires_mem(self):
         with pytest.raises(IsaError):
             Instruction(Opcode.RASA_TL, dst=TileReg(0))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cpu.config import CoreConfig
 from repro.errors import ConfigError, ExperimentError
-from repro.runtime import PLAN_FORMAT, Session, SweepPlan, SweepReport
+from repro.runtime import PLAN_FORMAT, Session, SweepJob, SweepPlan, SweepReport
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.suites import SUITES, get_suite
@@ -116,6 +116,20 @@ class TestValidation:
         ``AttributeError`` on ``None.blocking``."""
         with pytest.raises(ExperimentError, match="codegen must be a CodegenOptions"):
             grid_plan(codegen=codegen)
+
+    @pytest.mark.parametrize("core", [None, {}, CodegenOptions()])
+    def test_job_core_must_be_a_core_config(self, core):
+        """``SweepJob(core=None)`` ran on the default core under a key of its
+        own, so a shared store held one point twice."""
+        with pytest.raises(ExperimentError, match="core must be a CoreConfig"):
+            SweepJob("baseline", SMALL, core=core)
+
+    @pytest.mark.parametrize("codegen", [None, {}, CoreConfig()])
+    def test_job_codegen_must_be_codegen_options(self, codegen):
+        """``SweepJob(codegen=None)`` constructed, then its ``key`` died with
+        an ``AttributeError`` on ``None.blocking``."""
+        with pytest.raises(ExperimentError, match="codegen must be a CodegenOptions"):
+            SweepJob("baseline", SMALL, codegen=codegen)
 
 
 class TestRoleAwareLowering:

@@ -87,6 +87,34 @@ class TestDeferral:
         with pytest.raises(IsaError, match="emitted 0 instructions, declared 3"):
             list(program)
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_emission_pauses_gc_and_restores_its_state(self, enabled):
+        # Instructions form no cycles, so emission runs with cyclic GC
+        # paused and leaves the collector as it found it, on error too.
+        paused = []
+
+        def emit():
+            paused.append(not gc.isenabled())
+            return eager(SHAPE, OPTIONS)
+
+        def failing():
+            raise RuntimeError("emitter failed")
+
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            list(Program.deferred(len(eager(SHAPE, OPTIONS)), emit, name="ok"))
+            assert gc.isenabled() is enabled
+            with pytest.raises(IsaError, match="emitted 0 instructions"):
+                list(Program.deferred(3, lambda: [], name="short"))
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="emitter failed"):
+                list(Program.deferred(3, failing, name="failing"))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert paused == [True]
+
     def test_decode_memo_does_not_pin_generated_programs(self):
         before = decode_program.cache_info()
         program = generate_gemm_program(SHAPE, OPTIONS)
