@@ -9,7 +9,10 @@ carries, or for any other program a memoized one-block walk of its
 ``Instruction`` objects.  On a generated program the walk steps the first
 periods of each repeating run of K steps, blocks and block rows and jumps
 the rest, so a program of millions of instructions steps a few hundred;
-``last_walked`` records how many a run stepped.
+``last_walked`` records how many a run stepped one by one.  A block the
+walk's memo already holds (:mod:`repro.cpu.steady`, "Memo") is replayed,
+not stepped, so it adds none: on a jumping run ``last_walked`` is at most
+what a cold memo steps, and every pin on it is an upper bound.
 
 A kept schedule (``keep_schedule=True``) and any memory but the exact-type
 :class:`~repro.cpu.memory.IdealMemory` go to ``fast-ref`` itself: the walk
@@ -56,7 +59,8 @@ class FastVecCoreModel:
         )
         self.last_schedule: Optional[List[StageTimes]] = None
         #: Instructions the last run stepped one by one: ``len(program)``
-        #: without jumps, far fewer when the steady-state walk jumped.
+        #: without jumps, far fewer when the steady-state walk jumped or
+        #: replayed memoized blocks.
         self.last_walked = 0
 
     def run(self, program: Program, keep_schedule: bool = False) -> SimResult:

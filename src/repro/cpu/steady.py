@@ -39,8 +39,9 @@ drain check is unaffected.  Compared:
 
 Register write versions, the mm/bypass/weight-load counts and the last
 mm's completion are not compared; a jump advances them by their
-increments.  The small fields are compared first; the ROB ring only on a
-candidate match.
+increments.  At K-step boundaries the small fields are compared first and
+the ROB ring only on a candidate match; block and row boundaries compare
+the packed whole state the memo keys on (below).
 
 **When a jump is exact.**  Δ must be a multiple of the engine clock ratio,
 or ⌈x / ratio⌉ would not commute with the shift.  Fetch and retire widths
@@ -60,6 +61,41 @@ drain-port :class:`~repro.errors.ScheduleError` keeps ``fast-ref``'s text:
 a conflict inside the periodic regime already occurs in the first stepped
 period.
 
+**Memo.**  The same argument makes a block's effect a function of its
+entry state relative to the floor: entered from a state shifted by a
+multiple of the ratio, a block leaves its exit state shifted alike and
+moves every counter by the same amount.  So one process remembers each
+block it walks, across walks, shapes and designs, and replays it for any
+later walk that enters the block from the same relative state (a grid's
+points share blocks: on perfbench ``analytic-grid`` 4,480 of 5,440 block
+walks are replays).
+
+- *Key:* a token for everything the walk reads besides the state (the
+  core, the engine's stage rules and clock ratio, the load latency and
+  the scalar registers the skeleton writes), the block, and the packed
+  entry state: the compared state above, ROB ring included, with F modulo
+  the ratio, as one float64 ``bytes``.  Every timestamp is exact in
+  float64, so packing loses nothing, and block and row boundaries use the
+  same packed state to find periods, so a miss packs each boundary once.
+- *Stored:* the packed exit state, the floor's advance, the
+  mm/bypass/weight-load counts, the writes per tile register, and the last
+  mm's completion (and, entered before any mm, the first weight load)
+  relative to the entry's ⌈F / ratio⌉.
+- *A hit* keeps the exit state packed at the shifted floor and rebuilds
+  the timestamps only before the walk next steps an instruction; it steps
+  none (``walked``).  Jumps shift a packed state by moving its floor.
+- *Scope:* only jumping walks (power-of-two widths) use it, and only
+  blocks with K steps: a hand-built program's one-block skeleton runs once
+  and would pin its whole stream.  A block that raises stores nothing.
+  Blocks are keyed by identity; :func:`~repro.workloads.array_lowering.gemm_skeleton`
+  returns one shared object per distinct block.
+- *Bound:* :data:`BLOCK_MEMO_SIZE` entries; a full memo is emptied.
+  Packed states and write counts are interned (a block's exit state is
+  the next block's entry).  Every memo operation is one dict read or write, so
+  walks in threads share it safely; :meth:`SteadyStateWalk.cache_info`
+  counts hits and misses (a thread race may drop a count) and
+  :meth:`SteadyStateWalk.cache_clear` empties it.
+
 This module sits on the deterministic simulation path: no wall clock, no
 randomness (enforced by ``tools/lint_invariants.py``).
 """
@@ -69,7 +105,8 @@ from __future__ import annotations
 import bisect
 import collections
 import functools
-from typing import Callable, Deque, List, NamedTuple, Optional, Sequence, Tuple
+import struct
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.decode import (
@@ -91,18 +128,68 @@ from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
 #: longest period a jump can take.
 MAX_PERIOD = 8
 
+#: Block walks the memo keeps (module doc, "Memo"); it is cleared when full.
+BLOCK_MEMO_SIZE = 4096
+
 
 class _Snapshot(NamedTuple):
     """The state at one repeat boundary."""
 
-    key: tuple  # the compared state (module doc) without the ROB ring
+    #: The compared state (module doc): at K-step boundaries a list without
+    #: the ROB ring, which is compared only on a candidate match; at block
+    #: and row boundaries the packed whole state, ring included.
+    key: Union[List[float], bytes]
     floor: float  # F, the last dispatch time
-    retires: Tuple[float, ...]  # the ROB ring's retire times, unclamped
+    retires: Optional[Tuple[float, ...]]  # the unclamped ring, if ``key`` lacks it
     mm_count: int
     bypasses: int
     weight_loads: int
     tile_version: Tuple[int, ...]
-    resident_version: int
+
+
+class _BlockEffect(NamedTuple):
+    """What one block did to the state it entered (module doc, "Memo")."""
+
+    state: bytes  # the packed exit state
+    advance: float  # exit floor minus entry floor
+    mm_count: int
+    bypasses: int
+    weight_loads: int
+    tile_version: Tuple[int, ...]  # per-register write counts
+    #: The last mm's completion and, entered before any mm, the first
+    #: weight load, in engine cycles after the entry's engine floor; None
+    #: when the block issues no mm (or, for ``first_wl``, one had issued).
+    last_complete: Optional[int]
+    first_wl: Optional[int]
+
+
+class CacheInfo(NamedTuple):
+    """The walk memo's statistics, as ``functools.lru_cache`` reports them."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+#: The memo: ``(walk token, block, packed entry state)`` -> its effect.
+_BLOCKS: Dict[tuple, _BlockEffect] = {}
+#: Everything a walk reads (its core, engine rules, clock ratio, load
+#: latency and scalar registers) -> the token its memo keys carry.
+_TOKENS: Dict[tuple, object] = {}
+#: One object per distinct packed state and per-block version counts: a
+#: block's exit state is the next block's entry state, and walks that reach
+#: a state by stepping share the copy the memo holds.
+_INTERNED: Dict[Any, Any] = {}
+#: Memo hits and misses since the last clear.
+_STATS = [0, 0]
+
+
+def _forget() -> None:
+    """Drop every memo entry; a walk holding a dropped token stores on."""
+    _BLOCKS.clear()
+    _TOKENS.clear()
+    _INTERNED.clear()
 
 
 def _is_pow2(value: int) -> bool:
@@ -159,6 +246,14 @@ class SteadyStateWalk:
         self.last_complete = 0
         self.walked = 0
         self._scalars: Tuple[int, ...] = ()
+        #: This walk's memo token: None when the memo is off (no jumps).
+        self._token: Optional[object] = None
+        #: The packed whole state (:meth:`_state`), while it is current.
+        self._packed: Optional[bytes] = None
+        #: False after a memo hit until :meth:`_materialize`: then only
+        #: ``_packed``, ``dispatch``, the versions and the counters are
+        #: current, and the other timestamps are rebuilt from ``_packed``.
+        self._live = True
 
     # -- the walk ----------------------------------------------------------
 
@@ -172,12 +267,18 @@ class SteadyStateWalk:
             if op[0] == KIND_ALU
             for reg in op[2]
         }))
+        if self.jumps:
+            reads = (self.core, self._engine_rules, self.ratio, self.load_latency,
+                     self._scalars)
+            self._token = _TOKENS.setdefault(reads, object())
         for row, repeat in skeleton.rows:
             if len(row) == 1:  # rows of one block run are one longer run
                 block, count = row[0]
                 self._repeat(repeat * count, functools.partial(self._block, block))
             else:
                 self._repeat(repeat, functools.partial(self._row, row))
+        if not self._live:  # after a memo hit: of the timestamps, read only this
+            self.retire = self.dispatch + memoryview(self._state()).cast("d")[0]
         return SimResult(
             design=self.engine.describe(),
             program=program,
@@ -197,12 +298,49 @@ class SteadyStateWalk:
             self._repeat(count, functools.partial(self._block, block))
 
     def _block(self, block: SkeletonBlock) -> None:
+        """Replay ``block``'s memoized effect, or walk it and memoize it."""
+        if self._token is None or not block.k_steps:
+            self._walk(block)
+            return
+        key = (self._token, block, self._state())
+        effect = _BLOCKS.get(key)
+        if effect is not None:
+            _STATS[0] += 1
+            self._replay(effect)
+            return
+        _STATS[1] += 1
+        floor, mm_count, bypasses, weight_loads = (
+            self.dispatch, self.mm_count, self.bypasses, self.weight_loads)
+        versions = tuple(self.tile_version)
+        first = self.first_wl is None
+        self._walk(block)  # a ScheduleError stores nothing
+        efloor = int(-(-floor // self.ratio))
+        mms = self.mm_count - mm_count
+        if len(_BLOCKS) >= BLOCK_MEMO_SIZE:
+            _forget()
+        writes = tuple(late - early for late, early in zip(self.tile_version, versions))
+        _BLOCKS[key] = _BlockEffect(
+            self._state(), self.dispatch - floor, mms, self.bypasses - bypasses,
+            self.weight_loads - weight_loads, _INTERNED.setdefault(writes, writes),
+            self.last_complete - efloor if mms else None,
+            self.first_wl - efloor if mms and first else None,  # type: ignore[operator]
+        )
+
+    def _walk(self, block: SkeletonBlock) -> None:
+        self._materialize()
+        self._packed = None
         self._step(block.prologue)
-        self._repeat(block.k_steps, functools.partial(self._step, block.kstep))
+        self._repeat(
+            block.k_steps, functools.partial(self._step, block.kstep), whole=False
+        )
         self._step(block.epilogue)
 
-    def _repeat(self, count: int, body: Callable[[], None]) -> None:
-        """Walk ``count`` repeats of ``body``, jumping once the state recurs."""
+    def _repeat(self, count: int, body: Callable[[], None], whole: bool = True) -> None:
+        """Walk ``count`` repeats of ``body``, jumping once the state recurs.
+
+        ``whole``: compare the packed whole state at each boundary, as block
+        and row boundaries do; K-step boundaries compare the ring lazily.
+        """
         history: Optional[List[_Snapshot]] = [] if self.jumps else None
         done = 0
         while done < count:
@@ -210,7 +348,7 @@ class SteadyStateWalk:
             done += 1
             if history is None or done == count:
                 continue
-            now = self._snapshot()
+            now = self._snapshot(whole)
             match = self._match(now, history)
             if match is None:
                 history.append(now)
@@ -378,8 +516,8 @@ class SteadyStateWalk:
 
     # -- periods -------------------------------------------------------------
 
-    def _snapshot(self) -> _Snapshot:
-        """The clamped state relative to the floor (module doc), and counters."""
+    def _key(self) -> List[float]:
+        """The clamped state relative to the floor (module doc), ring aside."""
         floor = self.dispatch
         scalar_ready = self.scalar_ready
         cpu = [
@@ -391,20 +529,84 @@ class SteadyStateWalk:
         ]
         key: list = [self.retire - floor]
         key += [(t if t > floor else floor) - floor for t in cpu]
-        if self.has_prev:
-            efloor = int(-(-floor // self.ratio))
-            key += [(e if e > efloor else efloor) - efloor for e in self.prev]
         b, v = self.resident
         key.append(b)
         key.append(self.tile_version[b] - v if b >= 0 else 0)
+        if self.has_prev:
+            efloor = int(-(-floor // self.ratio))
+            key += [(e if e > efloor else efloor) - efloor for e in self.prev]
+        return key
+
+    def _state(self) -> bytes:
+        """The whole compared state, packed: :meth:`_key`, F mod ratio, ring."""
+        state = self._packed
+        if state is None:
+            floor = self.dispatch
+            values = self._key()
+            values.append(floor % self.ratio)
+            values += [t - floor if t > floor else 0.0 for t in self.retires]
+            state = struct.pack(f"{len(values)}d", *values)
+            state = self._packed = _INTERNED.setdefault(state, state)
+        return state
+
+    def _materialize(self) -> None:
+        """Rebuild every timestamp from the packed state after memo hits."""
+        if self._live:
+            return
+        values = memoryview(self._state()).cast("d").tolist()
+        floor = self.dispatch
+        retires = self.retires
+        retires.extend([floor + t for t in values[-len(retires):]])
+        self.retire = floor + values[0]
+        self.tile_ready[:] = [floor + t for t in values[1:1 + NUM_TILE_REGS]]
+        at = 1 + NUM_TILE_REGS
+        for reg in self._scalars:
+            self.scalar_ready[reg] = floor + values[at]
+            at += 1
+        for times in (self.load_ports, self.store_ports, self.alu_ports):
+            times[:] = [floor + t for t in values[at:at + len(times)]]
+            at += len(times)
+        if self.has_prev:  # else no mm has issued: no resident, no stage ends
+            b = int(values[at])
+            self.resident = (b, self.tile_version[b] - int(values[at + 1]))
+            efloor = int(-(-floor // self.ratio))
+            self.prev = tuple(efloor + int(e) for e in values[at + 2:at + 7])
+        self._live = True
+
+    def _replay(self, effect: _BlockEffect) -> None:
+        """Apply a memoized block effect from the current floor."""
+        if effect.last_complete is not None:
+            efloor = int(-(-self.dispatch // self.ratio))
+            self.last_complete = efloor + effect.last_complete
+            if effect.first_wl is not None:
+                self.first_wl = efloor + effect.first_wl
+            self.has_prev = True
+        self.dispatch += effect.advance
+        self.mm_count += effect.mm_count
+        self.bypasses += effect.bypasses
+        self.weight_loads += effect.weight_loads
+        self.tile_version[:] = [
+            version + steps for version, steps in zip(self.tile_version, effect.tile_version)
+        ]
+        self._packed = effect.state
+        self._live = False
+
+    def _snapshot(self, whole: bool) -> _Snapshot:
+        """The compared state at a repeat boundary, and the counters."""
+        if whole:
+            key: Union[List[float], bytes] = self._state()
+            retires = None
+        else:
+            key, retires = self._key(), tuple(self.retires)
         return _Snapshot(
-            tuple(key), floor, tuple(self.retires), self.mm_count, self.bypasses,
-            self.weight_loads, tuple(self.tile_version), v,
+            key, self.dispatch, retires, self.mm_count, self.bypasses,
+            self.weight_loads, tuple(self.tile_version),
         )
 
     @staticmethod
     def _ring(snapshot: _Snapshot) -> List[float]:
         floor = snapshot.floor
+        assert snapshot.retires is not None
         return [(t if t > floor else floor) - floor for t in snapshot.retires]
 
     def _match(
@@ -416,6 +618,8 @@ class SteadyStateWalk:
             then = history[-period]
             if then.key != now.key or (now.floor - then.floor) % self.ratio:
                 continue
+            if now.retires is None:  # the packed key holds the ring
+                return period, then
             if ring is None:
                 ring = self._ring(now)
             if self._ring(then) == ring:
@@ -423,18 +627,24 @@ class SteadyStateWalk:
         return None
 
     def _advance(self, periods: int, now: _Snapshot, then: _Snapshot) -> None:
-        """Jump ``periods`` periods of ``now``'s match with ``then``."""
+        """Jump ``periods`` periods of ``now``'s match with ``then``.
+
+        The packed state is relative, so it stays current.
+        """
         shift = periods * (now.floor - then.floor)
-        self.dispatch += shift
-        self.retire += shift
-        retires = self.retires
-        retires.extend([t + shift for t in retires])
-        for times in (self.tile_ready, self.scalar_ready, self.load_ports,
-                      self.store_ports, self.alu_ports):
-            times[:] = [t + shift for t in times]
         engine_shift = int(shift) // self.ratio
-        if self.has_prev:
-            self.prev = tuple(e + engine_shift for e in self.prev)
+        self.dispatch += shift
+        if self._live:
+            self.retire += shift
+            retires = self.retires
+            retires.extend([t + shift for t in retires])
+            for times in (self.tile_ready, self.scalar_ready, self.load_ports,
+                          self.store_ports, self.alu_ports):
+                times[:] = [t + shift for t in times]
+            if self.has_prev:
+                self.prev = tuple(e + engine_shift for e in self.prev)
+                b, v = self.resident  # the resident weights keep their lag
+                self.resident = (b, v + periods * (now.tile_version[b] - then.tile_version[b]))
         if now.mm_count > then.mm_count:  # the last mm moves too
             self.last_complete += engine_shift
         self.mm_count += periods * (now.mm_count - then.mm_count)
@@ -446,10 +656,19 @@ class SteadyStateWalk:
                 self.tile_version, now.tile_version, then.tile_version
             )
         ]
-        b, v = self.resident
-        self.resident = (
-            b, v + periods * (now.resident_version - then.resident_version)
-        )
+
+    # -- the memo ------------------------------------------------------------
+
+    @staticmethod
+    def cache_info() -> CacheInfo:
+        """Hits, misses, bound and size of the block memo (module doc)."""
+        return CacheInfo(_STATS[0], _STATS[1], BLOCK_MEMO_SIZE, len(_BLOCKS))
+
+    @staticmethod
+    def cache_clear() -> None:
+        """Empty the block memo and reset its statistics."""
+        _forget()
+        _STATS[:] = [0, 0]
 
 
-__all__ = ["MAX_PERIOD", "SteadyStateWalk"]
+__all__ = ["BLOCK_MEMO_SIZE", "MAX_PERIOD", "SteadyStateWalk"]

@@ -20,29 +20,57 @@ render tables.
 | ``suite_batch_sweep``   | E16 — per-model batch curves (Fig. 7)    |
 | ``register_scaling``    | E17 — register-scaling counterfactual    |
 | ``training_report``     | E18 — training vs inference per pass     |
+
+Most of these modules load on first use (:mod:`repro.utils.lazy`), so a
+command that needs one, such as ``repro simulate`` through
+:func:`run_design`, loads neither the others nor numpy.  The three whose
+function shares its module's name load with the package: importing such a
+module binds the module over the package attribute, so only an eager
+import keeps the name on the function.  ``runtime_sweep`` names the Fig. 5
+module; the grid helper of that name is
+:func:`repro.experiments.runner.runtime_sweep`.
 """
 
-from repro.experiments.runner import ExperimentSettings, run_design, runtime_sweep
-from repro.experiments.toy import fig1_toy_example
-from repro.experiments.utilization_sweep import fig2_utilization
-from repro.experiments.layer_table import table1_report
-from repro.experiments.runtime_sweep import fig5_normalized_runtime
-from repro.experiments.ppa_sweep import fig6_performance_per_area
-from repro.experiments.batch_sweep import fig7_batch_sensitivity
-from repro.experiments.area_energy import area_energy_report
+from typing import TYPE_CHECKING
+
 from repro.experiments.model_report import ModelReport, model_report
-from repro.experiments.register_scaling import (
-    register_scaling_sweep,
-    render_register_scaling,
-)
 from repro.experiments.suite_batch_sweep import SuiteBatchSweep, suite_batch_sweep
 from repro.experiments.training_report import TrainingReport, training_report
-from repro.experiments.report import full_report
+from repro.utils.lazy import DeferredExports
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentSettings, run_design
+    from repro.experiments.toy import fig1_toy_example
+    from repro.experiments.utilization_sweep import fig2_utilization
+    from repro.experiments.layer_table import table1_report
+    from repro.experiments.runtime_sweep import fig5_normalized_runtime
+    from repro.experiments.ppa_sweep import fig6_performance_per_area
+    from repro.experiments.batch_sweep import fig7_batch_sensitivity
+    from repro.experiments.area_energy import area_energy_report
+    from repro.experiments.register_scaling import (
+        register_scaling_sweep,
+        render_register_scaling,
+    )
+    from repro.experiments.report import full_report
+
+__getattr__ = DeferredExports(__name__, {
+    "repro.experiments.runner": ("ExperimentSettings", "run_design"),
+    "repro.experiments.toy": ("fig1_toy_example",),
+    "repro.experiments.utilization_sweep": ("fig2_utilization",),
+    "repro.experiments.layer_table": ("table1_report",),
+    "repro.experiments.runtime_sweep": ("fig5_normalized_runtime",),
+    "repro.experiments.ppa_sweep": ("fig6_performance_per_area",),
+    "repro.experiments.batch_sweep": ("fig7_batch_sensitivity",),
+    "repro.experiments.area_energy": ("area_energy_report",),
+    "repro.experiments.register_scaling": (
+        "register_scaling_sweep", "render_register_scaling",
+    ),
+    "repro.experiments.report": ("full_report",),
+})
 
 __all__ = [
     "ExperimentSettings",
     "run_design",
-    "runtime_sweep",
     "fig1_toy_example",
     "fig2_utilization",
     "table1_report",

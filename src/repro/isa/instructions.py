@@ -10,7 +10,8 @@ Dependency convention (used by both CPU models):
 - ``rasa_ts  [m], t``  reads ``t``
 - ``rasa_mm  c, a, b`` reads ``c, a, b`` and writes ``c`` (accumulation)
 - scalar ops read ``srcs`` and write ``dst``; every non-tile opcode takes
-  scalar registers only, and ``branch``/``nop`` take no ``dst``
+  scalar registers only, ``add``/``mul``/``mov``/``cmp`` take a ``dst`` and
+  ``branch``/``nop`` take none
 
 :meth:`Instruction._validate` pins these forms at construction, so the
 per-instruction loops (``fast-ref``, the static counters, the critical-path
@@ -97,7 +98,7 @@ class Instruction:
     Attributes:
         opcode: the instruction kind.
         dst: tile or scalar destination register (None for stores, branches
-            and nops).
+            and nops; required by every other opcode).
         srcs: source registers in ISA order.  For ``rasa_mm`` this is
             ``(C, A, B)`` — note C is both source and destination.
         mem: memory operand for ``rasa_tl``/``rasa_ts``.
@@ -131,13 +132,15 @@ class Instruction:
             if self.dst != self.srcs[0]:
                 raise IsaError(f"rasa_mm destination must equal the C source: {self}")
         else:  # scalar ALU, branch, nop: scalar registers only
-            if self.dst is not None:
-                if op is Opcode.BRANCH or op is Opcode.NOP:
-                    raise IsaError(f"{op.value} cannot have a destination: {self}")
-                if not isinstance(self.dst, ScalarReg):
-                    raise IsaError(f"scalar op requires a scalar dst: {self}")
             if any(not isinstance(s, ScalarReg) for s in self.srcs):
                 raise IsaError(f"scalar op sources must be scalar registers: {self}")
+            if op is Opcode.BRANCH or op is Opcode.NOP:
+                if self.dst is not None:
+                    raise IsaError(f"{op.value} cannot have a destination: {self}")
+            elif not isinstance(self.dst, ScalarReg):
+                # The text form names the destination first; without one,
+                # ``cmp r1, r2`` would read back as a write to r1.
+                raise IsaError(f"{op.value} requires a scalar dst: {self}")
 
     # -- dataflow views -----------------------------------------------------
 

@@ -17,12 +17,18 @@ operand that crosses blocks, so a block template plus the carried
 readiness of ``r0`` is all the steady-state walk (:mod:`repro.cpu.steady`)
 needs to step the stream.
 
+Every block is one shared object per (geometry, ``k_tiles``, options), and
+blocks that differ only in ``k_tiles`` share their templates: the walk's
+memo keys on block identity, so the blocks of every shape and design in a
+grid must be the same objects to be found again.
+
 This module sits on the deterministic path: no wall clock, no randomness
 (enforced by ``tools/lint_invariants.py``).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.cpu.decode import (
@@ -54,27 +60,34 @@ def _overhead(count: int) -> Tuple[SkeletonOp, ...]:
     return tuple(_OVERHEAD_OPS[slot % len(_OVERHEAD_OPS)] for slot in range(count))
 
 
-def _skeleton_block(h: int, w: int, k_tiles: int, options: "CodegenOptions") -> SkeletonBlock:
-    """One ``h x w`` block in register operands, in ``codegen._emit_block`` order."""
+#: Distinct blocks kept, each one shared object (module doc).
+BLOCK_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _templates(h: int, w: int, options: "CodegenOptions") -> Tuple[Tuple[SkeletonOp, ...], ...]:
+    """An ``h x w`` block's prologue, K step and epilogue, in register operands."""
     blocking = options.blocking
     c = [[blocking.c_reg(i, j).index for j in range(w)] for i in range(h)]
     a = [blocking.a_reg(i).index for i in range(h)]
     b = [blocking.b_reg(j).index for j in range(w)]
     c_tiles = [c[i][j] for i in range(h) for j in range(w)]  # row-major
     pairs = Block(0, 0, h, w).mm_pairs(blocking.mm_order)
-    return SkeletonBlock(
-        prologue=tuple((KIND_LOAD, reg) for reg in c_tiles),
-        kstep=(
-            tuple((KIND_LOAD, reg) for reg in a + b)
-            + tuple((KIND_MM, c[i][j], a[i], b[j]) for i, j in pairs)
-            + _overhead(options.scalar_overhead_per_kstep)
-        ),
-        k_steps=k_tiles,
-        epilogue=(
-            tuple((KIND_STORE, reg) for reg in c_tiles)
-            + _overhead(options.scalar_overhead_per_block)
-        ),
+    return (
+        tuple((KIND_LOAD, reg) for reg in c_tiles),
+        tuple((KIND_LOAD, reg) for reg in a + b)
+        + tuple((KIND_MM, c[i][j], a[i], b[j]) for i, j in pairs)
+        + _overhead(options.scalar_overhead_per_kstep),
+        tuple((KIND_STORE, reg) for reg in c_tiles)
+        + _overhead(options.scalar_overhead_per_block),
     )
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _skeleton_block(h: int, w: int, k_tiles: int, options: "CodegenOptions") -> SkeletonBlock:
+    """One ``h x w`` block, in ``codegen._emit_block`` order."""
+    prologue, kstep, epilogue = _templates(h, w, options)
+    return SkeletonBlock(prologue=prologue, kstep=kstep, k_steps=k_tiles, epilogue=epilogue)
 
 
 def gemm_skeleton(padded: GemmShape, options: "CodegenOptions") -> Skeleton:

@@ -24,22 +24,34 @@ tests also pin how few instructions it steps (`last_walked`) — a period
 detector that never fired would pass every equality test — and draw
 generated programs past the detector's limits (more than 8 blocks per row,
 up to 64 K steps, non-power-of-two widths) against the scalar reference.
+
+The walk memoizes whole blocks across runs (the "Memo" section of
+`repro.cpu.steady`).  Every test here starts from an empty memo, so a
+`last_walked` pin still proves the period detector fired, not that an
+earlier test left a hit behind; `TestGeneratedDifferential` keeps one warm
+memo across its draws, and `TestWalkMemo` runs against memos warmed by
+walks that differ in a single input.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu import analytic, fast, fastvec
+from repro.cpu import analytic, fast, fastvec, steady
+from repro.cpu.analytic import AnalyticCoreModel
 from repro.cpu.config import CoreConfig
 from repro.cpu.decode import decode_program
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.fastvec import FastVecCoreModel
+from repro.cpu.memory import IdealMemory
+from repro.cpu.steady import SteadyStateWalk
 from repro.engine.config import ControlPolicy, EngineConfig
 from repro.engine.designs import DESIGNS
 from repro.errors import ScheduleError
@@ -68,6 +80,12 @@ TABLE1_MOST_WALKED = 282
 DRAIN_CONFLICT_ENGINE = EngineConfig(
     pe=BASELINE_PE, control=ControlPolicy.WLBP, tile_m=8, tile_n=32, tile_k=32
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_walk_memo():
+    """Each test starts with an empty walk memo (module doc)."""
+    SteadyStateWalk.cache_clear()
 
 
 def assert_identical(
@@ -365,6 +383,158 @@ def generated_points(draw):
         wlbp_ff_overlaps_fs=draw(st.booleans()),
     )
     return generate_gemm_program(shape, options), core, config
+
+
+#: Walk inputs one field away from the default core on ``rasa-dmdb-wls``
+#: (or, for the bypass floor, ``rasa-dmdb-wlbp``): (core, design, FF/FS
+#: overlap, tile-load latency or None for the core's own).
+ONE_INPUT_AWAY = {
+    "core-clock": (CoreConfig(clock_mhz=1000), "rasa-dmdb-wls", True, None),
+    "l1-latency": (CoreConfig(l1_latency=7), "rasa-dmdb-wls", True, None),
+    "memory-latency": (CoreConfig(), "rasa-dmdb-wls", True, 27),
+    "rob-size": (CoreConfig(rob_size=48), "rasa-dmdb-wls", True, None),
+    "port-split": (CoreConfig(load_ports=1, store_ports=2), "rasa-dmdb-wls", True, None),
+    "ff-after-fs": (CoreConfig(), "rasa-dmdb-wlbp", False, None),
+}
+
+
+class TestWalkMemo:
+    """A memo hit replays exactly what stepping the block would do."""
+
+    SHAPE = GemmShape(128, 128, 256)
+
+    @pytest.mark.parametrize("variant", sorted(ONE_INPUT_AWAY), ids=str)
+    def test_a_warm_memo_answers_only_its_own_walk_inputs(self, variant):
+        core, design, ff_overlaps_fs, latency = ONE_INPUT_AWAY[variant]
+        program = generate_gemm_program(self.SHAPE)
+        warm = DESIGNS[design].config
+        FastVecCoreModel(engine=warm).run(program)
+        AnalyticCoreModel(engine=warm).run_shape(self.SHAPE)
+        assert SteadyStateWalk.cache_info().hits > 0  # analytic replayed fast's blocks
+        config = dataclasses.replace(warm, wlbp_ff_overlaps_fs=ff_overlaps_fs)
+        memory = None if latency is None else IdealMemory(
+            l1_latency=latency - core.tile_transfer_cycles,
+            transfer_cycles=core.tile_transfer_cycles,
+        )
+        expected = FastCoreModel(core=core, engine=config, memory=memory).run(program)
+        before = SteadyStateWalk.cache_info()
+        vector = FastVecCoreModel(core=core, engine=config, memory=memory)
+        assert vector.run(program) == expected
+        assert SteadyStateWalk.cache_info().hits == before.hits  # nothing to reuse
+        if latency is None:
+            assert AnalyticCoreModel(core, config).run_shape(self.SHAPE) == expected
+
+    def test_a_block_reentered_at_another_floor_phase_is_walked(self):
+        # The walk re-enters a block from the same relative state with the
+        # floor at another phase of the engine clock; a memo blind to the
+        # floor modulo the ratio replays it 13 cycles early.
+        options = CodegenOptions(BlockingConfig(3, 1, MMOrder.ALTERNATE), 6, 19)
+        program = generate_gemm_program(GemmShape(55, 214, 31), options)
+        assert_jumps(program, DESIGNS["rasa-pipe"].config, core=CoreConfig(rob_size=8),
+                     most=len(program))
+
+    def test_suite_grid_is_equal_with_the_memo_cold_and_warm(self):
+        points = [
+            (shape, DESIGNS[design].config)
+            for shape in workload_shapes(SCALE4).values()
+            for design in sorted(DESIGNS)
+        ]
+
+        def fast_run(shape, config):
+            return FastVecCoreModel(engine=config).run(cached_program(shape, CodegenOptions()))
+
+        cold = []
+        for shape, config in points:
+            SteadyStateWalk.cache_clear()
+            cold.append(fast_run(shape, config))
+        SteadyStateWalk.cache_clear()
+        filling = [fast_run(shape, config) for shape, config in points]
+        first = SteadyStateWalk.cache_info()
+        warm = [fast_run(shape, config) for shape, config in points]
+        analytic_warm = [
+            AnalyticCoreModel(engine=config).run_shape(shape) for shape, config in points
+        ]
+        second = SteadyStateWalk.cache_info()
+        assert cold == filling == warm
+        # analytic names the point after the shape, fast after the program
+        assert analytic_warm == [
+            dataclasses.replace(result, program=shape.name)
+            for result, (shape, _) in zip(warm, points)
+        ]
+        # The second pass reuses every block: all hits, no new entries.
+        assert second.misses == first.misses and second.hits > first.hits
+        assert second.currsize == first.currsize <= second.maxsize
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(steady, "BLOCK_MEMO_SIZE", 5)
+        stored = 0
+        for design in ("baseline", "rasa-wlbp", "rasa-dmdb-wls"):
+            for dims in ((128, 128, 256), (96, 80, 200), (256, 64, 512)):
+                program = generate_gemm_program(GemmShape(*dims))
+                config = DESIGNS[design].config
+                assert FastVecCoreModel(engine=config).run(program) == (
+                    FastCoreModel(engine=config).run(program)
+                )
+                info = SteadyStateWalk.cache_info()
+                assert info.maxsize == 5 and info.currsize <= 5
+                stored = info.misses
+        assert stored > 5  # it filled, and was cleared
+
+    def test_walks_in_threads_share_the_memo(self, monkeypatch):
+        points = [
+            (GemmShape(*dims), DESIGNS[design].config)
+            for dims in ((128, 128, 256), (96, 80, 200), (256, 64, 512), (48, 176, 96))
+            for design in ("baseline", "rasa-wlbp", "rasa-dmdb-wls")
+        ]
+        expected = []
+        for shape, config in points:
+            SteadyStateWalk.cache_clear()
+            expected.append(AnalyticCoreModel(engine=config).run_shape(shape))
+        monkeypatch.setattr(steady, "BLOCK_MEMO_SIZE", 16)  # clears under contention
+        SteadyStateWalk.cache_clear()
+        results = {}
+
+        def work(turn: int) -> None:
+            order = points[turn:] + points[:turn]
+            results[turn] = [
+                AnalyticCoreModel(engine=config).run_shape(shape) for shape, config in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(turn,)) for turn in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for turn in range(4):
+            assert results[turn] == expected[turn:] + expected[:turn]
+        assert SteadyStateWalk.cache_info().hits > 0
+
+    def test_hand_built_program_stays_out_of_the_memo(self):
+        program = Program(list(generate_gemm_program(self.SHAPE)), name="hand")
+        assert_jumps(program, DESIGNS["rasa-dmdb-wls"].config, most=len(program))
+        info = SteadyStateWalk.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_a_block_that_raises_stores_nothing(self):
+        program = generate_gemm_program(GemmShape(256, 64, 512))
+        with pytest.raises(ScheduleError, match="drain-port conflict between mm 0 and 1"):
+            FastVecCoreModel(engine=DRAIN_CONFLICT_ENGINE).run(program)
+        info = SteadyStateWalk.cache_info()
+        assert (info.misses, info.currsize) == (1, 0)
+
+    def test_block_runs_still_jump(self):
+        # 32 x 32 blocks: the period detector, not one memo hit per block,
+        # must cover the grid.
+        program = generate_gemm_program(GemmShape(1024, 1024, 64))
+        assert_jumps(program, DESIGNS["rasa-dmdb-wls"].config, most=300)
+        info = SteadyStateWalk.cache_info()
+        assert info.hits + info.misses <= 12
 
 
 class TestGeneratedDifferential:

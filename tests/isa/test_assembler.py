@@ -83,6 +83,16 @@ class TestRoundTrip:
         assert list(again) == list(p)
         assert disassemble(again) == "branch r1\nnop r2\nbranch\nnop\n"
 
+    def test_every_scalar_form_roundtrips_exactly(self):
+        b = ProgramBuilder()
+        for opcode in (Opcode.ADD, Opcode.MUL, Opcode.MOV, Opcode.CMP):
+            b.scalar(opcode, dst=ScalarReg(1), srcs=())
+            b.scalar(opcode, dst=ScalarReg(1), srcs=(ScalarReg(2),))
+            b.scalar(opcode, dst=ScalarReg(3), srcs=(ScalarReg(1), ScalarReg(2)))
+        b.scalar(Opcode.BRANCH, srcs=(ScalarReg(1),)).scalar(Opcode.NOP)
+        p = b.build()
+        assert list(assemble(disassemble(p))) == list(p)
+
     def test_builder_roundtrip(self):
         b = ProgramBuilder()
         b.tl(TileReg(0), 0x100).tl(TileReg(4), 0x8000, stride=256)

@@ -105,10 +105,23 @@ class TestConstruction:
         "opcode", [op for op in Opcode if not op.is_tile], ids=lambda op: op.value
     )
     def test_non_tile_opcodes_take_scalar_registers_only(self, opcode):
+        dst = None if opcode in (Opcode.BRANCH, Opcode.NOP) else ScalarReg(2)
         with pytest.raises(IsaError, match="scalar registers"):
-            Instruction(opcode, srcs=(TileReg(3),))
-        inst = Instruction(opcode, srcs=(ScalarReg(1),))
+            Instruction(opcode, dst=dst, srcs=(TileReg(3),))
+        inst = Instruction(opcode, dst=dst, srcs=(ScalarReg(1),))
         assert inst.scalar_reads == (ScalarReg(1),) and inst.tile_reads == ()
+
+    @pytest.mark.parametrize(
+        "opcode", [Opcode.ADD, Opcode.MUL, Opcode.MOV, Opcode.CMP], ids=lambda op: op.value
+    )
+    @pytest.mark.parametrize("dst", [None, TileReg(0)], ids=str)
+    def test_alu_ops_require_a_scalar_destination(self, opcode, dst):
+        # The text form names the destination first: a dst-less
+        # ``cmp r1, r2`` would disassemble to a write to r1.
+        with pytest.raises(IsaError, match="requires a scalar dst"):
+            Instruction(opcode, dst=dst, srcs=(ScalarReg(1), ScalarReg(2)))
+        with pytest.raises(IsaError, match="requires a scalar dst"):
+            scalar_op(opcode, srcs=(ScalarReg(1),))
 
     def test_tl_requires_mem(self):
         with pytest.raises(IsaError):

@@ -58,17 +58,21 @@ print(json.dumps(out))
 """
 
 
-def test_sweeps_load_only_what_they_run():
+def fresh_interpreter(script: str) -> dict:
+    """Run ``script`` in a new interpreter on this checkout; its last line as JSON."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in (os.environ.get("PYTHONPATH"),) if p]
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT % {"forbidden": FORBIDDEN}],
-        capture_output=True, text=True, timeout=300, env=env,
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_sweeps_load_only_what_they_run():
+    out = fresh_interpreter(SCRIPT % {"forbidden": FORBIDDEN})
     assert out["import"] == [] and out["end"] == []
     # Sessions and the cross-check import nothing set-up did not load.
     assert out["sessions"] == []
@@ -81,3 +85,16 @@ def test_sweeps_load_only_what_they_run():
         m for m in out["cli"]
         if m.startswith(("repro.analysis", "repro.experiments", "repro.service."))
     ]
+
+
+def test_experiment_runner_loads_no_numpy():
+    """``repro simulate`` needs ``run_design`` only: the numpy-backed
+    experiment modules (the Fig. 1 toy, the full report) load on first
+    access."""
+    out = fresh_interpreter(
+        "import json, sys\n"
+        "from repro.experiments.runner import run_design\n"
+        "print(json.dumps([m for m in ('numpy', 'repro.experiments.toy',\n"
+        "    'repro.experiments.report') if m in sys.modules]))\n"
+    )
+    assert out == []
