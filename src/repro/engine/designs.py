@@ -64,7 +64,7 @@ def get_design(key: str) -> DesignPoint:
     """Look up a design by key; raises ConfigError with the known keys."""
     try:
         return DESIGNS[key]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable key, say a list
         raise ConfigError(
             f"unknown design {key!r}; known designs: {', '.join(DESIGNS)}"
         ) from None

@@ -50,7 +50,7 @@ import os
 import typing
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cpu.result import SimResult
 
@@ -181,13 +181,33 @@ def cache_key(
     tile_padded = getattr(shape, "tile_padded", None)
     if tile_padded is not None:
         shape = tile_padded()
+    return key_hasher(core, codegen, fidelity, version)(design_key, key_fragment(shape))
+
+
+def key_hasher(
+    core: Any, codegen: Any, fidelity: str = "fast", version: int = CODE_VERSION
+) -> Callable[[str, str], str]:
+    """:func:`cache_key` for every point sharing one core, codegen and fidelity.
+
+    Returns ``hasher(design_key, shape_fragment)``, where ``shape_fragment``
+    is :func:`key_fragment` of the point's keyed (tile-padded) shape.  The
+    shared members render once, and each design's JSON once per hasher, so
+    a plan pays only the SHA-256 per distinct point.
+    """
     # The six members in sorted order, as json.dumps(sort_keys=True) writes them.
-    blob = (
-        f'{{"codegen":{key_fragment(codegen)},"core":{key_fragment(core)},'
-        f'"design":{json.dumps(design_key)},"fidelity":{json.dumps(fidelity)},'
-        f'"shape":{key_fragment(shape)},"version":{json.dumps(version)}}}'
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    head = f'{{"codegen":{key_fragment(codegen)},"core":{key_fragment(core)},"design":'
+    middle = f',"fidelity":{json.dumps(fidelity)},"shape":'
+    tail = f',"version":{json.dumps(version)}}}'
+    prefixes: Dict[str, str] = {}
+
+    def hasher(design_key: str, shape_fragment: str) -> str:
+        prefix = prefixes.get(design_key)
+        if prefix is None:
+            prefix = prefixes[design_key] = head + json.dumps(design_key) + middle
+        blob = prefix + shape_fragment + tail
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    return hasher
 
 
 def default_cache_dir() -> Path:

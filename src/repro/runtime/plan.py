@@ -41,7 +41,7 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.engine.designs import get_design
 from repro.errors import ExperimentError
-from repro.runtime.cache import cache_key, decode, encode
+from repro.runtime.cache import cache_key, decode, encode, key_fragment, key_hasher
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.ops import DEFAULT_LOWERING, LoweringConfig
@@ -208,6 +208,18 @@ def _validated_batches(batches: Sequence[int]) -> Tuple[int, ...]:
     return batches
 
 
+def _workload_entry(entry: Any) -> Tuple[str, GemmShape]:
+    """One ``(name, GemmShape)`` workload entry, its name as a string."""
+    if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+        raise ExperimentError(
+            f"workload entries must be (name, GemmShape) pairs, got {entry!r}"
+        )
+    name, shape = entry
+    if not isinstance(shape, GemmShape):
+        raise ExperimentError(f"workload {name!r} must be a GemmShape, got {shape!r}")
+    return str(name), shape
+
+
 def _resolve_spec(name: str) -> SuiteSpec:
     """Look up a registered suite by name."""
     spec = SUITES.get(name) if isinstance(name, str) else None
@@ -274,8 +286,9 @@ class SweepPlan:
     suites.  ``shard_spec`` marks the plan as one deterministic slice of
     the full key set — see :meth:`shard`.
 
-    Plans validate eagerly — unknown designs, unknown suites, bad batches
-    and bad shards all raise at construction — and expand lazily
+    Plans validate eagerly — unknown designs, workload entries that are
+    not ``(name, GemmShape)`` pairs, unknown suites, bad batches and bad
+    shards all raise at construction — and expand lazily
     (:meth:`iter_jobs`).  Fidelity is the one knob resolved only at
     execution: the backend registry is open (fidelities register at run
     time, possibly on the host that finally runs a shipped plan), so a
@@ -303,7 +316,7 @@ class SweepPlan:
         if isinstance(workloads, Mapping):
             workloads = tuple(workloads.items())
         object.__setattr__(
-            self, "workloads", tuple((str(n), s) for n, s in workloads)
+            self, "workloads", tuple(_workload_entry(entry) for entry in workloads)
         )
         object.__setattr__(self, "suites", tuple(self.suites))
         if self.batches is not None:
@@ -319,24 +332,19 @@ class SweepPlan:
             raise ExperimentError(
                 "a plan with workloads or suites needs at least one design key"
             )
+        for key in self.designs:
+            get_design(key)  # raises ConfigError naming the known designs
         dup = _duplicates(self.designs)
         if dup:
             raise ExperimentError(
                 f"plan designs must be unique; got duplicates: {', '.join(dup)}"
             )
-        for key in self.designs:
-            get_design(key)  # raises ConfigError naming the known designs
         dup = _duplicates([name for name, _ in self.workloads])
         if dup:
             raise ExperimentError(
                 "plan workloads are keyed by name; got duplicates: "
                 f"{', '.join(dup)}"
             )
-        for name, shape in self.workloads:
-            if not isinstance(shape, GemmShape):
-                raise ExperimentError(
-                    f"workload {name!r} must be a GemmShape, got {shape!r}"
-                )
         for name in self.suites:
             _resolve_spec(name)  # unknown names raise here
         dup = _duplicates(self.suites)
@@ -468,14 +476,31 @@ class SweepPlan:
     def job_keys(self) -> Tuple[str, ...]:
         """Every job's cache key, aligned with :meth:`iter_jobs` order.
 
-        Each job hashes exactly once per plan instance: the tuple is
-        memoized, and the session, the shard filter and every report view
-        read from it — repeated inspection (``plan show``, stats lines)
-        costs no re-hashing.
+        ``keys[i] == expanded_jobs()[i].key``, but each distinct (design,
+        tile-padded dims) point hashes once per plan instance: every job
+        shares the plan's core, codegen and fidelity, so those render once
+        (:func:`repro.runtime.cache.key_hasher`), and each shape's padded
+        fragment once.  The tuple is memoized, and the session, the shard
+        filter and every report view read from it — repeated inspection
+        (``plan show``, stats lines) costs no re-hashing.
         """
         cached = self.__dict__.get("_job_keys")
         if cached is None:
-            cached = tuple(job.key for job in self.expanded_jobs())
+            hasher = key_hasher(self.core, self.codegen, self.fidelity)
+            fragments: Dict[GemmShape, str] = {}  # shape -> its padded key form
+            points: Dict[Tuple[str, str], str] = {}  # (design, fragment) -> key
+            keys: List[str] = []
+            for job in self.expanded_jobs():
+                fragment = fragments.get(job.shape)
+                if fragment is None:
+                    fragment = key_fragment(job.shape.tile_padded())
+                    fragments[job.shape] = fragment
+                point = (job.design_key, fragment)
+                key = points.get(point)
+                if key is None:
+                    key = points[point] = hasher(*point)
+                keys.append(key)
+            cached = tuple(keys)
             object.__setattr__(self, "_job_keys", cached)
         return cached
 

@@ -132,7 +132,7 @@ def _owned_distinct_jobs(plan: SweepPlan) -> Dict[str, SweepJob]:
 
     First-occurrence order.
     """
-    jobs = plan.expanded_jobs()  # one expansion + one hash per job, ever
+    jobs = plan.expanded_jobs()  # one expansion, one hash per distinct point, ever
     keys = plan.job_keys()
     distinct: Dict[str, SweepJob] = {}
     for key, job in zip(keys, jobs):
@@ -248,12 +248,13 @@ class Session:
     ) -> SweepReport:
         """Execute a plan (or the shard of it the plan owns).
 
-        Each job's key (a canonical-JSON SHA-256) is computed exactly once
-        per run; dedup, the cache lookup, the shard filter, the miss
-        write-back and the report's positional views all reuse the
-        precomputed keys.  Results completed before a mid-run crash or kill
-        are already on disk — each is appended to the cache's log as it
-        arrives, and the ``finally`` only closes the log.
+        Keys (canonical-JSON SHA-256s) are computed once per distinct
+        (design, tile-padded shape) point of the plan, never per job;
+        dedup, the cache lookup, the shard filter, the miss write-back and
+        the report's positional views all reuse the plan's memoized keys.
+        Results completed before a mid-run crash or kill are already on
+        disk — each is appended to the cache's log as it arrives, and the
+        ``finally`` only closes the log.
 
         Args:
             plan: the declarative sweep description.

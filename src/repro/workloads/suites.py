@@ -137,14 +137,20 @@ class WorkloadSuite:
 
         Scaling can only merge distinct points (floored dimensions
         coincide), never split them, so dedup bookkeeping stays exact.
+        Each distinct shape scales once: rows with equal shapes share one
+        scaled shape.
         """
         check_positive("factor", factor)
         if factor == 1:
             return self
-        return WorkloadSuite(
-            name=self.name,
-            gemms=tuple((label, shape.scaled(factor)) for label, shape in self.gemms),
-        )
+        scaled: Dict[GemmShape, GemmShape] = {}
+        gemms: List[Tuple[str, GemmShape]] = []
+        for label, shape in self.gemms:
+            small = scaled.get(shape)
+            if small is None:
+                small = scaled[shape] = shape.scaled(factor)
+            gemms.append((label, small))
+        return WorkloadSuite(name=self.name, gemms=tuple(gemms))
 
 
 # -- registry ----------------------------------------------------------------------

@@ -56,3 +56,10 @@ def test_equal_multiplier_budget():
 def test_get_design_error_lists_known():
     with pytest.raises(ConfigError, match="baseline"):
         get_design("rasa-quantum")
+
+
+@pytest.mark.parametrize("key", [["baseline"], {"baseline": 1}, None, 7])
+def test_get_design_refuses_any_unregistered_key(key):
+    """An unhashable key raised a bare ``TypeError``, not the documented error."""
+    with pytest.raises(ConfigError, match="known designs: baseline"):
+        get_design(key)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cpu.config import CoreConfig
+from repro.engine.designs import DESIGNS
 from repro.errors import ConfigError, ExperimentError
 from repro.runtime import PLAN_FORMAT, Session, SweepJob, SweepPlan, SweepReport
 from repro.workloads.codegen import CodegenOptions
@@ -45,6 +47,17 @@ class TestValidation:
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigError, match="unknown design"):
             grid_plan(designs=("baseline", "bogus"))
+
+    def test_unhashable_design_rejected(self):
+        """A list key raised a bare ``TypeError: unhashable type: 'list'``."""
+        with pytest.raises(ConfigError, match="unknown design"):
+            grid_plan(designs=(["baseline"],))
+
+    @pytest.mark.parametrize("entry", [("x2",), ("x3", SMALL, TALL), "ab", SMALL])
+    def test_workload_entries_must_be_name_shape_pairs(self, entry):
+        """``("x2",)`` raised a bare ``ValueError`` from tuple unpacking."""
+        with pytest.raises(ExperimentError, match=r"\(name, GemmShape\) pairs"):
+            grid_plan(workloads=(entry,))
 
     def test_duplicate_designs_rejected(self):
         with pytest.raises(ExperimentError, match="duplicates: baseline"):
@@ -236,6 +249,68 @@ class TestExpansion:
     def test_built_suites_memoize(self):
         plan = suite_plan(batches=(1, 64))
         assert plan.built_suites() is plan.built_suites()
+
+
+#: Batches on both sides of the 16-row tile: sub-tile, one tile, one past.
+KEY_BATCHES = (1, 8, 16, 17, 64, 512)
+ODD_CORE = dataclasses.replace(CoreConfig(), rob_size=224, fetch_width=2)
+ODD_CODEGEN = CodegenOptions(
+    blocking=BlockingConfig(bm=3, bn=1, mm_order=MMOrder.ALTERNATE),
+    scalar_overhead_per_kstep=0,
+)
+
+
+class TestKeyIdentity:
+    """``job_keys()`` hashes once per distinct (design, padded dims) point,
+    yet equals ``cache_key`` of every job, job for job."""
+
+    @staticmethod
+    def assert_keys_are_job_keys(plan):
+        jobs = plan.expanded_jobs()
+        keys = plan.job_keys()
+        assert len(keys) == len(jobs)
+        for index, job in enumerate(jobs):
+            assert keys[index] == job.key, (index, job)
+
+    @pytest.mark.parametrize("scale", [1, 8])
+    @pytest.mark.parametrize("knobbed", [False, True], ids=["defaults", "knobbed"])
+    def test_every_suite_along_a_batch_axis(self, scale, knobbed):
+        settings = dict(
+            scale_batch=4, scale_spatial=2, core=ODD_CORE, codegen=ODD_CODEGEN
+        ) if knobbed else {}
+        plan = SweepPlan(designs=tuple(DESIGNS), suites=tuple(SUITES),
+                         batches=KEY_BATCHES, scale=scale, **settings)
+        self.assert_keys_are_job_keys(plan)
+
+    @pytest.mark.parametrize("scale", [1, 8])
+    def test_grid_with_renamed_duplicates_and_unaligned_shapes(self, scale):
+        workloads = {
+            "a": GemmShape(64, 64, 64, name="a"),
+            "a-again": GemmShape(64, 64, 64, name="a-again"),
+            "anonymous": GemmShape(64, 64, 64),
+            "odd": GemmShape(100, 70, 40, name="odd"),
+            "odd-padded": GemmShape(112, 80, 64),  # the dims "odd" pads to
+            "sub-tile": GemmShape(1, 3, 5, name="tiny"),
+            "one-tile": GemmShape(16, 16, 32),
+        }
+        plan = SweepPlan(designs=tuple(DESIGNS), workloads=workloads, scale=scale,
+                         core=ODD_CORE, codegen=ODD_CODEGEN)
+        self.assert_keys_are_job_keys(plan)
+        assert len(plan.distinct_keys()) < len(plan.job_keys())
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_scaled_suites_scale_row_for_row(self, name):
+        for batch in KEY_BATCHES:
+            suite = SUITES[name].build(batch=batch)
+            for factor in (3, 8):
+                scaled = suite.scaled(factor)
+                assert list(scaled.gemms) == [
+                    (label, shape.scaled(factor)) for label, shape in suite.gemms
+                ]
+                # Rows with one shape share one scaled shape.
+                assert len({id(shape) for _, shape in scaled.gemms}) == len(
+                    {shape for _, shape in suite.gemms}
+                )
 
 
 

@@ -271,37 +271,52 @@ class TestSuiteTotals:
 
 
 class TestKeyHashing:
-    """A run hashes each job exactly once (keys are SHA-256 over JSON).
+    """A run hashes each distinct (design, padded dims) point exactly once.
 
-    ``SweepJob.key`` resolves ``cache_key`` through the plan module, so
-    that is where the counter hooks in; the session precomputes every key
-    and threads them through dedup, the cache, and the report views.
+    Keys are SHA-256 over JSON.  :meth:`SweepPlan.job_keys` gets its hasher
+    from ``key_hasher`` through the plan module, so that is where the
+    counter hooks in: every hash of a run is one call of the hasher it
+    returns.  The session reads the plan's memoized keys for dedup, the
+    cache and the report views, so jobs sharing a point share its hash.
     """
 
-    def test_one_cache_key_call_per_job(self, monkeypatch):
+    @pytest.fixture
+    def hashes(self, monkeypatch):
         calls = []
-        real = plan_module.cache_key
+        real = plan_module.key_hasher
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            hasher = real(*args, **kwargs)
 
-        monkeypatch.setattr(plan_module, "cache_key", counting)
+            def counted(*point):
+                calls.append(point)
+                return hasher(*point)
+
+            return counted
+
+        monkeypatch.setattr(plan_module, "key_hasher", counting)
+        return calls
+
+    def test_one_cache_key_call_per_job(self, hashes):
         shapes = {**SHAPES, **_renamed(SHAPES["small"], 3)}  # duplicates
-        _grid(shapes=shapes)  # still hash once each
-        assert len(calls) == len(shapes) * len(DESIGN_KEYS)
+        _grid(shapes=shapes)
+        points = len(SHAPES) * len(DESIGN_KEYS)  # renamed copies add none
+        assert len(hashes) == points < len(shapes) * len(DESIGN_KEYS)
+        assert len(set(hashes)) == len(hashes)
 
-    def test_one_cache_key_call_per_job_with_cache(self, tmp_path, monkeypatch):
-        calls = []
-        real = plan_module.cache_key
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(plan_module, "cache_key", counting)
+    def test_one_cache_key_call_per_job_with_cache(self, tmp_path, hashes):
         _grid(cache=ResultCache(tmp_path))
-        assert len(calls) == len(SHAPES) * len(DESIGN_KEYS)
+        assert len(hashes) == len(SHAPES) * len(DESIGN_KEYS)
+
+    def test_sub_tile_batches_hash_one_point(self, hashes, counting_fidelity):
+        batches = (1, 2, 4)  # all pad onto one tile row block
+        plan = SweepPlan(designs=DESIGN_KEYS, suites=(CURVE_SUITE,),
+                         batches=batches, scale=CURVE_SCALE,
+                         fidelity="counting-test")
+        Session(workers=1).run(plan)
+        points = len(_padded_points(batches)) * len(DESIGN_KEYS)
+        assert len(hashes) == points == len(plan.distinct_keys())
+        assert len(plan.job_keys()) == len(batches) * points
 
 
 class TestSweepRunnerIsGone:
