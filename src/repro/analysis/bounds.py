@@ -13,9 +13,9 @@ any legal execution under the fast model's machine description can achieve:
     producers plus its minimum latency (load: L1 hit + tile transfer; mm:
     engine-domain ceil of readiness, plus the WL cost when the residency
     replay says this mm loads weights, plus the FF→complete dataflow
-    latency; scalar: 1 cycle), anchored at the frontend dispatch floor
-    (:meth:`repro.cpu.config.CoreConfig.dispatch_floor`) and closed with
-    the in-order retire recurrence.
+    latency; scalar: 1 cycle), anchored at the frontend dispatch floor and
+    closed with the in-order retire recurrence, in the fast model's integer
+    ticks (:attr:`repro.cpu.config.CoreConfig.ticks_per_cycle`).
   - *mm-issue* — engine throughput: consecutive mm completions advance by
     at least :meth:`repro.engine.config.EngineConfig.min_issue_delta`
     (per-policy WL/FF/FS/DR overlap floors plus drain-port serialization),
@@ -97,8 +97,8 @@ def _mm_dataflow_cycles(stages: StageDurations) -> int:
     return stages.ff + stages.fs + stages.dr + stages.extra
 
 
-def _ceil(value: float) -> int:
-    return int(-(-value // 1))
+def _cycles(ticks: int, tick: int) -> int:
+    return -(-ticks // tick)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,26 +209,28 @@ def _critical_path_lb(
     relaxation only lowers the result), so the final retire ceiling is a
     sound lower bound on the fast model's cycles.
     """
-    inv_fetch = 1.0 / core.fetch_width
-    inv_retire = 1.0 / core.retire_width
-    frontend = float(core.frontend_latency)
-    transfer = core.tile_transfer_cycles
-    load_latency = core.tile_load_latency
+    tick = core.ticks_per_cycle  # every timestamp below is in ticks
+    fetch_step = tick // core.fetch_width
+    retire_step = tick // core.retire_width
+    engine_tick = ratio * tick
+    frontend = core.frontend_latency * tick
+    transfer = core.tile_transfer_cycles * tick
+    load_latency = core.tile_load_latency * tick
     stages = engine.stages
     wl = stages.wl
     dataflow = _mm_dataflow_cycles(stages)
     bypasses_on = engine.control.bypasses_on_reuse
 
-    tile = [0.0] * NUM_TILE_REGS
-    scalar = [0.0] * NUM_SCALAR_REGS
+    tile = [0] * NUM_TILE_REGS
+    scalar = [0] * NUM_SCALAR_REGS
     version = [0] * NUM_TILE_REGS
     resident: Optional[Tuple[int, int]] = None
-    retire = 0.0
+    retire = 0
 
     # Operands are plain fields (``Instruction._validate`` pins each
     # opcode's form) and maxima are compare-and-assign, as in fast-ref.
     for i, inst in enumerate(program):
-        dispatch = frontend + (i + 1) * inv_fetch
+        dispatch = frontend + (i + 1) * fetch_step
         op = inst.opcode
         if op is Opcode.RASA_TL:
             complete = dispatch + load_latency
@@ -251,17 +253,17 @@ def _critical_path_lb(
             ready = tile[b]
             if dispatch > ready:
                 ready = dispatch
-            ready_b = int(-(-ready // ratio))
+            ready_b = -(-ready // engine_tick)
             ready = tile[a_reg.index]
             if dispatch > ready:
                 ready = dispatch
             if tile[c] > ready:
                 ready = tile[c]
-            ready_ac = int(-(-ready // ratio))
+            ready_ac = -(-ready // engine_tick)
             ff_start = ready_b + wl if loading else ready_b
             if ready_ac > ff_start:
                 ff_start = ready_ac
-            complete = float((ff_start + dataflow) * ratio)
+            complete = (ff_start + dataflow) * engine_tick
             tile[c] = complete
             version[c] += 1
         else:  # scalar ALU / branch / nop: scalar srcs, optional scalar dst
@@ -269,14 +271,14 @@ def _critical_path_lb(
             for src in inst.srcs:
                 if scalar[src.index] > start:
                     start = scalar[src.index]
-            complete = start + 1
+            complete = start + tick
             dst = inst.dst
             if dst is not None:
                 scalar[dst.index] = complete
-        retire += inv_retire
-        if complete + 1 > retire:
-            retire = complete + 1
-    return _ceil(retire)
+        retire += retire_step
+        if complete + tick > retire:
+            retire = complete + tick
+    return _cycles(retire, tick)
 
 
 def _resource_lbs(
@@ -286,9 +288,10 @@ def _resource_lbs(
     policy_counts = counts.for_policy(engine.control.bypasses_on_reuse)
     n = counts.instructions
     stages = engine.stages
-    inv_retire = 1.0 / core.retire_width
+    tick = core.ticks_per_cycle
+    fetch_step = tick // core.fetch_width
     transfer = core.tile_transfer_cycles
-    d1 = core.dispatch_floor(0)
+    d1 = core.frontend_latency * tick + fetch_step  # inst 0's dispatch floor, in ticks
     bounds: Dict[str, int] = {name: 0 for name in RESOURCE_ORDER}
 
     if n == 0:
@@ -296,24 +299,23 @@ def _resource_lbs(
 
     # Frontend pacing: the last instruction dispatches no earlier than the
     # sustained-fetch floor, executes >= 1 cycle, retires one cycle later.
-    bounds["frontend"] = _ceil(core.dispatch_floor(n - 1) + 2)
+    bounds["frontend"] = _cycles(d1 + (n - 1) * fetch_step + 2 * tick, tick)
     # Retire pacing: the first retire is at least the first complete + 1;
     # every further instruction adds the in-order retire interval.
-    bounds["retire"] = _ceil(d1 + 2 + (n - 1) * inv_retire)
+    bounds["retire"] = _cycles(d1 + 2 * tick + (n - 1) * (tick // core.retire_width), tick)
 
     if counts.tile_loads:
-        # The busiest of the P load ports serves ceil(L/P) transfers
+        # The busiest of the P load ports serves ceil(loads/P) transfers
         # back-to-back; its last load still pays the full load latency.
         queued = -(-counts.tile_loads // core.load_ports)
-        bounds["load-ports"] = _ceil(
-            d1 + (queued - 1) * transfer + core.tile_load_latency + 1
-        )
+        latency = (queued - 1) * transfer + core.tile_load_latency
+        bounds["load-ports"] = _cycles(d1 + (latency + 1) * tick, tick)
     if counts.tile_stores:
         queued = -(-counts.tile_stores // core.store_ports)
-        bounds["store-port"] = _ceil(d1 + (queued - 1) * transfer + transfer + 1)
+        bounds["store-port"] = _cycles(d1 + (queued * transfer + 1) * tick, tick)
 
     if counts.mm_count:
-        e0 = int(-(-d1 // ratio))  # earliest engine cycle any WL can start
+        e0 = -(-d1 // (ratio * tick))  # earliest engine cycle any WL can start
         loads = policy_counts.weight_loads
         bypasses = policy_counts.bypass_count
         # The first mm always loads (nothing is resident); the remaining
@@ -325,11 +327,11 @@ def _resource_lbs(
             + (loads - 1) * engine.min_issue_delta(loading=True)
             + bypasses * engine.min_issue_delta(loading=False)
         )
-        bounds["mm-issue"] = _ceil(issue_end * ratio + 1)
+        bounds["mm-issue"] = issue_end * ratio + 1
         # WL windows serialize on the weight-load links; after the last of
         # them the final mm still flows through FF/FS/DR.
         wl_end = e0 + loads * stages.wl + _mm_dataflow_cycles(stages)
-        bounds["weight-load"] = _ceil(wl_end * ratio + 1)
+        bounds["weight-load"] = wl_end * ratio + 1
     return bounds
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import ConfigError
 from repro.tile.layout import ROW_BYTES, TILE_BYTES
@@ -29,7 +30,6 @@ class CoreConfig:
     load_ports: int = 2
     store_ports: int = 1
     scheduler_size: int = 60
-    store_buffer_size: int = 56
     l1_latency: int = 4
     row_bytes_per_cycle: int = ROW_BYTES
 
@@ -45,7 +45,6 @@ class CoreConfig:
             "load_ports",
             "store_ports",
             "scheduler_size",
-            "store_buffer_size",
             "l1_latency",
             "row_bytes_per_cycle",
         ):
@@ -66,17 +65,16 @@ class CoreConfig:
         """Dispatch-to-data latency of a tile load (L1 hit + transfer)."""
         return self.l1_latency + self.tile_transfer_cycles
 
-    def dispatch_floor(self, index: int) -> float:
-        """No-stall lower bound on instruction ``index``'s dispatch timestamp.
+    @property
+    def ticks_per_cycle(self) -> int:
+        """L = lcm(fetch_width, retire_width): the fast models' ticks per cycle.
 
-        The frontend sustains ``fetch_width`` per cycle after the pipeline
-        fill, so instruction ``i`` (0-based) can never dispatch before
-        ``frontend_latency + (i + 1) / fetch_width`` — the floor the fast
-        model starts from before ROB and port stalls.  The static bound
-        analyzer (:mod:`repro.analysis.bounds`) anchors every dependence
-        chain here.
+        A dispatch is ``L / fetch_width`` ticks, a retire ``L / retire_width``
+        and a one-cycle op ``L``, so every timestamp is an integer at every
+        width; ticks round up to cycles only at the engine clock,
+        ``⌈t / (ratio·L)⌉``, and at the cycle count, ``⌈t / L⌉``.
         """
-        return self.frontend_latency + (index + 1) / self.fetch_width
+        return math.lcm(self.fetch_width, self.retire_width)
 
     def engine_clock_ratio(self, engine_mhz: int) -> int:
         """Core cycles per engine cycle (must divide evenly: 2 GHz / 500 MHz = 4)."""

@@ -1,8 +1,9 @@
 """Fast timestamp-propagation core model.
 
 One pass over the program computes, per instruction, its dispatch, execute
-and retire timestamps under the Skylake-like resource constraints of
-:class:`repro.cpu.config.CoreConfig`:
+and retire timestamps, in exact integer ticks of 1/L cycle
+(:attr:`~repro.cpu.config.CoreConfig.ticks_per_cycle`), under the
+Skylake-like resource constraints of :class:`repro.cpu.config.CoreConfig`:
 
 - frontend: sustained ``fetch_width`` instructions per cycle after a
   pipeline-fill delay (no branch mispredictions — the paper's traces are
@@ -62,25 +63,26 @@ class FastCoreModel:
                 ``self.last_schedule`` (memory-heavy; used by tests).
         """
         core = self.core
-        ratio = self.ratio
         scheduler = EngineScheduler(self.engine)
 
-        inv_fetch = 1.0 / core.fetch_width
-        inv_retire = 1.0 / core.retire_width
-        transfer = core.tile_transfer_cycles
+        tick = core.ticks_per_cycle  # every timestamp below is in ticks
+        fetch_step = tick // core.fetch_width
+        retire_step = tick // core.retire_width
+        engine_tick = self.ratio * tick
+        transfer = core.tile_transfer_cycles * tick
         memory = self.memory
 
-        tile_ready = [0.0] * NUM_TILE_REGS
+        tile_ready = [0] * NUM_TILE_REGS
         tile_version = [0] * NUM_TILE_REGS
-        scalar_ready = [0.0] * NUM_SCALAR_REGS
-        load_ports = [0.0] * core.load_ports
-        store_ports = [0.0] * core.store_ports
-        alu_ports = [0.0] * core.alu_ports
+        scalar_ready = [0] * NUM_SCALAR_REGS
+        load_ports = [0] * core.load_ports
+        store_ports = [0] * core.store_ports
+        alu_ports = [0] * core.alu_ports
 
         rob_size = core.rob_size
-        retire_ring: List[float] = [0.0] * rob_size  # retire time of inst i mod rob
-        dispatch_prev = float(core.frontend_latency)
-        retire_prev = 0.0
+        retire_ring = [0] * rob_size  # retire time of inst i mod rob
+        dispatch_prev = core.frontend_latency * tick
+        retire_prev = 0
 
         # Port selection is on the per-instruction hot path; the default
         # core has 2 load ports and 1 store port, where the generic
@@ -98,7 +100,7 @@ class FastCoreModel:
         # each opcode's form), and maxima of a few temporaries are
         # compare-and-assign: this loop runs once per instruction.
         for i, inst in enumerate(program):
-            dispatch = dispatch_prev + inv_fetch
+            dispatch = dispatch_prev + fetch_step
             if i >= rob_size:
                 rob_free = retire_ring[i % rob_size]
                 if rob_free > dispatch:
@@ -117,8 +119,8 @@ class FastCoreModel:
                     start = dispatch
                 load_ports[port] = start + transfer
                 complete = start + memory.tile_load_latency(
-                    inst.mem.address, inst.mem.stride, start
-                )
+                    inst.mem.address, inst.mem.stride
+                ) * tick
                 reg = inst.dst.index
                 tile_ready[reg] = complete
                 tile_version[reg] += 1
@@ -155,7 +157,7 @@ class FastCoreModel:
                 ready = tile_ready[c]
                 if ready > start:
                     start = ready
-                engine_ready = int(-(-start // ratio))  # ceil into the engine clock
+                engine_ready = -(-start // engine_tick)  # ceil into the engine clock
                 times = scheduler.schedule_mm(
                     ready_b=engine_ready,
                     ready_ac=engine_ready,
@@ -164,7 +166,7 @@ class FastCoreModel:
                 if first_wl is None:
                     first_wl = times.wl_start
                 last_complete = times.complete
-                complete = float(times.complete * ratio)
+                complete = times.complete * engine_tick
                 tile_ready[c] = complete
                 tile_version[c] += 1
                 mm_count += 1
@@ -179,15 +181,15 @@ class FastCoreModel:
                     ready = scalar_ready[src.index]
                     if ready > start:
                         start = ready
-                complete = start + 1
+                complete = start + tick
                 alu_ports[port] = complete
                 dst = inst.dst
                 if dst is not None:
                     scalar_ready[dst.index] = complete
 
-            retire = retire_prev + inv_retire
-            if complete + 1 > retire:
-                retire = complete + 1
+            retire = retire_prev + retire_step
+            if complete + tick > retire:
+                retire = complete + tick
             retire_prev = retire
             retire_ring[i % rob_size] = retire
 
@@ -196,7 +198,7 @@ class FastCoreModel:
         return SimResult(
             design=self.engine.describe(),
             program=program.name,
-            cycles=int(-(-retire_prev // 1)),
+            cycles=-(-retire_prev // tick),
             instructions=len(program),
             mm_count=mm_count,
             bypass_count=scheduler.bypass_count,

@@ -8,11 +8,11 @@
 carries, or for any other program a memoized one-block walk of its
 ``Instruction`` objects.  On a generated program the walk steps the first
 periods of each repeating run of K steps, blocks and block rows and jumps
-the rest, so a program of millions of instructions steps a few hundred;
-``last_walked`` records how many a run stepped one by one.  A block the
-walk's memo already holds (:mod:`repro.cpu.steady`, "Memo") is replayed,
-not stepped, so it adds none: on a jumping run ``last_walked`` is at most
-what a cold memo steps, and every pin on it is an upper bound.
+the rest at any core width, so a program of millions of instructions
+steps a few hundred; ``last_walked`` records how many a run stepped one by
+one.  A block the walk's memo already holds (:mod:`repro.cpu.steady`,
+"Memo") is replayed, not stepped, so it adds none: ``last_walked`` is at
+most what a cold memo steps, and every pin on it is an upper bound.
 
 A kept schedule (``keep_schedule=True``) and any memory but the exact-type
 :class:`~repro.cpu.memory.IdealMemory` go to ``fast-ref`` itself: the walk
@@ -58,9 +58,9 @@ class FastVecCoreModel:
             l1_latency=core.l1_latency, transfer_cycles=core.tile_transfer_cycles
         )
         self.last_schedule: Optional[List[StageTimes]] = None
-        #: Instructions the last run stepped one by one: ``len(program)``
-        #: without jumps, far fewer when the steady-state walk jumped or
-        #: replayed memoized blocks.
+        #: Instructions the last run stepped one by one: a few hundred on a
+        #: generated program at any width; ``len(program)`` on any other
+        #: program and on a ``fast-ref`` run.
         self.last_walked = 0
 
     def run(self, program: Program, keep_schedule: bool = False) -> SimResult:

@@ -31,7 +31,7 @@ class MemoryModel(Protocol):
     :class:`CacheHierarchy` are the in-tree implementations.
     """
 
-    def tile_load_latency(self, address: int, stride: int, cycle: float) -> int:
+    def tile_load_latency(self, address: int, stride: int) -> int:
         """Cycles from issue to data-complete for one 16-row tile load."""
         ...
 
@@ -49,7 +49,7 @@ class IdealMemory:
         self.l1_latency = l1_latency
         self.transfer_cycles = transfer_cycles
 
-    def tile_load_latency(self, address: int, stride: int, cycle: float) -> int:
+    def tile_load_latency(self, address: int, stride: int) -> int:
         """Cycles from issue to data-complete for one 16-row tile load."""
         return self.l1_latency + self.transfer_cycles
 
@@ -161,7 +161,7 @@ class CacheHierarchy:
         self.dram_fills += 1
         return self.config.dram_latency
 
-    def tile_load_latency(self, address: int, stride: int, cycle: float) -> int:
+    def tile_load_latency(self, address: int, stride: int) -> int:
         """Latency of one 16-row tile load through the hierarchy."""
         latencies = [self._row_latency(address + r * stride) for r in range(ROWS)]
         worst = max(latencies)

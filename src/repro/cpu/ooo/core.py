@@ -156,7 +156,7 @@ class OutOfOrderCore:
                 return False
             assert uop.inst.mem is not None  # _validate invariant
             uop.complete_cycle = cycle + self.memory.tile_load_latency(
-                uop.inst.mem.address, uop.inst.mem.stride, cycle
+                uop.inst.mem.address, uop.inst.mem.stride
             )
         elif op is Opcode.RASA_TS:
             if not ports.store.acquire(cycle, transfer):

@@ -24,9 +24,9 @@ Quadrat, *Synchronization and Linearity*, 1992, ch. 3).
 **The compared state** is taken at a repeat boundary, relative to the
 floor F, the last dispatch time.  Every later instruction dispatches after
 F, so a timestamp below F loses every later ``max`` it enters; it is raised
-to F before comparing.  Engine stage ends are raised to ⌈F / ratio⌉ the
-same way; a raised drain end still never exceeds a later FS end, so the
-drain check is unaffected.  Compared:
+to F before comparing.  Engine stage ends are raised to the engine floor
+⌈F / (ratio·L)⌉ the same way; a raised drain end still never exceeds a
+later FS end, so the drain check is unaffected.  Compared:
 
 - the retire times of the instructions in the ROB, oldest first, and the
   last retire time;
@@ -43,14 +43,12 @@ increments.  At K-step boundaries the small fields are compared first and
 the ROB ring only on a candidate match; block and row boundaries compare
 the packed whole state the memo keys on (below).
 
-**When a jump is exact.**  Δ must be a multiple of the engine clock ratio,
-or ⌈x / ratio⌉ would not commute with the shift.  Fetch and retire widths
-must be powers of two, so every timestamp is a dyadic rational float64
-holds exactly and ``k·Δ`` adds without rounding (with widths 3/6 a jump on
-``GemmShape(316, 302, 1295)`` lands one cycle off).  The walk reads the
-widths from the core and jumps only then; at other widths it steps every
-instruction, which is ``fast-ref``'s own arithmetic.  The load latency is
-one constant, so the walk models the ideal memory only.
+**When a jump is exact.**  Time is ``fast-ref``'s integer ticks of 1/L
+cycle (:attr:`~repro.cpu.config.CoreConfig.ticks_per_cycle`), exact at
+every width, so ``k·Δ`` adds without rounding.  Δ must be a multiple of
+one engine cycle, ``ratio·L`` ticks, or ⌈t / (ratio·L)⌉ would not commute
+with the shift.  The load latency is one constant, so the walk models the
+ideal memory only.
 
 **Why the skeleton suffices.**  Every tile operand of a generated program
 is produced inside its own block and only the loop counter ``r0`` crosses
@@ -62,31 +60,31 @@ a conflict inside the periodic regime already occurs in the first stepped
 period.
 
 **Memo.**  The same argument makes a block's effect a function of its
-entry state relative to the floor: entered from a state shifted by a
-multiple of the ratio, a block leaves its exit state shifted alike and
-moves every counter by the same amount.  So one process remembers each
-block it walks, across walks, shapes and designs, and replays it for any
-later walk that enters the block from the same relative state (a grid's
-points share blocks: on perfbench ``analytic-grid`` 4,480 of 5,440 block
-walks are replays).
+entry state relative to the floor: entered from a state shifted by whole
+engine cycles, a block leaves its exit state shifted alike and moves
+every counter by the same amount.  So one process remembers each block
+it walks, across walks, shapes and designs, and replays it for any later
+walk that enters the block from the same relative state (a grid's points
+share blocks: on perfbench ``analytic-grid`` 4,480 of 5,440 block walks
+are replays).
 
 - *Key:* a token for everything the walk reads besides the state (the
   core, the engine's stage rules and clock ratio, the load latency and
   the scalar registers the skeleton writes), the block, and the packed
   entry state: the compared state above, ROB ring included, with F modulo
-  the ratio, as one float64 ``bytes``.  Every timestamp is exact in
-  float64, so packing loses nothing, and block and row boundaries use the
+  the engine cycle, as one int64 ``bytes``.  Every timestamp is a tick
+  count, so packing loses nothing, and block and row boundaries use the
   same packed state to find periods, so a miss packs each boundary once.
 - *Stored:* the packed exit state, the floor's advance, the
   mm/bypass/weight-load counts, the writes per tile register, and the last
   mm's completion (and, entered before any mm, the first weight load)
-  relative to the entry's ⌈F / ratio⌉.
+  relative to the entry's engine floor.
 - *A hit* keeps the exit state packed at the shifted floor and rebuilds
   the timestamps only before the walk next steps an instruction; it steps
   none (``walked``).  Jumps shift a packed state by moving its floor.
-- *Scope:* only jumping walks (power-of-two widths) use it, and only
-  blocks with K steps: a hand-built program's one-block skeleton runs once
-  and would pin its whole stream.  A block that raises stores nothing.
+- *Scope:* every block with K steps, so every block of a generated
+  program: a hand-built program's one-block skeleton runs once and would
+  pin its whole stream.  A block that raises stores nothing.
   Blocks are keyed by identity; :func:`~repro.workloads.array_lowering.gemm_skeleton`
   returns one shared object per distinct block.
 - *Bound:* :data:`BLOCK_MEMO_SIZE` entries; a full memo is emptied.
@@ -138,9 +136,9 @@ class _Snapshot(NamedTuple):
     #: The compared state (module doc): at K-step boundaries a list without
     #: the ROB ring, which is compared only on a candidate match; at block
     #: and row boundaries the packed whole state, ring included.
-    key: Union[List[float], bytes]
-    floor: float  # F, the last dispatch time
-    retires: Optional[Tuple[float, ...]]  # the unclamped ring, if ``key`` lacks it
+    key: Union[List[int], bytes]
+    floor: int  # F, the last dispatch time
+    retires: Optional[Tuple[int, ...]]  # the unclamped ring, if ``key`` lacks it
     mm_count: int
     bypasses: int
     weight_loads: int
@@ -151,7 +149,7 @@ class _BlockEffect(NamedTuple):
     """What one block did to the state it entered (module doc, "Memo")."""
 
     state: bytes  # the packed exit state
-    advance: float  # exit floor minus entry floor
+    advance: int  # exit floor minus entry floor
     mm_count: int
     bypasses: int
     weight_loads: int
@@ -192,27 +190,22 @@ def _forget() -> None:
     _INTERNED.clear()
 
 
-def _is_pow2(value: int) -> bool:
-    return value > 0 and (value & (value - 1)) == 0
-
-
 class SteadyStateWalk:
     """One fast-model run over a skeleton, with exact periodic jumps.
 
-    ``load_latency`` is the ideal memory's constant tile-load latency.
+    ``load_latency`` is the ideal memory's tile-load latency, in cycles.
     After :meth:`run`, ``walked`` holds the instructions actually stepped.
     """
 
     def __init__(self, core: CoreConfig, engine: EngineConfig, load_latency: int) -> None:
         self.core = core
         self.engine = engine
-        #: Whether a jump is exact at this core's widths (module doc).
-        self.jumps = _is_pow2(core.fetch_width) and _is_pow2(core.retire_width)
-        self.ratio = core.engine_clock_ratio(engine.clock_mhz)
-        self.inv_fetch = 1.0 / core.fetch_width
-        self.inv_retire = 1.0 / core.retire_width
-        self.transfer = core.tile_transfer_cycles
-        self.load_latency = load_latency
+        tick = self.tick = core.ticks_per_cycle
+        self.fetch_step = tick // core.fetch_width
+        self.retire_step = tick // core.retire_width
+        self.engine_tick = core.engine_clock_ratio(engine.clock_mhz) * tick  # per engine cycle
+        self.transfer = core.tile_transfer_cycles * tick
+        self.load_latency = load_latency * tick
         stages = engine.stages
         policy = engine.control
         self._engine_rules = (
@@ -221,21 +214,21 @@ class SteadyStateWalk:
             policy is ControlPolicy.WLS, engine.wlbp_ff_overlaps_fs,
         )
         # CPU side, as FastCoreModel.run keeps it; port free times sorted.
-        self.dispatch = float(core.frontend_latency)
-        self.retire = 0.0
+        self.dispatch = core.frontend_latency * tick
+        self.retire = 0
         #: The ROB ring: the last ``rob`` retire times, oldest first, so
         #: ``retires[0]`` is the entry the next instruction waits for.  The
         #: deque drops the oldest on each append, so a walk that steps every
         #: instruction holds ``rob`` of them, as ``fast-ref`` does.
-        self.retires: Deque[float] = collections.deque(
-            [0.0] * core.rob_size, maxlen=core.rob_size
+        self.retires: Deque[int] = collections.deque(
+            [0] * core.rob_size, maxlen=core.rob_size
         )
-        self.tile_ready = [0.0] * NUM_TILE_REGS
+        self.tile_ready = [0] * NUM_TILE_REGS
         self.tile_version = [0] * NUM_TILE_REGS
-        self.scalar_ready = [0.0] * NUM_SCALAR_REGS
-        self.load_ports = [0.0] * core.load_ports
-        self.store_ports = [0.0] * core.store_ports
-        self.alu_ports = [0.0] * core.alu_ports
+        self.scalar_ready = [0] * NUM_SCALAR_REGS
+        self.load_ports = [0] * core.load_ports
+        self.store_ports = [0] * core.store_ports
+        self.alu_ports = [0] * core.alu_ports
         # Engine side, as EngineScheduler keeps it.
         self.has_prev = False
         #: The previous mm's wl_end, ff_start, ff_end, fs_end and dr_end.
@@ -246,8 +239,8 @@ class SteadyStateWalk:
         self.last_complete = 0
         self.walked = 0
         self._scalars: Tuple[int, ...] = ()
-        #: This walk's memo token: None when the memo is off (no jumps).
-        self._token: Optional[object] = None
+        #: This walk's memo token, set by :meth:`run`.
+        self._token: object = None
         #: The packed whole state (:meth:`_state`), while it is current.
         self._packed: Optional[bytes] = None
         #: False after a memo hit until :meth:`_materialize`: then only
@@ -267,10 +260,9 @@ class SteadyStateWalk:
             if op[0] == KIND_ALU
             for reg in op[2]
         }))
-        if self.jumps:
-            reads = (self.core, self._engine_rules, self.ratio, self.load_latency,
-                     self._scalars)
-            self._token = _TOKENS.setdefault(reads, object())
+        reads = (self.core, self._engine_rules, self.engine_tick, self.load_latency,
+                 self._scalars)
+        self._token = _TOKENS.setdefault(reads, object())
         for row, repeat in skeleton.rows:
             if len(row) == 1:  # rows of one block run are one longer run
                 block, count = row[0]
@@ -278,11 +270,11 @@ class SteadyStateWalk:
             else:
                 self._repeat(repeat, functools.partial(self._row, row))
         if not self._live:  # after a memo hit: of the timestamps, read only this
-            self.retire = self.dispatch + memoryview(self._state()).cast("d")[0]
+            self.retire = self.dispatch + memoryview(self._state()).cast("q")[0]
         return SimResult(
             design=self.engine.describe(),
             program=program,
-            cycles=int(-(-self.retire // 1)),
+            cycles=-(-self.retire // self.tick),
             instructions=skeleton.instructions,
             mm_count=self.mm_count,
             bypass_count=self.bypasses,
@@ -299,7 +291,7 @@ class SteadyStateWalk:
 
     def _block(self, block: SkeletonBlock) -> None:
         """Replay ``block``'s memoized effect, or walk it and memoize it."""
-        if self._token is None or not block.k_steps:
+        if not block.k_steps:
             self._walk(block)
             return
         key = (self._token, block, self._state())
@@ -314,7 +306,7 @@ class SteadyStateWalk:
         versions = tuple(self.tile_version)
         first = self.first_wl is None
         self._walk(block)  # a ScheduleError stores nothing
-        efloor = int(-(-floor // self.ratio))
+        efloor = -(-floor // self.engine_tick)
         mms = self.mm_count - mm_count
         if len(_BLOCKS) >= BLOCK_MEMO_SIZE:
             _forget()
@@ -341,7 +333,7 @@ class SteadyStateWalk:
         ``whole``: compare the packed whole state at each boundary, as block
         and row boundaries do; K-step boundaries compare the ring lazily.
         """
-        history: Optional[List[_Snapshot]] = [] if self.jumps else None
+        history: Optional[List[_Snapshot]] = []
         done = 0
         while done < count:
             body()
@@ -365,8 +357,9 @@ class SteadyStateWalk:
     # -- one stretch of instructions: FastCoreModel.run's arithmetic -------
 
     def _step(self, ops: Sequence[SkeletonOp]) -> None:
-        inv_fetch = self.inv_fetch
-        inv_retire = self.inv_retire
+        tick = self.tick
+        fetch_step = self.fetch_step
+        retire_step = self.retire_step
         transfer = self.transfer
         load_latency = self.load_latency
         insort = bisect.insort
@@ -381,7 +374,7 @@ class SteadyStateWalk:
         dispatch = self.dispatch
         retire = self.retire
 
-        ratio = self.ratio
+        engine_tick = self.engine_tick
         (s_wl, s_ff, s_fs, s_dr, s_extra,
          bypass_on_reuse, is_base, is_wls, ff_overlaps_fs) = self._engine_rules
         has_prev = self.has_prev
@@ -394,7 +387,7 @@ class SteadyStateWalk:
         last_complete = self.last_complete
 
         for op in ops:
-            d = dispatch + inv_fetch
+            d = dispatch + fetch_step
             t = retires[0]
             if t > d:
                 d = t
@@ -422,7 +415,7 @@ class SteadyStateWalk:
                 t = tile_ready[c]
                 if t > ready_cpu:
                     ready_cpu = t
-                ready = int(-(-ready_cpu // ratio))
+                ready = -(-ready_cpu // engine_tick)
                 version = tile_version[b]
                 if bypass_on_reuse and resident_b == b and resident_v == version:
                     ff_start = ready
@@ -461,7 +454,7 @@ class SteadyStateWalk:
                 if first_wl is None:
                     first_wl = wl_start
                 last_complete = dr_end + s_extra
-                complete = float(last_complete * ratio)
+                complete = last_complete * engine_tick
                 tile_ready[c] = complete
                 tile_version[c] += 1
                 has_prev = True
@@ -491,13 +484,13 @@ class SteadyStateWalk:
                     t = scalar_ready[reg]
                     if t > start:
                         start = t
-                complete = start + 1
+                complete = start + tick
                 del alu_ports[0]
                 insort(alu_ports, complete)
                 for reg in op[2]:
                     scalar_ready[reg] = complete
-            t = retire + inv_retire
-            retire = complete + 1
+            t = retire + retire_step
+            retire = complete + tick
             if t > retire:
                 retire = t
             append(retire)
@@ -516,7 +509,7 @@ class SteadyStateWalk:
 
     # -- periods -------------------------------------------------------------
 
-    def _key(self) -> List[float]:
+    def _key(self) -> List[int]:
         """The clamped state relative to the floor (module doc), ring aside."""
         floor = self.dispatch
         scalar_ready = self.scalar_ready
@@ -533,19 +526,19 @@ class SteadyStateWalk:
         key.append(b)
         key.append(self.tile_version[b] - v if b >= 0 else 0)
         if self.has_prev:
-            efloor = int(-(-floor // self.ratio))
+            efloor = -(-floor // self.engine_tick)
             key += [(e if e > efloor else efloor) - efloor for e in self.prev]
         return key
 
     def _state(self) -> bytes:
-        """The whole compared state, packed: :meth:`_key`, F mod ratio, ring."""
+        """The whole compared state, packed: :meth:`_key`, F mod the engine cycle, ring."""
         state = self._packed
         if state is None:
             floor = self.dispatch
             values = self._key()
-            values.append(floor % self.ratio)
-            values += [t - floor if t > floor else 0.0 for t in self.retires]
-            state = struct.pack(f"{len(values)}d", *values)
+            values.append(floor % self.engine_tick)
+            values += [t - floor if t > floor else 0 for t in self.retires]
+            state = struct.pack(f"{len(values)}q", *values)
             state = self._packed = _INTERNED.setdefault(state, state)
         return state
 
@@ -553,7 +546,7 @@ class SteadyStateWalk:
         """Rebuild every timestamp from the packed state after memo hits."""
         if self._live:
             return
-        values = memoryview(self._state()).cast("d").tolist()
+        values = memoryview(self._state()).cast("q").tolist()
         floor = self.dispatch
         retires = self.retires
         retires.extend([floor + t for t in values[-len(retires):]])
@@ -567,16 +560,16 @@ class SteadyStateWalk:
             times[:] = [floor + t for t in values[at:at + len(times)]]
             at += len(times)
         if self.has_prev:  # else no mm has issued: no resident, no stage ends
-            b = int(values[at])
-            self.resident = (b, self.tile_version[b] - int(values[at + 1]))
-            efloor = int(-(-floor // self.ratio))
-            self.prev = tuple(efloor + int(e) for e in values[at + 2:at + 7])
+            b = values[at]
+            self.resident = (b, self.tile_version[b] - values[at + 1])
+            efloor = -(-floor // self.engine_tick)
+            self.prev = tuple(efloor + e for e in values[at + 2:at + 7])
         self._live = True
 
     def _replay(self, effect: _BlockEffect) -> None:
         """Apply a memoized block effect from the current floor."""
         if effect.last_complete is not None:
-            efloor = int(-(-self.dispatch // self.ratio))
+            efloor = -(-self.dispatch // self.engine_tick)
             self.last_complete = efloor + effect.last_complete
             if effect.first_wl is not None:
                 self.first_wl = efloor + effect.first_wl
@@ -594,7 +587,7 @@ class SteadyStateWalk:
     def _snapshot(self, whole: bool) -> _Snapshot:
         """The compared state at a repeat boundary, and the counters."""
         if whole:
-            key: Union[List[float], bytes] = self._state()
+            key: Union[List[int], bytes] = self._state()
             retires = None
         else:
             key, retires = self._key(), tuple(self.retires)
@@ -604,7 +597,7 @@ class SteadyStateWalk:
         )
 
     @staticmethod
-    def _ring(snapshot: _Snapshot) -> List[float]:
+    def _ring(snapshot: _Snapshot) -> List[int]:
         floor = snapshot.floor
         assert snapshot.retires is not None
         return [(t if t > floor else floor) - floor for t in snapshot.retires]
@@ -616,7 +609,7 @@ class SteadyStateWalk:
         ring = None
         for period in range(1, len(history) + 1):
             then = history[-period]
-            if then.key != now.key or (now.floor - then.floor) % self.ratio:
+            if then.key != now.key or (now.floor - then.floor) % self.engine_tick:
                 continue
             if now.retires is None:  # the packed key holds the ring
                 return period, then
@@ -632,7 +625,7 @@ class SteadyStateWalk:
         The packed state is relative, so it stays current.
         """
         shift = periods * (now.floor - then.floor)
-        engine_shift = int(shift) // self.ratio
+        engine_shift = shift // self.engine_tick
         self.dispatch += shift
         if self._live:
             self.retire += shift

@@ -17,7 +17,7 @@ cycle-accurate OoO — runs through this subsystem:
   stable, *label-independent* hash of the full simulation input (bump
   :data:`CODE_VERSION` on timing or key-schema changes — version 2
   dropped display labels from keys, version 3 keys shapes by their
-  tile-padded dimensions);
+  tile-padded dimensions, version 4 counts exact integer time);
 - :mod:`repro.runtime.plan` declares sweeps: a frozen, serializable
   :class:`SweepPlan` (designs x workloads/suites x batches x knobs x
   fidelity) that expands lazily to dedup-keyed :class:`SweepJob`\\ s,

@@ -58,8 +58,10 @@ from repro.cpu.result import SimResult
 #: every cached result.  History: 1 = initial schema; 2 = display labels
 #: (``cache_key: False`` fields) excluded from keys; 3 = shapes keyed by
 #: their tile-padded dimensions (sub-tile shapes lower to identical
-#: streams, so e.g. batches 1..16 of an FC layer share one entry).
-CODE_VERSION = 3
+#: streams, so e.g. batches 1..16 of an FC layer share one entry); 4 =
+#: integer time, exact at every core width (float time read one cycle high
+#: on some points at non-power-of-two widths), no ``store_buffer_size``.
+CODE_VERSION = 4
 
 _CACHE_FILENAME = "simresults.jsonl"
 

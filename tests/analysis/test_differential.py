@@ -11,6 +11,11 @@ The regression corpus pins the inputs on which the retired analytic
 closed forms were silently wrong: the analytic model must now return
 ``fast-ref``'s whole result on each.
 
+``fast`` and ``fast-ref`` count time in integer ticks of 1/L cycle.
+:func:`exact_cycles` evaluates ``fast-ref``'s recurrence again in
+``fractions.Fraction`` time, sharing no code with the ticks, and both
+models must equal it on tiny programs at drawn widths 1–8.
+
 ``ooo`` is compared on tiny programs at the default core only, with
 ``test_model_fuzz.py``'s tolerance.  Random cores are left out of that
 assertion: at ``retire_width=1`` the two models' retire accounting drifts
@@ -19,6 +24,10 @@ past the tolerance (up to ~10 %).
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from typing import List
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,11 +35,18 @@ from repro.analysis.bounds import cross_check_bounds
 from repro.cpu.analytic import AnalyticCoreModel
 from repro.cpu.config import CoreConfig
 from repro.cpu.fast import FastCoreModel
+from repro.engine.config import EngineConfig
 from repro.engine.designs import DESIGNS, get_design
+from repro.engine.scheduler import EngineScheduler
+from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
+from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.runtime.registry import resolve_backend
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import BlockingConfig, MMOrder
+
+from tests.cpu.test_fastvec import tile_programs
 
 #: Every (bm, bn) with bm·bn + bm + bn <= 8 tile registers.
 LEGAL_BLOCKINGS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2))
@@ -144,3 +160,92 @@ def test_ooo_tracks_fast_on_tiny_programs(m, n, k, codegen, design):
     assert (ooo.mm_count, ooo.bypass_count) == (fast.mm_count, fast.bypass_count)
     diff = abs(fast.cycles - ooo.cycles)
     assert diff <= 32 or diff / ooo.cycles < 0.05, (fast.cycles, ooo.cycles)
+
+
+def exact_cycles(program: Program, core: CoreConfig, engine: EngineConfig) -> int:
+    """``fast-ref``'s recurrence (``FastCoreModel.run``) in exact rationals.
+
+    A dispatch adds ``Fraction(1, fetch_width)``, a retire
+    ``Fraction(1, retire_width)``; every other latency is whole cycles, and
+    the engine keeps its own integer clock (:class:`EngineScheduler`).
+    """
+    ratio = core.engine_clock_ratio(engine.clock_mhz)
+    scheduler = EngineScheduler(engine)
+    fetch, retire_step = Fraction(1, core.fetch_width), Fraction(1, core.retire_width)
+    transfer = core.tile_transfer_cycles
+    tile = [Fraction(0)] * NUM_TILE_REGS
+    scalar = [Fraction(0)] * NUM_SCALAR_REGS
+    version = [0] * NUM_TILE_REGS
+    loads = [Fraction(0)] * core.load_ports
+    stores = [Fraction(0)] * core.store_ports
+    alus = [Fraction(0)] * core.alu_ports
+    retires: List[Fraction] = [Fraction(0)]
+    dispatch = Fraction(core.frontend_latency)
+    for i, inst in enumerate(program):
+        dispatch += fetch
+        if i >= core.rob_size:
+            dispatch = max(dispatch, retires[i + 1 - core.rob_size])
+        op = inst.opcode
+        if op is Opcode.RASA_TL:
+            port = loads.index(min(loads))  # the lowest index on ties
+            start = max(dispatch, loads[port])
+            loads[port] = start + transfer
+            complete = start + core.tile_load_latency
+            tile[inst.dst.index] = complete
+            version[inst.dst.index] += 1
+        elif op is Opcode.RASA_TS:
+            port = stores.index(min(stores))
+            start = max(dispatch, tile[inst.srcs[0].index], stores[port])
+            stores[port] = complete = start + transfer
+        elif op is Opcode.RASA_MM:
+            c, a, b = (reg.index for reg in inst.srcs)
+            ready = math.ceil(max(dispatch, tile[a], tile[b], tile[c]) / ratio)
+            times = scheduler.schedule_mm(
+                ready_b=ready, ready_ac=ready, weight_key=(b, version[b])
+            )
+            complete = Fraction(times.complete * ratio)
+            tile[c] = complete
+            version[c] += 1
+        else:
+            port = alus.index(min(alus))
+            start = max([dispatch, alus[port]] + [scalar[src.index] for src in inst.srcs])
+            alus[port] = complete = start + 1
+            if inst.dst is not None:
+                scalar[inst.dst.index] = complete
+        retires.append(max(retires[-1] + retire_step, complete + 1))
+    return math.ceil(retires[-1])
+
+
+def assert_exact(program: Program, core: CoreConfig, design: str) -> int:
+    """``fast == fast-ref``, both at the exact cycles; returns them."""
+    fast = resolve_backend(design, fidelity="fast", core=core).prepare(program).run()
+    reference = resolve_backend(design, fidelity="fast-ref", core=core).prepare(program).run()
+    assert fast == reference
+    assert fast.cycles == exact_cycles(program, core, get_design(design).config)
+    return fast.cycles
+
+
+@st.composite
+def tiny_programs(draw):
+    """A tiny generated GEMM on a drawn codegen, or a hand-built program."""
+    if draw(st.booleans()):
+        return draw(tile_programs())
+    shape = GemmShape(
+        draw(st.integers(1, 48)), draw(st.integers(1, 48)), draw(st.integers(1, 96))
+    )
+    return generate_gemm_program(shape, draw(codegens()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=tiny_programs(), core=cores, design=designs)
+def test_fast_and_fast_ref_equal_exact_rational_time(program, core, design):
+    assert_exact(program, core, design)
+
+
+@pytest.mark.parametrize("widths", [(3, 3), (6, 3), (4, 3)], ids=str)
+def test_dlrm2_at_retire_width_3_reads_the_exact_cycles(widths):
+    # The shortest Table I program (DLRM-2 at scale 4, 376 instructions) on
+    # which float time read one cycle high at these widths: 48,740.
+    program = generate_gemm_program(GemmShape(128, 32, 256))
+    core = CoreConfig(fetch_width=widths[0], retire_width=widths[1])
+    assert assert_exact(program, core, "baseline") == 48_739

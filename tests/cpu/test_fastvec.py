@@ -51,6 +51,7 @@ from repro.cpu.decode import decode_program
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.fastvec import FastVecCoreModel
 from repro.cpu.memory import IdealMemory
+from repro.cpu.result import SimResult
 from repro.cpu.steady import SteadyStateWalk
 from repro.engine.config import ControlPolicy, EngineConfig
 from repro.engine.designs import DESIGNS
@@ -62,6 +63,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.runtime.session import cached_program
 from repro.systolic.pe import BASELINE_PE
+from repro.workloads.array_lowering import gemm_skeleton
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import BlockingConfig, MMOrder
@@ -146,9 +148,8 @@ def tile_programs(draw):
 
 @st.composite
 def core_configs(draw):
-    """Core shapes on both sides of the jump gate: non-power-of-two
-    fetch/retire widths, several ports and tiny ROBs must be bit-identical
-    too."""
+    """Core shapes: non-power-of-two fetch/retire widths, several ports and
+    tiny ROBs must be bit-identical too."""
     return CoreConfig(
         rob_size=draw(st.sampled_from([1, 3, 8, 13, 97])),
         fetch_width=draw(st.sampled_from([1, 2, 3, 4])),
@@ -258,12 +259,13 @@ class TestEdgeCases:
         assert decode_program(program) is decode_program(program)
 
 
-def assert_jumps(program, config, most, core=CoreConfig()) -> None:
+def assert_jumps(program, config, most, core=CoreConfig()) -> SimResult:
     """``fast == fast-ref``, with at most ``most`` instructions stepped."""
     vector = FastVecCoreModel(core=core, engine=config)
     actual = vector.run(program)
     assert vector.last_walked <= most
     assert actual == FastCoreModel(core=core, engine=config).run(program)
+    return actual
 
 
 class TestSteadyStateJump:
@@ -295,9 +297,9 @@ class TestSteadyStateJump:
         assert_jumps(program, DESIGNS["rasa-dmdb-wls"].config,
                      core=CoreConfig(rob_size=16), most=108)
 
-    def test_non_power_of_two_widths_never_jump(self):
-        # With widths 3/6 a jump here lands one cycle off fast-ref
-        # (4,974,627 against 4,974,628); the walk must step every op.
+    def test_non_power_of_two_widths_jump_exactly(self):
+        # Float time read one cycle high here at widths 3/6 (4,974,628) and
+        # kept the walk from jumping; in ticks it jumps and reads 4,974,627.
         options = CodegenOptions(
             blocking=BlockingConfig(1, 3, MMOrder.ALTERNATE),
             scalar_overhead_per_kstep=0,
@@ -307,13 +309,12 @@ class TestSteadyStateJump:
                           l1_latency=10, pipeline_stages=10)
         program = generate_gemm_program(GemmShape(316, 302, 1295), options)
         config = DESIGNS["rasa-wlbp"].config
-        vector = FastVecCoreModel(core=core, engine=config)
-        assert vector.run(program) == FastCoreModel(core=core, engine=config).run(program)
-        assert vector.last_walked == len(program)
+        result = assert_jumps(program, config, core=core, most=227)  # of 39,340
+        assert result.cycles == 4_974_627
 
 
 class TestWalkMemory:
-    """A walk that steps every instruction keeps the ROB ring, not a history.
+    """A walk keeps the ROB ring and a few snapshots, not a history.
 
     A history of one retire time per stepped instruction would peak at
     about 360 KiB on each program below (11,136 instructions) and grow
@@ -325,7 +326,8 @@ class TestWalkMemory:
 
     SHAPE = GemmShape(256, 256, 512)
 
-    def assert_bounded(self, program, core):
+    def assert_bounded(self, program, core) -> int:
+        """Bounded memory and ``fast == fast-ref``; returns the ops stepped."""
         config = DESIGNS["rasa-dmdb-wls"].config
         vector = FastVecCoreModel(core=core, engine=config)
         decode_program(program)  # a hand-built program's walk is memoized
@@ -335,17 +337,19 @@ class TestWalkMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert vector.last_walked == len(program) == 11_136  # no jump
+        assert len(program) == 11_136
         assert peak < self.MOST_BYTES
         assert actual == FastCoreModel(core=core, engine=config).run(program)
+        return vector.last_walked
 
     def test_generated_program_at_non_power_of_two_widths(self):
+        # It jumps as at width 4 (test_default_codegen_steps_a_few_periods).
         program = generate_gemm_program(self.SHAPE)
-        self.assert_bounded(program, CoreConfig(fetch_width=3, retire_width=6))
+        assert self.assert_bounded(program, CoreConfig(fetch_width=3, retire_width=6)) <= 268
 
     def test_hand_built_program(self):
         program = Program(list(generate_gemm_program(self.SHAPE)), name="hand")
-        self.assert_bounded(program, CoreConfig())
+        assert self.assert_bounded(program, CoreConfig()) == len(program)  # no jump
 
 
 @st.composite
@@ -353,8 +357,8 @@ def generated_points(draw):
     """Generated programs past the detector's limits, on drawn cores.
 
     Odd tile counts, rows of more than 8 blocks, up to 64 K steps; any
-    legal blocking and order; widths powers of two (the walk jumps) or not
-    (it must not).  The tile product is capped so fast-ref stays quick.
+    legal blocking and order; widths powers of two or not (the walk jumps
+    at both).  The tile product is capped so fast-ref stays quick.
     """
     blocking = draw(st.sampled_from(LEGAL_BLOCKINGS))
     m_tiles = draw(st.integers(1, 12))
@@ -432,6 +436,35 @@ class TestWalkMemo:
         program = generate_gemm_program(GemmShape(55, 214, 31), options)
         assert_jumps(program, DESIGNS["rasa-pipe"].config, core=CoreConfig(rob_size=8),
                      most=len(program))
+
+    def test_entries_that_differ_only_in_the_rob_ring_are_walked_apart(self):
+        # Two walks enter one block at the same floor, with every register,
+        # port and engine time equal, but different ROB rings.  A ROB of 4
+        # makes the block's first dispatches wait on the ring's oldest
+        # entries; a memo keyed without the ring replays the first entry's
+        # effect for the second.
+        core = CoreConfig(rob_size=4)
+        config = DESIGNS["rasa-dmdb-wls"].config
+        skeleton = gemm_skeleton(GemmShape(32, 32, 64), CodegenOptions())  # one block
+        floor = 40 * core.ticks_per_cycle
+        late = 2 * floor
+
+        def walk_from(ring):
+            walk = SteadyStateWalk(core, config, core.tile_load_latency)
+            walk.dispatch = floor
+            walk.retires.extend(ring)
+            walk.retire = ring[-1]
+            return walk.run(skeleton, "ring")
+
+        rings = ([floor - 3, floor - 2, floor - 1, late], [late - 3, late - 2, late - 1, late])
+        cold = []
+        for ring in rings:
+            SteadyStateWalk.cache_clear()
+            cold.append(walk_from(ring))
+        assert cold[0].cycles != cold[1].cycles  # the ring alone moves the result
+        SteadyStateWalk.cache_clear()
+        assert [walk_from(ring) for ring in rings] == cold
+        assert SteadyStateWalk.cache_info().misses == 2
 
     def test_suite_grid_is_equal_with_the_memo_cold_and_warm(self):
         points = [

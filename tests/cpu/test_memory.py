@@ -21,14 +21,14 @@ from repro.workloads.gemm import GemmShape
 class TestIdealMemory:
     def test_constant_latency(self):
         mem = IdealMemory(l1_latency=4, transfer_cycles=16)
-        assert mem.tile_load_latency(0x0, 64, 0) == 20
-        assert mem.tile_load_latency(0xDEAD000, 4096, 99.5) == 20
+        assert mem.tile_load_latency(0x0, 64) == 20
+        assert mem.tile_load_latency(0xDEAD000, 4096) == 20
 
     def test_matches_core_config_default(self):
         # The default FastCoreModel memory reproduces CoreConfig's constant.
         core = CoreConfig()
         mem = IdealMemory(core.l1_latency, core.tile_transfer_cycles)
-        assert mem.tile_load_latency(0, 64, 0) == core.tile_load_latency
+        assert mem.tile_load_latency(0, 64) == core.tile_load_latency
 
 
 class TestCacheLevel:
@@ -44,8 +44,8 @@ class TestCacheLevel:
 class TestCacheHierarchy:
     def test_cold_misses_then_hits(self):
         mem = CacheHierarchy()
-        cold = mem.tile_load_latency(0x10000, 64, 0)
-        warm = mem.tile_load_latency(0x10000, 64, 100)
+        cold = mem.tile_load_latency(0x10000, 64)
+        warm = mem.tile_load_latency(0x10000, 64)
         assert cold > warm
         assert warm == mem.config.l1.hit_latency + mem.config.transfer_cycles
         assert mem.dram_fills == 16  # all 16 rows missed everywhere once
@@ -56,31 +56,31 @@ class TestCacheHierarchy:
         mem = CacheHierarchy()
         footprint = 128 * 1024
         for addr in range(0, footprint, 1024):
-            mem.tile_load_latency(addr, 64, 0)
+            mem.tile_load_latency(addr, 64)
         mem.l1_hits = mem.l2_hits = mem.dram_fills = 0
         for addr in range(0, footprint, 1024):
-            mem.tile_load_latency(addr, 64, 0)
+            mem.tile_load_latency(addr, 64)
         rates = mem.hit_rates()
         assert rates["dram"] == 0.0
         assert rates["l2"] > 0.5
 
     def test_strided_rows_touch_distinct_lines(self):
         mem = CacheHierarchy()
-        mem.tile_load_latency(0x0, 4096, 0)  # 16 rows, 4 KiB apart
+        mem.tile_load_latency(0x0, 4096)  # 16 rows, 4 KiB apart
         assert mem.accesses == 16
         assert mem.dram_fills == 16
 
     def test_mlp_batches_misses(self):
         fast = CacheHierarchy(HierarchyConfig(mlp=16))
         slow = CacheHierarchy(HierarchyConfig(mlp=1))
-        assert slow.tile_load_latency(0x0, 64, 0) > fast.tile_load_latency(0x0, 64, 0)
+        assert slow.tile_load_latency(0x0, 64) > fast.tile_load_latency(0x0, 64)
 
     def test_reset(self):
         mem = CacheHierarchy()
-        mem.tile_load_latency(0x0, 64, 0)
+        mem.tile_load_latency(0x0, 64)
         mem.reset()
         assert mem.accesses == 0
-        assert mem.tile_load_latency(0x0, 64, 0) > (
+        assert mem.tile_load_latency(0x0, 64) > (
             mem.config.l1.hit_latency + mem.config.transfer_cycles
         )
 

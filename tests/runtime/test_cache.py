@@ -36,23 +36,24 @@ RESULT = SimResult(
 
 LOG = "simresults.jsonl"
 
-#: Keys off the default config, captured before key rendering was memoized:
-#: a changed rendering of any core, codegen or shape field fails here.
+#: Keys off the default config, captured before key rendering was memoized
+#: and re-captured once at ``CODE_VERSION`` 4: a changed rendering of any
+#: core, codegen or shape field fails here.
 PINNED_KEYS = [
     (lambda: ("rasa-dmdb-wls", GemmShape(100, 70, 40, name="odd"),
               dataclasses.replace(CoreConfig(), rob_size=224, fetch_width=2,
                                   scheduler_size=2),
               CodegenOptions(), "fast"),
-     "08bd4e034175d0607cd04661ee3c4c9a13a4f9de21238590aea444bf1a00d49b"),
+     "158a047258c5a37bf44e9b3887797a9dfd055ebe62058d368c413041fd93e8a9"),
     (lambda: ("rasa-wlbp", GemmShape(64, 64, 64), CoreConfig(),
               CodegenOptions(
                   blocking=BlockingConfig(bm=3, bn=1, mm_order=MMOrder.ALTERNATE),
                   scalar_overhead_per_kstep=0, scalar_overhead_per_block=3),
               "analytic"),
-     "c0a38b74532e6bcc27b34e1b64da4632fe8d177a2f98fc53b30b966bdad9b19f"),
+     "6c78f0a802ca6dbeeef2437fd3a4c364387a831368c372198c52cd82ac0741de"),
     (lambda: ("baseline", GemmShape(16, 16, 32), CoreConfig(), CodegenOptions(),
               "ooo"),
-     "af79e8638588f8092204c6d44c47059c53fde7eb96ca0b566d8abc9dc4b4627e"),
+     "1704e4bc73c386a411961f4eee1e44caeefa443387b372e9008fbfbdf2f02178"),
 ]
 
 

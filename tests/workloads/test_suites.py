@@ -4,7 +4,8 @@
 the distinct-point cache keys of every pre-IR suite, captured on main
 *before* the op-level refactor: the op lowering pipeline must reproduce
 each suite bit for bit, or warm result caches (and the paper numbers)
-would silently shift.
+would silently shift.  The keys were re-captured once at ``CODE_VERSION``
+4; no multiset, dims or count moved.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class TestGoldenSuites:
         """The dedup keys — label-free, tile-padded SHA-256 — are frozen.
 
         This is what keeps warm result caches valid across the IR
-        refactor: the keys were captured with the pre-IR factories.
+        refactor: the keys were captured with the pre-IR factories (and
+        re-captured at ``CODE_VERSION`` 4).
         """
         core, codegen = CoreConfig(), CodegenOptions()
         suite = get_suite(name)
