@@ -35,7 +35,7 @@ any legal execution under the fast model's machine description can achieve:
 There is no static upper bound: a greedy list schedule of the full
 resource model *is* the fast model, so the achieved cycles come from
 :class:`repro.cpu.fast.FastCoreModel` (``fast-ref``), whose engine timing is
-the one reference recurrence, :class:`repro.engine.scheduler.EngineScheduler`.
+the one recurrence, :func:`repro.engine.scheduler.schedule_stages`.
 
 :func:`cross_check_bounds` is the one place the tiers are compared: per
 design it asserts the ``fast`` result equal to ``fast-ref``'s field for

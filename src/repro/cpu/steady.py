@@ -11,6 +11,14 @@ rows, and jumps over the rest.  ``fast`` walks a program's skeleton
 of a shape (:func:`repro.workloads.array_lowering.gemm_skeleton`) and
 never builds a program.
 
+**Two sides.**  The engine side is not restated here: each mm calls
+:func:`repro.engine.scheduler.schedule_stages`, the recurrence
+``fast-ref``'s :class:`~repro.engine.scheduler.EngineScheduler` runs, on
+the rules :func:`~repro.engine.scheduler.engine_rules` derives.  The CPU
+side (dispatch, the ROB, ports, retire) is a second implementation of
+``fast-ref``'s, on purpose: it is what the ``fast == fast-ref`` oracle
+compares.
+
 **Why a jump is exact (max-plus cyclicity).**  The fast model only adds
 constants and takes maxes, so it commutes with a uniform shift: started
 from a state shifted by Δ, the same instructions produce every timestamp
@@ -69,12 +77,14 @@ share blocks: on perfbench ``analytic-grid`` 4,480 of 5,440 block walks
 are replays).
 
 - *Key:* a token for everything the walk reads besides the state (the
-  core, the engine's stage rules and clock ratio, the load latency and
-  the scalar registers the skeleton writes), the block, and the packed
-  entry state: the compared state above, ROB ring included, with F modulo
-  the engine cycle, as one int64 ``bytes``.  Every timestamp is a tick
-  count, so packing loses nothing, and block and row boundaries use the
-  same packed state to find periods, so a miss packs each boundary once.
+  core, the engine's rules as ``engine_rules`` derives them, its clock
+  ratio, the load latency and the scalar registers the skeleton writes),
+  the block, and the packed entry state: the compared state above, ROB
+  ring included, with F modulo the engine cycle, as one int64 ``bytes``.
+  Engines that differ in any rule get different tokens.  Every timestamp
+  is a tick count, so packing loses nothing, and block and row boundaries
+  use the same packed state to find periods, so a miss packs each boundary
+  once.
 - *Stored:* the packed exit state, the floor's advance, the
   mm/bypass/weight-load counts, the writes per tile register, and the last
   mm's completion (and, entered before any mm, the first weight load)
@@ -118,8 +128,8 @@ from repro.cpu.decode import (
     SkeletonRow,
 )
 from repro.cpu.result import SimResult
-from repro.engine.config import ControlPolicy, EngineConfig
-from repro.errors import ScheduleError
+from repro.engine.config import EngineConfig
+from repro.engine.scheduler import WL_END, StageEnds, engine_rules, schedule_stages
 from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
 
 #: Earlier boundaries of a run each new boundary is compared with: the
@@ -206,13 +216,7 @@ class SteadyStateWalk:
         self.engine_tick = core.engine_clock_ratio(engine.clock_mhz) * tick  # per engine cycle
         self.transfer = core.tile_transfer_cycles * tick
         self.load_latency = load_latency * tick
-        stages = engine.stages
-        policy = engine.control
-        self._engine_rules = (
-            stages.wl, stages.ff, stages.fs, stages.dr, stages.extra,
-            policy.bypasses_on_reuse, policy is ControlPolicy.BASE,
-            policy is ControlPolicy.WLS, engine.wlbp_ff_overlaps_fs,
-        )
+        self._rules = engine_rules(engine)
         # CPU side, as FastCoreModel.run keeps it; port free times sorted.
         self.dispatch = core.frontend_latency * tick
         self.retire = 0
@@ -231,8 +235,8 @@ class SteadyStateWalk:
         self.alu_ports = [0] * core.alu_ports
         # Engine side, as EngineScheduler keeps it.
         self.has_prev = False
-        #: The previous mm's wl_end, ff_start, ff_end, fs_end and dr_end.
-        self.prev: Tuple[int, ...] = (0, 0, 0, 0, 0)
+        #: The previous mm's stage ends, read while ``has_prev``.
+        self.prev: StageEnds = (0, 0, 0, 0, 0)
         self.resident = (-1, -1)  # B register and its version
         self.mm_count = self.bypasses = self.weight_loads = 0
         self.first_wl: Optional[int] = None
@@ -260,7 +264,7 @@ class SteadyStateWalk:
             if op[0] == KIND_ALU
             for reg in op[2]
         }))
-        reads = (self.core, self._engine_rules, self.engine_tick, self.load_latency,
+        reads = (self.core, self._rules, self.engine_tick, self.load_latency,
                  self._scalars)
         self._token = _TOKENS.setdefault(reads, object())
         for row, repeat in skeleton.rows:
@@ -355,6 +359,7 @@ class SteadyStateWalk:
             history = None  # walk the tail
 
     # -- one stretch of instructions: FastCoreModel.run's arithmetic -------
+    # (the CPU side; an mm's sub-stages come from the scheduler's recurrence)
 
     def _step(self, ops: Sequence[SkeletonOp]) -> None:
         tick = self.tick
@@ -375,10 +380,9 @@ class SteadyStateWalk:
         retire = self.retire
 
         engine_tick = self.engine_tick
-        (s_wl, s_ff, s_fs, s_dr, s_extra,
-         bypass_on_reuse, is_base, is_wls, ff_overlaps_fs) = self._engine_rules
-        has_prev = self.has_prev
-        prev_wl_end, prev_ff_start, prev_ff_end, prev_fs_end, prev_dr_end = self.prev
+        rules = self._rules
+        schedule = schedule_stages
+        prev: Optional[StageEnds] = self.prev if self.has_prev else None
         resident_b, resident_v = self.resident
         mm_count = self.mm_count
         bypasses = self.bypasses
@@ -417,52 +421,19 @@ class SteadyStateWalk:
                     ready_cpu = t
                 ready = -(-ready_cpu // engine_tick)
                 version = tile_version[b]
-                if bypass_on_reuse and resident_b == b and resident_v == version:
-                    ff_start = ready
-                    if has_prev:
-                        floor = prev_ff_end if ff_overlaps_fs else prev_fs_end
-                        if floor > ff_start:
-                            ff_start = floor
-                    wl_start = wl_end = ff_start
+                wl_start, prev, last_complete = schedule(
+                    rules, prev, ready, ready,
+                    resident_b == b and resident_v == version, mm_count,
+                )
+                if prev[WL_END] == wl_start:  # a zero-width WL: a bypass
                     bypasses += 1
                 else:
-                    wl_start = ready
-                    if has_prev:
-                        if prev_wl_end > wl_start:
-                            wl_start = prev_wl_end
-                        if is_base:
-                            floor = prev_dr_end
-                        elif is_wls:
-                            floor = prev_ff_start
-                        else:  # PIPE / WLBP
-                            floor = prev_fs_end
-                        if floor > wl_start:
-                            wl_start = floor
-                    wl_end = wl_start + s_wl
-                    ff_start = wl_end if wl_end > ready else ready
-                    if has_prev and prev_ff_end > ff_start:
-                        ff_start = prev_ff_end
                     weight_loads += 1
-                ff_end = ff_start + s_ff
-                fs_end = ff_end + s_fs
-                dr_end = fs_end + s_dr
-                if has_prev and fs_end < prev_dr_end:
-                    raise ScheduleError(
-                        f"drain-port conflict between mm {mm_count - 1} and "
-                        f"{mm_count}: {prev_dr_end} > {fs_end}"
-                    )
                 if first_wl is None:
                     first_wl = wl_start
-                last_complete = dr_end + s_extra
                 complete = last_complete * engine_tick
                 tile_ready[c] = complete
                 tile_version[c] += 1
-                has_prev = True
-                prev_wl_end = wl_end
-                prev_ff_start = ff_start
-                prev_ff_end = ff_end
-                prev_fs_end = fs_end
-                prev_dr_end = dr_end
                 resident_b = b
                 resident_v = version
                 mm_count += 1
@@ -497,8 +468,9 @@ class SteadyStateWalk:
 
         self.dispatch = dispatch
         self.retire = retire
-        self.has_prev = has_prev
-        self.prev = (prev_wl_end, prev_ff_start, prev_ff_end, prev_fs_end, prev_dr_end)
+        if prev is not None:
+            self.has_prev = True
+            self.prev = prev
         self.resident = (resident_b, resident_v)
         self.mm_count = mm_count
         self.bypasses = bypasses

@@ -143,7 +143,7 @@ class EngineConfig:
 
         In engine cycles: however operand readiness lands, instruction *i*'s
         DR end trails instruction *i − 1*'s by at least this much.  Follows
-        from :meth:`repro.engine.scheduler.EngineScheduler.schedule_mm`'s
+        from :func:`repro.engine.scheduler.schedule_stages`'
         policy floors (``prev.dr_end`` / ``prev.fs_end`` / ``prev.ff_start``
         for BASE / PIPE+WLBP / WLS), the FF-feeder serialization
         (``ff_start >= prev.ff_end``), and the drain-port serialization the

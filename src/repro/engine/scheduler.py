@@ -1,14 +1,15 @@
 """Sub-stage timeline scheduler: where RASA-Control actually happens.
 
-The scheduler assigns each ``rasa_mm`` a :class:`StageTimes` — the engine
-cycles at which its WL/FF/FS/DR sub-stages run — subject to
+:func:`schedule_stages` is RASA-Control's recurrence, written once over
+plain ints: it places one ``rasa_mm``'s WL/FF/FS/DR sub-stages after the
+previous mm's, subject to
 
 1. dataflow within the instruction: FF may not start before its WL ends
    (weights must be resident / the shadow swap happens at FF start), and the
    streaming wavefront cannot stall, so FS and DR follow FF back-to-back;
 2. structural resources: one weight-load path (WL regions serialize), the
    row-0 west feeders (FF regions serialize), the south drain ports;
-3. the control policy's overlap rules (Fig. 4b):
+3. the control policy's overlap rules (Fig. 4b), :data:`WL_FLOORS`:
    - BASE  — WL waits for the previous DR to finish (full serialization);
    - PIPE  — WL may overlap the previous DR (waits only for its FS end);
    - WLBP  — like PIPE, but when the B register's weights are already
@@ -16,6 +17,17 @@ cycles at which its WL/FF/FS/DR sub-stages run — subject to
      previous FF ends (overlapping the previous FS and DR);
    - WLS   — WL prefetches into the shadow buffer, constrained only by the
      load links being free and the shadow being vacated (previous FF start).
+
+:func:`engine_rules` derives what the recurrence reads of an
+:class:`EngineConfig`, in one place.  :class:`EngineScheduler` (``fast-ref``,
+``ooo``, ``MatrixEngine``, E17) wraps each result in a :class:`StageTimes`;
+the steady-state walk behind ``fast`` and ``analytic``
+(:mod:`repro.cpu.steady`) calls it once per mm and keeps the ints.  Three
+oracles state the rules again, on purpose: ``EngineConfig.min_issue_delta``
+(a closed form), :mod:`repro.analysis.bounds` (a relaxed mm edge) and the
+verifier's residency replay.  Derived from this recurrence, a wrong rule
+would loosen the bound along with the model, and ``LB <= fast`` would no
+longer catch it.
 
 ``check_schedule_legality`` independently re-verifies a produced schedule
 against the closed-form per-PE occupancy windows of
@@ -27,10 +39,88 @@ policy and workload shape.
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.engine.config import ControlPolicy, EngineConfig
 from repro.errors import ScheduleError
+
+#: A mm's stage ends, as the next mm's recurrence reads them:
+#: ``(wl_end, ff_start, ff_end, fs_end, dr_end)``, indexed by these names.
+StageEnds = Tuple[int, ...]
+WL_END, FF_START, FF_END, FS_END, DR_END = range(5)
+
+#: The previous mm's stage end each policy's weight load waits for.
+WL_FLOORS: Dict[ControlPolicy, int] = {
+    ControlPolicy.BASE: DR_END,
+    ControlPolicy.PIPE: FS_END,
+    ControlPolicy.WLBP: FS_END,
+    ControlPolicy.WLS: FF_START,
+}
+
+#: Everything :func:`schedule_stages` reads of an engine configuration: the
+#: WL, FF, FS and DR durations, the DM merge-adder latency after DR, the
+#: previous mm's stage end a WL waits for, the one a bypassed FF waits for,
+#: and whether the policy bypasses on reuse.  A plain tuple: the walk
+#: unpacks it once per mm.
+EngineRules = Tuple[int, int, int, int, int, int, int, bool]
+
+
+def engine_rules(config: EngineConfig) -> EngineRules:
+    """The rules :func:`schedule_stages` reads, derived from ``config``."""
+    stages = config.stages
+    return (
+        stages.wl, stages.ff, stages.fs, stages.dr, stages.extra,
+        WL_FLOORS[config.control],
+        FF_END if config.wlbp_ff_overlaps_fs else FS_END,  # FS_END: E9's ablation
+        config.control.bypasses_on_reuse,
+    )
+
+
+def schedule_stages(
+    rules: EngineRules,
+    prev: Optional[StageEnds],
+    ready_b: int,
+    ready_ac: int,
+    resident: bool,
+    index: int,
+) -> Tuple[int, StageEnds, int]:
+    """Place one rasa_mm's sub-stages, in engine cycles.
+
+    ``prev`` is the previous mm's stage ends (``None`` before the first
+    mm), ``ready_b``/``ready_ac`` when the B and the A/C registers are
+    readable, ``resident`` whether the active buffers hold exactly B's
+    contents (the dirty-bit test of WLBP) and ``index`` the mm's place in
+    its stream.  Returns ``(wl_start, ends, complete)``; a bypassed WL has
+    zero width (``ends[WL_END] == wl_start``).  Raises
+    :class:`ScheduleError` if the drain would start before the previous
+    mm's drain ends.
+    """
+    wl, ff, fs, dr, extra, wl_floor, bypass_floor, bypasses_on_reuse = rules
+    if resident and bypasses_on_reuse:
+        ff_start = ready_b if ready_b > ready_ac else ready_ac
+        if prev is not None and prev[bypass_floor] > ff_start:
+            ff_start = prev[bypass_floor]
+        wl_start = wl_end = ff_start
+    else:
+        wl_start = ready_b
+        if prev is not None:
+            if prev[WL_END] > wl_start:
+                wl_start = prev[WL_END]
+            if prev[wl_floor] > wl_start:
+                wl_start = prev[wl_floor]
+        wl_end = wl_start + wl
+        ff_start = wl_end if wl_end > ready_ac else ready_ac
+        if prev is not None and prev[FF_END] > ff_start:
+            ff_start = prev[FF_END]
+    ff_end = ff_start + ff
+    fs_end = ff_end + fs
+    dr_end = fs_end + dr
+    if prev is not None and fs_end < prev[DR_END]:
+        raise ScheduleError(
+            f"drain-port conflict between mm {index - 1} and {index}: "
+            f"{prev[DR_END]} > {fs_end}"
+        )
+    return wl_start, (wl_end, ff_start, ff_end, fs_end, dr_end), dr_end + extra
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,17 +151,8 @@ class StageTimes:
             raise ScheduleError(f"stage times out of order: {self}")
 
     @property
-    def fs_start(self) -> int:
-        return self.ff_end
-
-    @property
     def dr_start(self) -> int:
         return self.fs_end
-
-    @property
-    def span(self) -> int:
-        """Cycles from first activity to completion."""
-        return self.complete - self.wl_start
 
 
 class EngineScheduler:
@@ -80,18 +161,17 @@ class EngineScheduler:
     The scheduler is deliberately independent of the CPU model: callers pass
     operand readiness times (in engine cycles) and an opaque *weight key*
     identifying the B register's exact contents (architectural register plus
-    write version), and get back the scheduled stage times.
+    write version), and get back the scheduled stage times.  A write to the
+    register changes its key, so it ends the residency by itself.
     """
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        # Read once: ``schedule_mm`` runs once per mm of every program.
-        self._bypasses_on_reuse = config.control.bypasses_on_reuse
-        self._prev: Optional[StageTimes] = None
+        self._rules = engine_rules(config)
+        self._prev: Optional[StageEnds] = None
         self._resident_weights: Optional[Hashable] = None
         self._count = 0
         self._bypasses = 0
-        self._weight_loads = 0
 
     # -- queries ------------------------------------------------------------------
 
@@ -105,11 +185,7 @@ class EngineScheduler:
 
     @property
     def weight_load_count(self) -> int:
-        return self._weight_loads
-
-    @property
-    def last(self) -> Optional[StageTimes]:
-        return self._prev
+        return self._count - self._bypasses
 
     @property
     def resident_weights(self) -> Optional[Hashable]:
@@ -121,7 +197,6 @@ class EngineScheduler:
         self._resident_weights = None
         self._count = 0
         self._bypasses = 0
-        self._weight_loads = 0
 
     # -- scheduling -----------------------------------------------------------------
 
@@ -131,7 +206,7 @@ class EngineScheduler:
         ready_ac: int,
         weight_key: Hashable,
     ) -> StageTimes:
-        """Schedule the next rasa_mm.
+        """Schedule the next rasa_mm (:func:`schedule_stages`).
 
         Args:
             ready_b: engine cycle at which the B (weight) register is readable.
@@ -142,76 +217,22 @@ class EngineScheduler:
         Returns:
             The scheduled :class:`StageTimes`.
         """
-        config = self.config
-        stages = config.stages
-        prev = self._prev
-        policy = config.control
-
-        bypass = (
-            self._bypasses_on_reuse
-            and self._resident_weights is not None
-            and self._resident_weights == weight_key
+        index = self._count
+        resident = (
+            self._resident_weights is not None and self._resident_weights == weight_key
         )
-
-        if bypass:
-            ff_floor = max(ready_b, ready_ac)
-            if prev is not None:
-                if config.wlbp_ff_overlaps_fs:
-                    ff_floor = max(ff_floor, prev.ff_end)
-                else:
-                    ff_floor = max(ff_floor, prev.fs_end)
-            ff_start = ff_floor
-            wl_start = wl_end = ff_start
-        else:
-            wl_floor = ready_b
-            if prev is not None:
-                wl_floor = max(wl_floor, prev.wl_end)
-                if policy is ControlPolicy.BASE:
-                    wl_floor = max(wl_floor, prev.dr_end)
-                elif policy in (ControlPolicy.PIPE, ControlPolicy.WLBP):
-                    wl_floor = max(wl_floor, prev.fs_end)
-                else:  # WLS: shadow load; wait only for the shadow to be free
-                    wl_floor = max(wl_floor, prev.ff_start)
-            wl_start = wl_floor
-            wl_end = wl_start + stages.wl
-            ff_start = max(wl_end, ready_ac)
-            if prev is not None:
-                ff_start = max(ff_start, prev.ff_end)
-            self._weight_loads += 1
-
-        ff_end = ff_start + stages.ff
-        fs_end = ff_end + stages.fs
-        dr_end = fs_end + stages.dr
-        complete = dr_end + stages.extra
-
-        times = StageTimes(
-            index=self._count,
-            wl_start=wl_start,
-            wl_end=wl_end,
-            ff_start=ff_start,
-            ff_end=ff_end,
-            fs_end=fs_end,
-            dr_end=dr_end,
-            complete=complete,
-            bypassed=bypass,
+        wl_start, ends, complete = schedule_stages(
+            self._rules, self._prev, ready_b, ready_ac, resident, index
         )
-        if prev is not None and times.dr_start < prev.dr_end:
-            raise ScheduleError(
-                f"drain-port conflict between mm {prev.index} and {times.index}: "
-                f"{prev.dr_end} > {times.dr_start}"
-            )
-
-        self._prev = times
+        wl_end, ff_start, ff_end, fs_end, dr_end = ends
+        bypassed = wl_end == wl_start
+        self._prev = ends
         self._resident_weights = weight_key
-        self._count += 1
-        if bypass:
-            self._bypasses += 1
-        return times
-
-    def invalidate_weights(self, weight_key: Hashable) -> None:
-        """Drop residency if ``weight_key`` matches (a write dirtied the register)."""
-        if self._resident_weights == weight_key:
-            self._resident_weights = None
+        self._count = index + 1
+        self._bypasses += bypassed
+        return StageTimes(
+            index, wl_start, wl_end, ff_start, ff_end, fs_end, dr_end, complete, bypassed
+        )
 
 
 def check_schedule_legality(

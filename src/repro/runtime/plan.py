@@ -42,6 +42,7 @@ from repro.cpu.result import SimResult
 from repro.engine.designs import get_design
 from repro.errors import ExperimentError
 from repro.runtime.cache import cache_key, decode, encode, key_fragment, key_hasher
+from repro.runtime.registry import FIDELITIES
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.ops import DEFAULT_LOWERING, LoweringConfig
@@ -287,12 +288,12 @@ class SweepPlan:
     the full key set — see :meth:`shard`.
 
     Plans validate eagerly — unknown designs, workload entries that are
-    not ``(name, GemmShape)`` pairs, unknown suites, bad batches and bad
-    shards all raise at construction — and expand lazily
-    (:meth:`iter_jobs`).  Fidelity is the one knob resolved only at
-    execution: the backend registry is open (fidelities register at run
-    time, possibly on the host that finally runs a shipped plan), so a
-    name unknown *here* may be valid *there*.
+    not ``(name, GemmShape)`` pairs, unknown suites, unknown fidelities,
+    bad batches and bad shards all raise at construction — and expand
+    lazily (:meth:`iter_jobs`).  A fidelity must be registered
+    (:func:`repro.runtime.registry.register_backend`) before a plan names
+    it, so a plan no backend can run is refused before anything is
+    enqueued or scanned, not when a worker first simulates.
     """
 
     designs: Tuple[str, ...] = ()
@@ -382,9 +383,10 @@ class SweepPlan:
                 "lowering knobs; they apply to suite workloads only"
             )
         _check_settings(self.core, self.codegen)
-        if not self.fidelity or not isinstance(self.fidelity, str):
+        if not isinstance(self.fidelity, str) or self.fidelity not in FIDELITIES:
             raise ExperimentError(
-                f"fidelity must be a non-empty backend name, got {self.fidelity!r}"
+                f"unknown fidelity {self.fidelity!r}; registered: "
+                f"{', '.join(FIDELITIES)}"
             )
         if self.shard_spec is not None:
             object.__setattr__(

@@ -1,11 +1,17 @@
 """Differential test across every tier that must agree, through the one oracle.
 
 Hypothesis draws a GEMM, a legal register blocking and mm order, both
-scalar overheads and a :class:`CoreConfig`, and runs
-:func:`repro.analysis.bounds.cross_check_bounds` on it: ``fast ==
-fast-ref``, ``analytic == fast``, ``LB <= fast`` and static counters ==
-``fast`` counters on any input.  About half the draws keep the default
-core and overheads, where the walk jumps; the rest draw both freely.
+scalar overheads, a :class:`CoreConfig` and a legal :class:`EngineConfig`
+(any PE x policy x bypassed-FF overlap x engine clock, registered as a
+temporary design), and runs :func:`repro.analysis.bounds.cross_check_bounds`
+on it: ``fast == fast-ref``, ``analytic == fast``, ``LB <= fast`` and
+static counters == ``fast`` counters on any input.  About half the draws
+keep the default core and overheads, where the walk jumps; the rest draw
+both freely.
+
+:class:`TestOneRule` changes one rule where the engine's rules are derived
+(:func:`repro.engine.scheduler.engine_rules`) and checks that ``fast``,
+``fast-ref`` and ``analytic`` all follow it.
 
 The regression corpus pins the inputs on which the retired analytic
 closed forms were silently wrong: the analytic model must now return
@@ -24,9 +30,11 @@ past the tolerance (up to ~10 %).
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
 from fractions import Fraction
-from typing import List
+from typing import Iterator, List
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,13 +43,15 @@ from repro.analysis.bounds import cross_check_bounds
 from repro.cpu.analytic import AnalyticCoreModel
 from repro.cpu.config import CoreConfig
 from repro.cpu.fast import FastCoreModel
-from repro.engine.config import EngineConfig
-from repro.engine.designs import DESIGNS, get_design
-from repro.engine.scheduler import EngineScheduler
+from repro.cpu.result import SimResult
+from repro.engine.config import ControlPolicy, EngineConfig
+from repro.engine.designs import DESIGNS, DesignPoint, get_design
+from repro.engine.scheduler import WL_FLOORS, EngineScheduler
 from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.runtime.registry import resolve_backend
+from repro.systolic.pe import BASELINE_PE, DB_PE, DM_PE, DMDB_PE
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
 from repro.workloads.tiling import BlockingConfig, MMOrder
@@ -51,6 +61,9 @@ from tests.cpu.test_fastvec import tile_programs
 #: Every (bm, bn) with bm·bn + bm + bn <= 8 tile registers.
 LEGAL_BLOCKINGS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2))
 DEFAULT_OVERHEADS = (2, 6)
+
+#: Engine clocks that divide the default 2 GHz core clock.
+ENGINE_CLOCKS = (250, 500, 1000, 2000)
 
 designs = st.sampled_from(sorted(DESIGNS))
 overheads = st.tuples(st.integers(0, 6), st.integers(0, 24))
@@ -80,6 +93,40 @@ def codegens(draw, overheads=overheads):
 
 
 @st.composite
+def engines(draw):
+    """A legal engine: PE x policy x bypassed-FF overlap x engine clock.
+
+    WLS prefetches into a shadow buffer, so it needs a double-buffered PE.
+    """
+    pe = draw(st.sampled_from((BASELINE_PE, DB_PE, DM_PE, DMDB_PE)))
+    policies = [
+        policy for policy in ControlPolicy
+        if policy is not ControlPolicy.WLS or pe.is_double_buffered
+    ]
+    return EngineConfig(
+        pe=pe,
+        control=draw(st.sampled_from(policies)),
+        clock_mhz=draw(st.sampled_from(ENGINE_CLOCKS)),
+        wlbp_ff_overlaps_fs=draw(st.booleans()),
+    )
+
+
+@contextlib.contextmanager
+def temporary_design(config: EngineConfig) -> Iterator[str]:
+    """Register ``config`` under a spare design key while the block runs.
+
+    A context manager, not a fixture: hypothesis runs every example of a
+    test inside one function-scoped fixture.
+    """
+    key = "temporary-design"
+    DESIGNS[key] = DesignPoint(key, config.describe(), config)
+    try:
+        yield key
+    finally:
+        del DESIGNS[key]
+
+
+@st.composite
 def points(draw):
     """(shape, codegen, core): half at the default core and overheads, half free."""
     shape = GemmShape(
@@ -91,12 +138,42 @@ def points(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(point=points(), design=designs)
-def test_every_tier_agrees(point, design):
+@given(point=points(), engine=engines())
+def test_every_tier_agrees(point, engine):
     shape, codegen, core = point
-    (check,) = cross_check_bounds(shape, codegen, design_keys=[design], core=core)
-    assert check.ok, (shape, codegen, core, check.violations)
+    with temporary_design(engine) as key:
+        (check,) = cross_check_bounds(shape, codegen, design_keys=[key], core=core)
+    assert check.ok, (shape, codegen, core, engine, check.violations)
     assert check.analytic_cycles == check.fast_cycles
+
+
+class TestOneRule:
+    """Every tier reads the engine rules ``engine_rules`` derives."""
+
+    SHAPE = GemmShape(64, 64, 128)
+
+    def timings(self, config: EngineConfig) -> List[SimResult]:
+        """``fast``, ``fast-ref`` and ``analytic`` on ``config``, design name aside."""
+        program = generate_gemm_program(self.SHAPE)
+        with temporary_design(config) as key:
+            results = [
+                resolve_backend(key, fidelity=fidelity).prepare(program).run()
+                for fidelity in ("fast", "fast-ref")
+            ]
+            results.append(
+                resolve_backend(key, fidelity="analytic").run_shape(self.SHAPE, CodegenOptions())
+            )
+        return [dataclasses.replace(result, design="") for result in results]
+
+    def test_base_wl_floor_on_pipe_reads_base_on_every_tier(self, monkeypatch):
+        base = self.timings(EngineConfig(control=ControlPolicy.BASE))
+        pipe = self.timings(EngineConfig(control=ControlPolicy.PIPE))
+        assert all(p.cycles < b.cycles for p, b in zip(pipe, base))  # PIPE overlaps DR
+        monkeypatch.setitem(
+            WL_FLOORS, ControlPolicy.PIPE, WL_FLOORS[ControlPolicy.BASE]
+        )
+        # A fresh config: no rule and no walk memo token from before the change.
+        assert self.timings(EngineConfig(control=ControlPolicy.PIPE)) == base
 
 
 #: Inputs on which the retired closed forms returned wrong cycles with no

@@ -109,14 +109,8 @@ class TestDependencies:
 
 
 class TestResidency:
-    def test_invalidate_weights(self):
-        scheduler = EngineScheduler(EngineConfig(control=ControlPolicy.WLBP))
-        scheduler.schedule_mm(0, 0, ("b", 1))
-        scheduler.invalidate_weights(("b", 1))
-        t = scheduler.schedule_mm(0, 0, ("b", 1))
-        assert not t.bypassed
-
     def test_different_key_no_bypass(self):
+        # A write to B bumps its version, so the key alone ends residency.
         scheduler = EngineScheduler(EngineConfig(control=ControlPolicy.WLBP))
         scheduler.schedule_mm(0, 0, ("b", 1))
         t = scheduler.schedule_mm(0, 0, ("b", 2))

@@ -11,6 +11,7 @@ from repro.cpu.config import CoreConfig
 from repro.engine.designs import DESIGNS
 from repro.errors import ConfigError, ExperimentError
 from repro.runtime import PLAN_FORMAT, Session, SweepJob, SweepPlan, SweepReport
+from repro.runtime.registry import FIDELITIES
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.suites import SUITES, get_suite
@@ -47,6 +48,11 @@ class TestValidation:
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigError, match="unknown design"):
             grid_plan(designs=("baseline", "bogus"))
+
+    @pytest.mark.parametrize("fidelity", [None, ["fast"]], ids=["none", "unhashable"])
+    def test_non_name_fidelity_rejected(self, fidelity):
+        with pytest.raises(ExperimentError, match="unknown fidelity"):
+            grid_plan(fidelity=fidelity)
 
     def test_unhashable_design_rejected(self):
         """A list key raised a bare ``TypeError: unhashable type: 'list'``."""
@@ -221,11 +227,21 @@ class TestExpansion:
         spread = suite_plan(batches=(1, 512))
         assert len(collapsed.distinct_keys()) < len(spread.distinct_keys())
 
-    def test_lazy_expansion_runs_nothing(self):
-        # Construction + key expansion must not need any backend: an
-        # unknown *fidelity* (resolved only at execution time) is fine.
+    def test_lazy_expansion_runs_nothing(self, monkeypatch):
+        # A fidelity must be registered before a plan names it ...
+        with pytest.raises(
+            ExperimentError,
+            match="unknown fidelity 'registered-later'; registered: analytic, fast",
+        ):
+            grid_plan(fidelity="registered-later")
+        # ... and construction + key expansion still build no backend.
+        built = []
+        monkeypatch.setitem(
+            FIDELITIES, "registered-later", lambda *args: built.append(args)
+        )
         plan = grid_plan(fidelity="registered-later")
         assert len(plan.distinct_keys()) == 4
+        assert built == []
 
     def test_scale_applies_to_named_workloads(self):
         # The plan serializes the unscaled declaration; expansion shrinks

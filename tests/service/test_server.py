@@ -106,6 +106,19 @@ class TestErrorMapping:
             live_service.client.submit("{not json", 2)
         assert not isinstance(excinfo.value, (ServiceLookupError, TransitionError))
 
+    def test_unknown_fidelity_is_400_and_enqueues_nothing(self, live_service):
+        # Refused at submission, not when a worker first simulates it.
+        document = json.loads(tiny_plan().to_json())
+        document["plan"]["fidelity"] = "fsat"
+        status, body = http(
+            f"{live_service.url}/plans", method="POST",
+            payload={"plan": json.dumps(document), "shards": 2},
+        )
+        assert status == 400
+        assert "unknown fidelity 'fsat'" in body["error"]
+        assert live_service.coordinator.list_plans() == []
+        assert live_service.client.claim("w1") is None
+
     def test_bad_priority_is_400(self, live_service):
         status, body = http(
             f"{live_service.url}/plans",
