@@ -12,14 +12,14 @@ stepped instructions whatever its M, N and K.
 
 ``analytic == fast`` therefore holds by construction, field for field, on
 every core, codegen option, blocking and width the API accepts;
-:func:`repro.analysis.bounds.cross_check_bounds` asserts it.  Like the
-runtime's default, the model assumes the ideal memory (fixed-latency tile
-loads); custom memory hierarchies need a program-level fidelity.
+:func:`repro.analysis.bounds.cross_check_bounds` asserts it.  Like
+``fast``, the model assumes the ideal memory (every tile load takes
+``core.tile_load_latency``); a cache hierarchy needs ``fast-ref``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
@@ -28,9 +28,6 @@ from repro.engine.config import EngineConfig
 from repro.workloads.array_lowering import gemm_skeleton
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
-
-if TYPE_CHECKING:
-    from repro.physical.energy import EnergyBreakdown, EnergyModel
 
 
 class AnalyticCoreModel:
@@ -50,24 +47,7 @@ class AnalyticCoreModel:
         codegen: CodegenOptions = CodegenOptions(),
     ) -> SimResult:
         """The ``fast`` model's :class:`SimResult` for ``shape``'s program."""
-        walk = SteadyStateWalk(self.core, self.engine, self.core.tile_load_latency)
-        return walk.run(
+        return SteadyStateWalk(self.core, self.engine).run(
             gemm_skeleton(shape.tile_padded(), codegen),
             shape.name or f"gemm_{shape.m}x{shape.n}x{shape.k}",
         )
-
-    def energy(
-        self,
-        shape: GemmShape,
-        codegen: CodegenOptions = CodegenOptions(),
-        model: Optional[EnergyModel] = None,
-    ) -> Tuple[SimResult, EnergyBreakdown]:
-        """Analytic timing plus the :mod:`repro.physical` energy decomposition.
-
-        The result equals a fast-model run, so the energy does too.  No
-        sweep asks for energy, so :mod:`repro.physical` loads here.
-        """
-        from repro.physical.energy import EnergyModel
-
-        result = self.run_shape(shape, codegen)
-        return result, (model or EnergyModel()).run_energy(result, self.engine)

@@ -55,8 +55,8 @@ the packed whole state the memo keys on (below).
 cycle (:attr:`~repro.cpu.config.CoreConfig.ticks_per_cycle`), exact at
 every width, so ``k·Δ`` adds without rounding.  Δ must be a multiple of
 one engine cycle, ``ratio·L`` ticks, or ⌈t / (ratio·L)⌉ would not commute
-with the shift.  The load latency is one constant, so the walk models the
-ideal memory only.
+with the shift.  Every tile load takes one constant,
+``core.tile_load_latency``, so the walk models the ideal memory only.
 
 **Why the skeleton suffices.**  Every tile operand of a generated program
 is produced inside its own block and only the loop counter ``r0`` crosses
@@ -78,7 +78,7 @@ are replays).
 
 - *Key:* a token for everything the walk reads besides the state (the
   core, the engine's rules as ``engine_rules`` derives them, its clock
-  ratio, the load latency and the scalar registers the skeleton writes),
+  ratio and the scalar registers the skeleton writes),
   the block, and the packed entry state: the compared state above, ROB
   ring included, with F modulo the engine cycle, as one int64 ``bytes``.
   Engines that differ in any rule get different tokens.  Every timestamp
@@ -182,8 +182,8 @@ class CacheInfo(NamedTuple):
 
 #: The memo: ``(walk token, block, packed entry state)`` -> its effect.
 _BLOCKS: Dict[tuple, _BlockEffect] = {}
-#: Everything a walk reads (its core, engine rules, clock ratio, load
-#: latency and scalar registers) -> the token its memo keys carry.
+#: Everything a walk reads (its core, engine rules, clock ratio and scalar
+#: registers) -> the token its memo keys carry.
 _TOKENS: Dict[tuple, object] = {}
 #: One object per distinct packed state and per-block version counts: a
 #: block's exit state is the next block's entry state, and walks that reach
@@ -203,11 +203,11 @@ def _forget() -> None:
 class SteadyStateWalk:
     """One fast-model run over a skeleton, with exact periodic jumps.
 
-    ``load_latency`` is the ideal memory's tile-load latency, in cycles.
-    After :meth:`run`, ``walked`` holds the instructions actually stepped.
+    Tile loads take ``core.tile_load_latency`` (the ideal memory).  After
+    :meth:`run`, ``walked`` holds the instructions actually stepped.
     """
 
-    def __init__(self, core: CoreConfig, engine: EngineConfig, load_latency: int) -> None:
+    def __init__(self, core: CoreConfig, engine: EngineConfig) -> None:
         self.core = core
         self.engine = engine
         tick = self.tick = core.ticks_per_cycle
@@ -215,7 +215,7 @@ class SteadyStateWalk:
         self.retire_step = tick // core.retire_width
         self.engine_tick = core.engine_clock_ratio(engine.clock_mhz) * tick  # per engine cycle
         self.transfer = core.tile_transfer_cycles * tick
-        self.load_latency = load_latency * tick
+        self.load_latency = core.tile_load_latency * tick
         self._rules = engine_rules(engine)
         # CPU side, as FastCoreModel.run keeps it; port free times sorted.
         self.dispatch = core.frontend_latency * tick
@@ -264,8 +264,7 @@ class SteadyStateWalk:
             if op[0] == KIND_ALU
             for reg in op[2]
         }))
-        reads = (self.core, self._rules, self.engine_tick, self.load_latency,
-                 self._scalars)
+        reads = (self.core, self._rules, self.engine_tick, self._scalars)
         self._token = _TOKENS.setdefault(reads, object())
         for row, repeat in skeleton.rows:
             if len(row) == 1:  # rows of one block run are one longer run

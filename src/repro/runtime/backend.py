@@ -21,8 +21,8 @@ Five fidelities exist:
   it implements :meth:`ShapeBackend.run_shape` instead of
   ``prepare``/``run`` (the runtime layer dispatches on that);
 - ``"engine"`` — engine-bound :class:`repro.engine.engine.MatrixEngine`
-  execution: operands always ready, optional functional data movement
-  (``"array"`` / ``"oracle"`` / ``"off"``);
+  timing: operands always ready, no CPU and no data movement (functional
+  runs call ``MatrixEngine`` directly);
 - ``"fast"``   — :class:`repro.cpu.fastvec.FastVecCoreModel`, the
   timestamp-propagation core model (the default for sweeps): it walks the
   program's skeleton (:mod:`repro.cpu.steady`), stepping a few periods of
@@ -97,9 +97,9 @@ class _BaseBackend:
 
     fidelity = "abstract"
 
-    def __init__(self, engine: EngineConfig, core: Optional[CoreConfig] = None) -> None:
+    def __init__(self, engine: EngineConfig, core: CoreConfig) -> None:
         self.engine = engine
-        self.core = core if core is not None else CoreConfig()
+        self.core = core
         self._program: Optional[Program] = None
 
     def prepare(self, program: Program) -> "_BaseBackend":
@@ -132,10 +132,10 @@ class AnalyticBackend:
 
     fidelity = "analytic"
 
-    def __init__(self, engine: EngineConfig, core: Optional[CoreConfig] = None) -> None:
+    def __init__(self, engine: EngineConfig, core: CoreConfig) -> None:
         self.engine = engine
-        self.core = core if core is not None else CoreConfig()
-        self._model = AnalyticCoreModel(core=self.core, engine=engine)
+        self.core = core
+        self._model = AnalyticCoreModel(core=core, engine=engine)
 
     def run_shape(
         self, shape: GemmShape, codegen: CodegenOptions = CodegenOptions()
@@ -194,52 +194,28 @@ class OoOCoreBackend(_BaseBackend):
 
     fidelity = "ooo"
 
-    def __init__(
-        self,
-        engine: EngineConfig,
-        core: Optional[CoreConfig] = None,
-        max_cycles: int = 50_000_000,
-    ) -> None:
-        super().__init__(engine, core)
-        self.max_cycles = max_cycles
-
     def _execute(self, program: Program) -> SimResult:
         from repro.cpu.ooo.core import OutOfOrderCore
 
-        model = OutOfOrderCore(core=self.core, engine=self.engine)
-        return model.run(program, max_cycles=self.max_cycles)
+        return OutOfOrderCore(core=self.core, engine=self.engine).run(program)
 
 
 class EngineBackend(_BaseBackend):
-    """Adapter over engine-bound :class:`MatrixEngine` execution.
+    """Adapter over engine-bound :class:`MatrixEngine` timing.
 
-    Cycles are reported in the CPU clock domain (engine completion time
-    times the clock ratio) so results stay comparable with the CPU-attached
-    fidelities; ``engine_busy_cycles`` keeps the engine-clock busy window.
+    Each run gets a cold engine (no weights, no dirty bits), so back-to-back
+    runs are independent, like the CPU models.  Cycles are reported in the
+    CPU clock domain (engine completion time times the clock ratio) so
+    results stay comparable with the CPU-attached fidelities;
+    ``engine_busy_cycles`` keeps the engine-clock busy window.
     """
 
     fidelity = "engine"
 
-    def __init__(
-        self,
-        engine: EngineConfig,
-        core: Optional[CoreConfig] = None,
-        functional: str = "off",
-    ) -> None:
+    def _execute(self, program: Program) -> SimResult:
         from repro.engine.engine import MatrixEngine
 
-        super().__init__(engine, core)
-        self.functional = functional
-        self._engine_sim = MatrixEngine(engine, functional=functional)
-
-    def prepare(self, program: Program) -> "EngineBackend":
-        # A fresh program gets a cold engine: clear weights + dirty bits so
-        # back-to-back simulate() calls are independent, like the CPU models.
-        self._engine_sim.reset()
-        return super().prepare(program)
-
-    def _execute(self, program: Program) -> SimResult:
-        report = self._engine_sim.run(program)
+        report = MatrixEngine(self.engine, functional="off").run(program)
         ratio = self.core.engine_clock_ratio(self.engine.clock_mhz)
         complete = report.schedule[-1].complete if report.schedule else 0
         return SimResult(

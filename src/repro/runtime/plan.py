@@ -46,7 +46,7 @@ from repro.runtime.registry import FIDELITIES
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.ops import DEFAULT_LOWERING, LoweringConfig
-from repro.workloads.suites import SUITES, SuiteSpec, WorkloadSuite
+from repro.workloads.suites import SUITES, DistinctGemm, SuiteSpec, WorkloadSuite
 
 #: Bump when the plan/report JSON schema changes incompatibly.
 PLAN_FORMAT = 2
@@ -418,6 +418,14 @@ class SweepPlan:
         object.__setattr__(self, "_built_suites", built)
         return built
 
+    def suite_entries(self) -> List[Tuple[WorkloadSuite, Optional[int], List[DistinctGemm]]]:
+        """:meth:`built_suites` with each suite's ``distinct()`` entries, once per plan."""
+        cached = self.__dict__.get("_suite_entries")
+        if cached is None:
+            cached = [(suite, batch, suite.distinct()) for suite, batch in self.built_suites()]
+            object.__setattr__(self, "_suite_entries", cached)
+        return cached
+
     def lowering_config(self) -> LoweringConfig:
         """The plan's role-aware lowering knobs as one config value."""
         if self.scale_batch == 1 and self.scale_spatial == 1:
@@ -445,9 +453,8 @@ class SweepPlan:
                     codegen=self.codegen,
                     fidelity=self.fidelity,
                 )
-        for suite, batch in self.built_suites():
+        for suite, batch, entries in self.suite_entries():
             label = "" if batch is None else f"@b{batch}"
-            entries = suite.distinct()
             for design in self.designs:
                 for entry in entries:
                     yield SweepJob(
@@ -597,7 +604,15 @@ def _loads_payload(text: str, section: str) -> Dict[str, Any]:
     body = raw.get(section)
     if not isinstance(body, dict):
         raise ExperimentError(f"{section} document has no {section!r} section")
+    _refuse_unknown(raw, ("format", section), f"{section} document")
     return body
+
+
+def _refuse_unknown(raw: Dict[str, Any], known: Tuple[str, ...], where: str) -> None:
+    """Refuse keys outside ``known``: a misplaced field is an error, not dropped."""
+    unknown = sorted(raw.keys() - set(known))
+    if unknown:
+        raise ExperimentError(f"malformed {where}: unknown field(s) {', '.join(unknown)}")
 
 
 def _decode_plan(raw: Any) -> SweepPlan:
@@ -687,8 +702,7 @@ class SweepReport:
             )
         stream = self._suite_stream()
         totals: Dict[str, Dict[str, SuiteTotals]] = {}
-        for suite, _ in self.plan.built_suites():
-            entries = suite.distinct()
+        for suite, _, entries in self.plan.suite_entries():
             totals[suite.name] = {
                 design: _expand_totals(suite, design, entries, stream)
                 for design in self.plan.designs
@@ -713,8 +727,7 @@ class SweepReport:
             )
         stream = self._suite_stream()
         table: Dict[str, Dict[str, Dict[str, int]]] = {}
-        for suite, _ in self.plan.built_suites():
-            entries = suite.distinct()
+        for suite, _, entries in self.plan.suite_entries():
             per_design: Dict[str, Dict[str, int]] = {}
             for design in self.plan.designs:
                 cycles: Dict[str, int] = {}
@@ -737,10 +750,9 @@ class SweepReport:
         stream = self._suite_stream()
         per_point: Dict[Tuple[str, int, str], SuiteTotals] = {}
         names: List[str] = []
-        for suite, batch in self.plan.built_suites():
+        for suite, batch, entries in self.plan.suite_entries():
             if suite.name not in names:
                 names.append(suite.name)
-            entries = suite.distinct()
             for design in self.plan.designs:
                 per_point[(suite.name, batch, design)] = _expand_totals(
                     suite, design, entries, stream
@@ -845,6 +857,7 @@ class SweepReport:
         or reach a merge.
         """
         body = _loads_payload(text, "report")
+        _refuse_unknown(body, ("plan", "results"), "report")
         plan = _decode_plan(body.get("plan"))
         raw = body.get("results")
         if not isinstance(raw, dict):

@@ -5,13 +5,14 @@ constructors anymore; they ask the registry::
 
     backend = resolve_backend("rasa-dmdb-wls")                  # fast model
     backend = resolve_backend("baseline", fidelity="ooo")       # cycle-accurate
-    backend = resolve_backend("rasa-pipe", fidelity="engine",
-                              functional="oracle")              # engine-bound
 
-New fidelities register a factory under a unique name::
+A fidelity names one factory, ``(engine, core) -> backend``; each built-in
+backend class is its own.  Every backend is timing-only: numerics come from
+:class:`repro.engine.engine.MatrixEngine`, called directly.  New fidelities
+register a factory under a unique name::
 
     @register_backend("my-fidelity")
-    def _make(engine, core, functional):
+    def _make(engine, core):
         return MyBackend(engine, core)
 """
 
@@ -32,14 +33,17 @@ from repro.runtime.backend import (
     SimBackend,
 )
 
-#: Factory signature: (engine config, core config, functional mode) -> backend.
-BackendFactory = Callable[[EngineConfig, CoreConfig, str], SimBackend]
+#: Factory signature: (engine config, core config) -> backend.
+BackendFactory = Callable[[EngineConfig, CoreConfig], SimBackend]
 
 #: The registered fidelities, by name.
-FIDELITIES: Dict[str, BackendFactory] = {}
-
-#: Functional data-movement modes understood by the engine fidelity.
-FUNCTIONAL_MODES = ("array", "oracle", "off")
+FIDELITIES: Dict[str, BackendFactory] = {
+    "analytic": AnalyticBackend,
+    "fast": FastCoreBackend,
+    "fast-ref": FastRefBackend,
+    "ooo": OoOCoreBackend,
+    "engine": EngineBackend,
+}
 
 
 def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
@@ -54,75 +58,20 @@ def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
     return _register
 
 
-@register_backend("analytic")
-def _analytic_factory(
-    engine: EngineConfig, core: CoreConfig, functional: str
-) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'analytic' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return AnalyticBackend(engine, core)
-
-
-@register_backend("fast")
-def _fast_factory(engine: EngineConfig, core: CoreConfig, functional: str) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'fast' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return FastCoreBackend(engine, core)
-
-
-@register_backend("fast-ref")
-def _fast_ref_factory(
-    engine: EngineConfig, core: CoreConfig, functional: str
-) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'fast-ref' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return FastRefBackend(engine, core)
-
-
-@register_backend("ooo")
-def _ooo_factory(engine: EngineConfig, core: CoreConfig, functional: str) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'ooo' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return OoOCoreBackend(engine, core)
-
-
-@register_backend("engine")
-def _engine_factory(engine: EngineConfig, core: CoreConfig, functional: str) -> SimBackend:
-    return EngineBackend(engine, core, functional=functional)
-
-
 def resolve_backend(
     design_key: str,
     fidelity: str = "fast",
     core: Optional[CoreConfig] = None,
-    functional: str = "off",
 ) -> SimBackend:
     """One registry lookup: design key + fidelity -> a ready backend.
 
     Args:
         design_key: a key from :data:`repro.engine.designs.DESIGNS`.
-        fidelity: ``"fast"`` (default), ``"ooo"``, ``"engine"``, or any
-            fidelity added via :func:`register_backend`.
+        fidelity: a key of :data:`FIDELITIES` — ``"analytic"``,
+            ``"fast"`` (default), ``"fast-ref"``, ``"ooo"``, ``"engine"``,
+            or any fidelity added via :func:`register_backend`.
         core: CPU core configuration (default :class:`CoreConfig`).
-        functional: data-movement mode, engine fidelity only
-            (``"array"`` / ``"oracle"`` / ``"off"``).
     """
-    if functional not in FUNCTIONAL_MODES:
-        raise ConfigError(
-            f"functional must be one of {FUNCTIONAL_MODES}, got {functional!r}"
-        )
     try:
         factory = FIDELITIES[fidelity]
     except KeyError:
@@ -130,4 +79,4 @@ def resolve_backend(
             f"unknown fidelity {fidelity!r}; registered: {', '.join(FIDELITIES)}"
         ) from None
     design = get_design(design_key)
-    return factory(design.config, core if core is not None else CoreConfig(), functional)
+    return factory(design.config, core if core is not None else CoreConfig())

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import os
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.cpu.result import SimResult
@@ -216,14 +215,8 @@ class Session:
         self._verified: "set[tuple[GemmShape, CodegenOptions]]" = set()
 
     @classmethod
-    def from_env(
-        cls,
-        workers: Optional[int] = None,
-        cache_dir: Optional[Path] = None,
-        use_cache: bool = True,
-        verify: bool = False,
-    ) -> "Session":
-        """The session the experiment drivers and the CLI share.
+    def from_env(cls) -> "Session":
+        """The session the experiment drivers share, read from the environment.
 
         Environment knobs:
 
@@ -231,13 +224,8 @@ class Session:
         - ``REPRO_NO_CACHE``      — any non-empty value disables the cache;
         - ``REPRO_CACHE_DIR``     — cache location (default ``~/.cache/repro``).
         """
-        if use_cache and not os.environ.get("REPRO_NO_CACHE"):
-            cache: Optional[ResultCache] = ResultCache(cache_dir)
-        else:
-            cache = None
-        if workers is None:
-            workers = _env_workers()
-        return cls(cache=cache, workers=workers, verify=verify)
+        cache = None if os.environ.get("REPRO_NO_CACHE") else ResultCache()
+        return cls(cache=cache, workers=_env_workers())
 
     # -- execution -----------------------------------------------------------------
 

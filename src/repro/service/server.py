@@ -13,7 +13,7 @@ Routes (all bodies and responses are JSON):
     GET  /plans/{id}              plan status: state, per-shard lifecycle rows
     GET  /plans/{id}/report       merged canonical report JSON (verbatim bytes)
     POST /plans                   {"plan": <plan doc|text>, "shards": N,
-                                   "priority": P}
+                                   "priority": P} (no other field)
     POST /shards/claim            {"worker": id} → shard lease or {"shard": null}
     POST /shards/{id}/complete    {"worker": id, "report": <report doc|text>}
     POST /shards/{id}/fail        {"worker": id, "error": msg}
@@ -105,6 +105,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
             if parts == ["plans"]:
+                unknown = sorted(body.keys() - {"plan", "shards", "priority"})
+                if unknown:
+                    raise ServiceError(
+                        f"POST /plans: unknown field(s) {', '.join(unknown)}; "
+                        'expected "plan", "shards" and "priority"'
+                    )
                 if "plan" not in body:
                     raise ServiceError('POST /plans needs a "plan" field')
                 shards = body.get("shards", 1)

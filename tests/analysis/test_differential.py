@@ -76,6 +76,9 @@ cores = st.builds(
     load_ports=st.integers(1, 3),
     store_ports=st.integers(1, 2),
     l1_latency=st.integers(1, 12),
+    # With l1_latency, the only source of every tier's tile-load latency
+    # and port occupancy (1 KiB tiles: 128 down to 4 cycles a transfer).
+    row_bytes_per_cycle=st.sampled_from((8, 16, 32, 64, 128, 256)),
     pipeline_stages=st.integers(2, 20),
 )
 

@@ -18,7 +18,6 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.fast import FastCoreModel
 from repro.engine.designs import DESIGNS, get_design
 from repro.experiments import ExperimentSettings, run_design
-from repro.physical.energy import EnergyBreakdown, EnergyModel
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
 from repro.workloads.suites import get_suite
@@ -86,16 +85,6 @@ class TestAnalyticMatchesFast:
         assert analytic.cycles == 4_974_627
         program = generate_gemm_program(shape, options)
         assert analytic == FastCoreModel(core=core, engine=config).run(program)
-
-    def test_energy_matches_fast_pipeline(self):
-        config = get_design("rasa-dmdb-wls").config
-        analytic, breakdown = AnalyticCoreModel(engine=config).energy(
-            SQUARE, CodegenOptions()
-        )
-        fast = _fast_reference("rasa-dmdb-wls", SQUARE, CodegenOptions())
-        assert analytic == fast
-        assert isinstance(breakdown, EnergyBreakdown)
-        assert breakdown == EnergyModel().run_energy(fast, config)
 
 
 class TestSuiteValidation:

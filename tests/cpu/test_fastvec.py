@@ -2,8 +2,7 @@
 
 The skeleton walk behind ``fast`` (`repro.cpu.fastvec`, `repro.cpu.steady`)
 is only allowed to exist because it is *exactly* the scalar
-`FastCoreModel` — same `SimResult` field for field, same per-mm
-`StageTimes` (a kept schedule runs the reference itself), same
+`FastCoreModel` — same `SimResult` field for field, same
 exceptions.  These tests enforce that contract three ways:
 
 - a hypothesis sweep over random well-formed programs, random designs and
@@ -50,7 +49,6 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.decode import decode_program
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.fastvec import FastVecCoreModel
-from repro.cpu.memory import IdealMemory
 from repro.cpu.result import SimResult
 from repro.cpu.steady import SteadyStateWalk
 from repro.engine.config import ControlPolicy, EngineConfig
@@ -91,22 +89,13 @@ def cold_walk_memo():
 
 
 def assert_identical(
-    program, config: EngineConfig, core=CoreConfig(), memory=None
+    program, config: EngineConfig, core=CoreConfig()
 ) -> FastVecCoreModel:
-    """Full-result equality: SimResult fields AND the kept StageTimes.
-
-    Returns the ``fast`` model, its last run the plain (walked) one.
-    """
-    scalar = FastCoreModel(core=core, engine=config, memory=memory)
-    vector = FastVecCoreModel(core=core, engine=config, memory=memory)
-    expected = scalar.run(program, keep_schedule=True)
-    actual = vector.run(program, keep_schedule=True)
+    """Full-result equality, every SimResult field; returns the ``fast`` model."""
+    vector = FastVecCoreModel(core=core, engine=config)
+    actual = vector.run(program)
+    expected = FastCoreModel(core=core, engine=config).run(program)
     assert dataclasses.asdict(actual) == dataclasses.asdict(expected)
-    assert vector.last_schedule == scalar.last_schedule
-    assert vector.last_walked == len(program)  # a kept schedule walks it all
-    # keep_schedule=False must clear the retained schedule identically.
-    assert vector.run(program) == scalar.run(program)
-    assert vector.last_schedule is None and scalar.last_schedule is None
     return vector
 
 
@@ -391,14 +380,14 @@ def generated_points(draw):
 
 #: Walk inputs one field away from the default core on ``rasa-dmdb-wls``
 #: (or, for the bypass floor, ``rasa-dmdb-wlbp``): (core, design, FF/FS
-#: overlap, tile-load latency or None for the core's own).
+#: overlap).
 ONE_INPUT_AWAY = {
-    "core-clock": (CoreConfig(clock_mhz=1000), "rasa-dmdb-wls", True, None),
-    "l1-latency": (CoreConfig(l1_latency=7), "rasa-dmdb-wls", True, None),
-    "memory-latency": (CoreConfig(), "rasa-dmdb-wls", True, 27),
-    "rob-size": (CoreConfig(rob_size=48), "rasa-dmdb-wls", True, None),
-    "port-split": (CoreConfig(load_ports=1, store_ports=2), "rasa-dmdb-wls", True, None),
-    "ff-after-fs": (CoreConfig(), "rasa-dmdb-wlbp", False, None),
+    "core-clock": (CoreConfig(clock_mhz=1000), "rasa-dmdb-wls", True),
+    "l1-latency": (CoreConfig(l1_latency=7), "rasa-dmdb-wls", True),
+    "memory-latency": (CoreConfig(l1_latency=11), "rasa-dmdb-wls", True),  # tile load 27
+    "rob-size": (CoreConfig(rob_size=48), "rasa-dmdb-wls", True),
+    "port-split": (CoreConfig(load_ports=1, store_ports=2), "rasa-dmdb-wls", True),
+    "ff-after-fs": (CoreConfig(), "rasa-dmdb-wlbp", False),
 }
 
 
@@ -409,24 +398,19 @@ class TestWalkMemo:
 
     @pytest.mark.parametrize("variant", sorted(ONE_INPUT_AWAY), ids=str)
     def test_a_warm_memo_answers_only_its_own_walk_inputs(self, variant):
-        core, design, ff_overlaps_fs, latency = ONE_INPUT_AWAY[variant]
+        core, design, ff_overlaps_fs = ONE_INPUT_AWAY[variant]
         program = generate_gemm_program(self.SHAPE)
         warm = DESIGNS[design].config
         FastVecCoreModel(engine=warm).run(program)
         AnalyticCoreModel(engine=warm).run_shape(self.SHAPE)
         assert SteadyStateWalk.cache_info().hits > 0  # analytic replayed fast's blocks
         config = dataclasses.replace(warm, wlbp_ff_overlaps_fs=ff_overlaps_fs)
-        memory = None if latency is None else IdealMemory(
-            l1_latency=latency - core.tile_transfer_cycles,
-            transfer_cycles=core.tile_transfer_cycles,
-        )
-        expected = FastCoreModel(core=core, engine=config, memory=memory).run(program)
+        expected = FastCoreModel(core=core, engine=config).run(program)
         before = SteadyStateWalk.cache_info()
-        vector = FastVecCoreModel(core=core, engine=config, memory=memory)
+        vector = FastVecCoreModel(core=core, engine=config)
         assert vector.run(program) == expected
         assert SteadyStateWalk.cache_info().hits == before.hits  # nothing to reuse
-        if latency is None:
-            assert AnalyticCoreModel(core, config).run_shape(self.SHAPE) == expected
+        assert AnalyticCoreModel(core, config).run_shape(self.SHAPE) == expected
 
     def test_a_block_reentered_at_another_floor_phase_is_walked(self):
         # The walk re-enters a block from the same relative state with the
@@ -450,7 +434,7 @@ class TestWalkMemo:
         late = 2 * floor
 
         def walk_from(ring):
-            walk = SteadyStateWalk(core, config, core.tile_load_latency)
+            walk = SteadyStateWalk(core, config)
             walk.dispatch = floor
             walk.retires.extend(ring)
             walk.retire = ring[-1]

@@ -53,18 +53,9 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown design"):
             resolve_backend("bogus-design")
 
-    def test_functional_rejected_on_timing_only_fidelities(self):
-        for fidelity in ("fast", "ooo"):
-            with pytest.raises(ConfigError, match="timing-only"):
-                resolve_backend("baseline", fidelity=fidelity, functional="oracle")
-
-    def test_bad_functional_mode(self):
-        with pytest.raises(ConfigError, match="functional"):
-            resolve_backend("baseline", fidelity="engine", functional="magic")
-
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
-            register_backend("fast")(lambda engine, core, functional: None)
+            register_backend("fast")(lambda engine, core: None)
 
     def test_engine_config_comes_from_design(self):
         backend = resolve_backend("rasa-dmdb-wls")
@@ -118,10 +109,6 @@ class TestAnalyticBackend:
         assert isinstance(backend, ShapeBackend)
         assert backend.fidelity == "analytic"
         assert backend.engine == get_design("rasa-dmdb-wls").config
-
-    def test_functional_rejected(self):
-        with pytest.raises(ConfigError, match="timing-only"):
-            resolve_backend("baseline", fidelity="analytic", functional="oracle")
 
     def test_program_phases_raise(self, program):
         backend = resolve_backend("baseline", fidelity="analytic")

@@ -14,7 +14,7 @@ from repro.runtime import PLAN_FORMAT, Session, SweepJob, SweepPlan, SweepReport
 from repro.runtime.registry import FIDELITIES
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
-from repro.workloads.suites import SUITES, get_suite
+from repro.workloads.suites import SUITES, WorkloadSuite, get_suite
 from repro.workloads.tiling import BlockingConfig, MMOrder
 
 SMALL = GemmShape(64, 64, 64, name="small")
@@ -266,6 +266,24 @@ class TestExpansion:
         plan = suite_plan(batches=(1, 64))
         assert plan.built_suites() is plan.built_suites()
 
+    def test_distinct_runs_once_per_built_suite(self, monkeypatch):
+        # Expansion and every view read the plan's entries, not distinct().
+        calls = []
+        real = WorkloadSuite.distinct
+        monkeypatch.setattr(
+            WorkloadSuite, "distinct", lambda suite: calls.append(suite) or real(suite)
+        )
+        session = Session(workers=1)
+        flat = suite_plan(suites=("dlrm", "bert-base"))
+        report = session.run(flat)
+        report.suite_totals()
+        report.suite_layer_cycles()
+        curves = suite_plan(batches=(1, 64, 512))
+        session.run(curves).batch_curves()
+        built = [suite for suite, _ in flat.built_suites() + curves.built_suites()]
+        assert len(built) == 5
+        assert sorted(map(id, calls)) == sorted(map(id, built))
+
 
 #: Batches on both sides of the 16-row tile: sub-tile, one tile, one past.
 KEY_BATCHES = (1, 8, 16, 17, 64, 512)
@@ -405,6 +423,14 @@ class TestJsonRoundTrip:
                            match=f"malformed plan JSON: unknown .*{field}"):
             SweepPlan.from_json(json.dumps(raw))
 
+    def test_misplaced_top_level_field_rejected(self):
+        # Beside "plan", not inside it: refused, not loaded as a fast plan.
+        raw = json.loads(grid_plan().to_json())
+        raw["fidelity"] = "ooo"
+        with pytest.raises(ExperimentError,
+                           match="malformed plan document: unknown field.*fidelity"):
+            SweepPlan.from_json(json.dumps(raw))
+
     @pytest.mark.parametrize("field,value", [
         ("designs", "baseline"),
         ("workloads", [["small", [64, 64, 64]]]),
@@ -526,6 +552,14 @@ class TestMalformedReports:
 
         with pytest.raises(ExperimentError, match="miss 0 and add 1"):
             self._load(document, edit)
+
+    @pytest.mark.parametrize("where", ["report document", "report"])
+    def test_unknown_field_rejected(self, document, where):
+        # Beside "report", or beside "plan" and "results": refused, not dropped.
+        raw = json.loads(json.dumps(document))
+        (raw if where == "report document" else raw["report"])["note"] = "x"
+        with pytest.raises(ExperimentError, match=f"malformed {where}: unknown field.*note"):
+            SweepReport.from_json(json.dumps(raw))
 
     def test_empty_shard_report_rejected(self):
         text = SweepReport(plan=suite_plan().shard(0, 2), results={}).to_json()

@@ -64,7 +64,7 @@ def poison_fidelity():
                 clock_mhz=2000,
             )
 
-    FIDELITIES["poison-test"] = lambda engine, core, functional: PoisonBackend()
+    FIDELITIES["poison-test"] = lambda engine, core: PoisonBackend()
     try:
         yield
     finally:

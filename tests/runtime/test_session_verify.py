@@ -71,8 +71,3 @@ def test_diagnostics_fail_the_run(monkeypatch):
     with pytest.raises(VerificationError, match="oob-access"):
         Session(workers=1, verify=True).run(plan())
 
-
-def test_from_env_passes_verify_through(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert Session.from_env(verify=True).verify is True
-    assert Session.from_env().verify is False

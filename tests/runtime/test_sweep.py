@@ -93,7 +93,7 @@ def counting_fidelity():
         def simulate(self, program):
             return self.prepare(program).run()
 
-    FIDELITIES["counting-test"] = lambda engine, core, functional: CountingBackend()
+    FIDELITIES["counting-test"] = lambda engine, core: CountingBackend()
     try:
         yield calls
     finally:

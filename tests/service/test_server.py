@@ -119,6 +119,17 @@ class TestErrorMapping:
         assert live_service.coordinator.list_plans() == []
         assert live_service.client.claim("w1") is None
 
+    def test_unknown_submit_field_is_400_and_enqueues_nothing(self, live_service):
+        # A "shard" typo for "shards" must not submit one shard.
+        status, body = http(
+            f"{live_service.url}/plans", method="POST",
+            payload={"plan": tiny_plan().to_json(), "shard": 4},
+        )
+        assert status == 400
+        assert "unknown field(s) shard" in body["error"]
+        assert live_service.coordinator.list_plans() == []
+        assert live_service.client.claim("w1") is None
+
     def test_bad_priority_is_400(self, live_service):
         status, body = http(
             f"{live_service.url}/plans",
