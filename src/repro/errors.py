@@ -56,4 +56,4 @@ class ServiceLookupError(ServiceError):
 
 
 class TransitionError(ServiceError):
-    """A shard lifecycle transition outside the legal-transition matrix."""
+    """A shard step the legal-transition matrix or the lease rule refuses."""

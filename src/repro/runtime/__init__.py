@@ -58,11 +58,7 @@ from repro.runtime.plan import (
     SweepPlan,
     SweepReport,
 )
-from repro.runtime.registry import (
-    FIDELITIES,
-    register_backend,
-    resolve_backend,
-)
+from repro.runtime.registry import FIDELITIES, resolve_backend
 from repro.runtime.session import PROGRAM_CACHE_SIZE, Session, cached_program, run_job
 
 __all__ = [
@@ -73,7 +69,6 @@ __all__ = [
     "FastCoreBackend",
     "OoOCoreBackend",
     "FIDELITIES",
-    "register_backend",
     "resolve_backend",
     "ResultCache",
     "cache_key",

@@ -290,10 +290,10 @@ class SweepPlan:
     Plans validate eagerly — unknown designs, workload entries that are
     not ``(name, GemmShape)`` pairs, unknown suites, unknown fidelities,
     bad batches and bad shards all raise at construction — and expand
-    lazily (:meth:`iter_jobs`).  A fidelity must be registered
-    (:func:`repro.runtime.registry.register_backend`) before a plan names
-    it, so a plan no backend can run is refused before anything is
-    enqueued or scanned, not when a worker first simulates.
+    lazily (:meth:`iter_jobs`).  A fidelity must be a key of
+    :data:`repro.runtime.registry.FIDELITIES`, so a plan no backend can run
+    is refused before anything is enqueued or scanned, not when a worker
+    first simulates.
     """
 
     designs: Tuple[str, ...] = ()

@@ -8,12 +8,8 @@ constructors anymore; they ask the registry::
 
 A fidelity names one factory, ``(engine, core) -> backend``; each built-in
 backend class is its own.  Every backend is timing-only: numerics come from
-:class:`repro.engine.engine.MatrixEngine`, called directly.  New fidelities
-register a factory under a unique name::
-
-    @register_backend("my-fidelity")
-    def _make(engine, core):
-        return MyBackend(engine, core)
+:class:`repro.engine.engine.MatrixEngine`, called directly.  A new fidelity
+is one more entry in :data:`FIDELITIES`.
 """
 
 from __future__ import annotations
@@ -46,18 +42,6 @@ FIDELITIES: Dict[str, BackendFactory] = {
 }
 
 
-def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
-    """Decorator registering a backend factory under ``name``."""
-
-    def _register(factory: BackendFactory) -> BackendFactory:
-        if name in FIDELITIES:
-            raise ConfigError(f"backend fidelity {name!r} is already registered")
-        FIDELITIES[name] = factory
-        return factory
-
-    return _register
-
-
 def resolve_backend(
     design_key: str,
     fidelity: str = "fast",
@@ -68,8 +52,7 @@ def resolve_backend(
     Args:
         design_key: a key from :data:`repro.engine.designs.DESIGNS`.
         fidelity: a key of :data:`FIDELITIES` — ``"analytic"``,
-            ``"fast"`` (default), ``"fast-ref"``, ``"ooo"``, ``"engine"``,
-            or any fidelity added via :func:`register_backend`.
+            ``"fast"`` (default), ``"fast-ref"``, ``"ooo"`` or ``"engine"``.
         core: CPU core configuration (default :class:`CoreConfig`).
     """
     try:

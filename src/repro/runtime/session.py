@@ -349,8 +349,9 @@ class Session:
         a fork per worker; sessions that run many plans (sweep suites, the
         benchmark harness, notebook loops) previously paid it per ``run()``
         call.  The pool now lives until :meth:`close`.  Workers inherit the
-        process state (fidelity registry, program memo) from pool-creation
-        time — register custom fidelities before the first parallel run.
+        process state (the ``FIDELITIES`` map, program memo) from
+        pool-creation time — add an entry to ``FIDELITIES`` before the first
+        parallel run.
         """
         if self._pool is None:
             self._pool = _pool_context().Pool(processes=self.workers)

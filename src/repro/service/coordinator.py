@@ -8,9 +8,12 @@ primitives into the service's semantics:
   the plan's distinct-point count, and enqueue one PENDING row per shard.
   Submission is idempotent on (canonical plan JSON, effective shard count).
 - **claim / heartbeat / complete / fail** — the worker-facing lease
-  protocol.  ``complete`` validates the posted shard report against the
-  stored plan (right plan, right shard) and re-canonicalizes it, so the
-  bytes the store holds never depend on a client's JSON formatting.
+  protocol.  The coordinator checks every request value (worker id,
+  shard count, priority, progress); the store alone checks the lease, in
+  the step that moves the shard.  ``complete`` validates the posted shard
+  report against the stored plan (right plan, right shard) and
+  re-canonicalizes it, so the bytes the store holds never depend on a
+  client's JSON formatting.
 - **merge on completion** — the moment the last shard completes, the shard
   reports merge (:meth:`repro.runtime.plan.SweepReport.merge`) and the
   merged canonical JSON is persisted on the plan row.  Because shard
@@ -22,7 +25,8 @@ primitives into the service's semantics:
 - **reaper** — :meth:`reap` is one pass over expired leases;
   :meth:`start_reaper` runs it on a daemon thread every
   ``reap_interval`` seconds, which is what lets SIGKILLed workers'
-  shards flow back into the queue.
+  shards flow back into the queue.  The store re-checks each expiry in
+  the step that releases it, so a heartbeat that lands mid-pass wins.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ServiceError, TransitionError
+from repro.errors import ServiceError
 from repro.runtime.plan import SweepPlan, SweepReport
-from repro.service.store import JobStore, ShardRow, ShardState
+from repro.service.store import JobStore, ShardState
 
 
 class ServiceConfig:
@@ -60,6 +64,12 @@ class ServiceConfig:
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
         self.reap_interval = reap_interval
+
+
+def _check_worker(worker_id: str) -> str:
+    if not isinstance(worker_id, str) or not worker_id:
+        raise ServiceError(f"worker id must be a non-empty string, got {worker_id!r}")
+    return worker_id
 
 
 class Coordinator:
@@ -116,7 +126,7 @@ class Coordinator:
     def claim(self, worker_id: str) -> Optional[Dict[str, Any]]:
         """Lease the oldest PENDING shard, or ``None`` when the queue is dry."""
         shard = self.store.claim_shard(
-            worker_id, self.config.lease_seconds, time.time()
+            _check_worker(worker_id), self.config.lease_seconds, time.time()
         )
         if shard is None:
             return None
@@ -143,8 +153,10 @@ class Coordinator:
 
         ``completed``/``total`` (distinct points done out of the shard's
         total) come from the worker's :meth:`Session.run` progress callback
-        and surface in :meth:`plan_status` / ``repro status``.
+        and surface in :meth:`plan_status` / ``repro status``.  They come
+        as a pair or not at all, and ``completed`` never exceeds ``total``.
         """
+        _check_worker(worker_id)
         for name, value in (("completed", completed), ("total", total)):
             if value is not None and (
                 isinstance(value, bool) or not isinstance(value, int) or value < 0
@@ -152,6 +164,11 @@ class Coordinator:
                 raise ServiceError(
                     f"progress {name} must be a non-negative integer, got {value!r}"
                 )
+        if (completed is None) != (total is None) or (completed or 0) > (total or 0):
+            raise ServiceError(
+                "progress needs completed <= total, both or neither; got "
+                f"completed={completed!r}, total={total!r}"
+            )
         deadline = self.store.heartbeat_shard(
             shard_id,
             worker_id,
@@ -166,8 +183,8 @@ class Coordinator:
         self, shard_id: int, worker_id: str, report_text: str
     ) -> Dict[str, Any]:
         """Accept a shard report, seal the shard, merge the plan when done."""
-        shard = self.store.get_shard(shard_id)
-        self._check_lease(shard, worker_id)  # before bothering to parse
+        # Refuse a zombie before bothering to parse.
+        shard = self.store.check_lease(shard_id, _check_worker(worker_id))
         plan_row = self.store.get_plan(shard.plan_id)
         report = SweepReport.from_json(report_text)  # ExperimentError if bad
         spec = report.plan.shard_spec
@@ -189,13 +206,18 @@ class Coordinator:
 
     def fail(self, shard_id: int, worker_id: str, error: str) -> Dict[str, Any]:
         """Record a worker-reported failure: re-queue or seal FAILED."""
-        shard = self.store.get_shard(shard_id)
-        self._check_lease(shard, worker_id)
-        outcome = self._retry_or_fail(shard, f"worker {worker_id!r}: {error}")
+        worker_id = _check_worker(worker_id)
+        shard = self.store.release_shard(
+            shard_id,
+            f"worker {worker_id!r}: {error}",
+            self.config.max_attempts,
+            worker_id=worker_id,
+        )
+        assert shard is not None  # a worker's release writes or raises
         return {
             "shard_id": shard_id,
             "plan_id": shard.plan_id,
-            "state": outcome.value,
+            "state": shard.state.value,
             "attempts": shard.attempts,
         }
 
@@ -263,17 +285,21 @@ class Coordinator:
     # -- lease reaping ---------------------------------------------------------------
 
     def reap(self, now: Optional[float] = None) -> List[Tuple[int, str]]:
-        """One pass: re-queue (or seal) every ACTIVE shard past its deadline."""
+        """One pass: re-queue (or seal) every ACTIVE shard past its deadline;
+        a shard whose lease moved on since the pass read it is skipped."""
         if now is None:
             now = time.time()
         outcomes: List[Tuple[int, str]] = []
         for shard in self.store.expired_shards(now):
-            state = self._retry_or_fail(
-                shard,
+            released = self.store.release_shard(
+                shard.shard_id,
                 f"lease expired (worker {shard.worker_id!r}, "
                 f"attempt {shard.attempts})",
+                self.config.max_attempts,
+                expired_before=now,
             )
-            outcomes.append((shard.shard_id, state.value))
+            if released is not None:
+                outcomes.append((shard.shard_id, released.state.value))
         return outcomes
 
     def start_reaper(self) -> None:
@@ -301,29 +327,6 @@ class Coordinator:
             self._reaper = None
 
     # -- internals -------------------------------------------------------------------
-
-    @staticmethod
-    def _check_lease(shard: ShardRow, worker_id: str) -> None:
-        """Advisory zombie check on an already-read row; the store repeats
-        it under its lock, so a racing expiry still cannot slip through."""
-        if shard.state is ShardState.ACTIVE and shard.worker_id != worker_id:
-            raise TransitionError(
-                f"shard {shard.shard_id} lease is held by "
-                f"{shard.worker_id!r}, not {worker_id!r}; the lease expired "
-                "and was re-assigned"
-            )
-
-    def _retry_or_fail(self, shard: ShardRow, error: str) -> ShardState:
-        """The bounded retry budget: attempts are claims, not failures."""
-        if shard.attempts >= self.config.max_attempts:
-            self.store.fail_shard(
-                shard.shard_id,
-                f"{error}; retry budget exhausted "
-                f"({shard.attempts}/{self.config.max_attempts} attempts)",
-            )
-            return ShardState.FAILED
-        self.store.requeue_shard(shard.shard_id, f"{error}; re-queued")
-        return ShardState.PENDING
 
     def _merge_if_complete(self, plan_id: str) -> bool:
         """Merge and persist the plan report once every shard is COMPLETED."""

@@ -13,18 +13,24 @@ Routes (all bodies and responses are JSON):
     GET  /plans/{id}              plan status: state, per-shard lifecycle rows
     GET  /plans/{id}/report       merged canonical report JSON (verbatim bytes)
     POST /plans                   {"plan": <plan doc|text>, "shards": N,
-                                   "priority": P} (no other field)
+                                   "priority": P}
     POST /shards/claim            {"worker": id} → shard lease or {"shard": null}
     POST /shards/{id}/complete    {"worker": id, "report": <report doc|text>}
     POST /shards/{id}/fail        {"worker": id, "error": msg}
     POST /shards/{id}/heartbeat   {"worker": id, "completed": C, "total": T}
-                                  (progress fields optional)
+                                  (progress optional, as a pair)
 
-Error mapping: :class:`repro.errors.TransitionError` → 409 (lease lost /
+The server checks only a body's shape: a JSON object whose keys are all
+in its route's row of one field table (``_POST_FIELDS``), so a misspelled
+key answers 400 and changes nothing.  The coordinator checks every value,
+and the store the lease.
+
+Error mapping: :class:`repro.errors.TransitionError` → 409 (the caller
+holds no lease on the shard — reaped, re-assigned or sealed — or an
 illegal lifecycle step), :class:`repro.errors.ServiceLookupError` → 404,
 any other :class:`repro.errors.ReproError` (malformed plans, bad
-arguments) → 400, unexpected exceptions → 500.  Every error body is
-``{"error": "..."}`` so clients surface one-line messages.
+arguments, unknown body keys) → 400, unexpected exceptions → 500.  Every
+error body is ``{"error": "..."}`` so clients surface one-line messages.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import json
 import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.errors import (
     ReproError,
@@ -42,6 +48,15 @@ from repro.errors import (
 )
 from repro.service import DEFAULT_PORT
 from repro.service.coordinator import Coordinator
+
+#: The body fields each POST route reads; any other key is refused.
+_POST_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "/plans": ("plan", "shards", "priority"),
+    "/shards/claim": ("worker",),
+    "/shards/{id}/complete": ("worker", "report"),
+    "/shards/{id}/fail": ("worker", "error"),
+    "/shards/{id}/heartbeat": ("worker", "completed", "total"),
+}
 
 
 def _json_text(value: Union[str, Dict[str, Any]], what: str) -> str:
@@ -102,72 +117,45 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         coordinator = self.server.coordinator
         parts = [part for part in self.path.split("?")[0].split("/") if part]
+        shard = len(parts) == 3 and parts[0] == "shards"
+        route = "/" + "/".join(["shards", "{id}", parts[2]] if shard else parts)
         try:
-            body = self._read_body()
-            if parts == ["plans"]:
-                unknown = sorted(body.keys() - {"plan", "shards", "priority"})
-                if unknown:
-                    raise ServiceError(
-                        f"POST /plans: unknown field(s) {', '.join(unknown)}; "
-                        'expected "plan", "shards" and "priority"'
-                    )
-                if "plan" not in body:
-                    raise ServiceError('POST /plans needs a "plan" field')
-                shards = body.get("shards", 1)
-                if not isinstance(shards, int) or isinstance(shards, bool):
-                    raise ServiceError(
-                        f'"shards" must be an integer, got {shards!r}'
-                    )
-                priority = body.get("priority", 0)
-                if not isinstance(priority, int) or isinstance(priority, bool):
-                    raise ServiceError(
-                        f'"priority" must be an integer, got {priority!r}'
-                    )
-                plan_text = _json_text(body["plan"], '"plan"')
-                self._reply(
-                    200, coordinator.submit(plan_text, shards, priority)
-                )
-            elif parts == ["shards", "claim"]:
-                shard = coordinator.claim(self._worker(body))
-                self._reply(200, {"shard": shard})
-            elif len(parts) == 3 and parts[0] == "shards":
-                shard_id = self._shard_id(parts[1])
-                action = parts[2]
-                if action == "complete":
-                    if "report" not in body:
-                        raise ServiceError('complete needs a "report" field')
-                    report_text = _json_text(body["report"], '"report"')
-                    self._reply(
-                        200,
-                        coordinator.complete(
-                            shard_id, self._worker(body), report_text
-                        ),
-                    )
-                elif action == "fail":
-                    self._reply(
-                        200,
-                        coordinator.fail(
-                            shard_id,
-                            self._worker(body),
-                            str(body.get("error", "unspecified worker error")),
-                        ),
-                    )
-                elif action == "heartbeat":
-                    self._reply(
-                        200,
-                        coordinator.heartbeat(
-                            shard_id,
-                            self._worker(body),
-                            self._progress_field(body, "completed"),
-                            self._progress_field(body, "total"),
-                        ),
-                    )
-                else:
-                    self._reply(
-                        404, {"error": f"no such shard action: {action!r}"}
-                    )
-            else:
+            body = self._read_body()  # always, so a kept-alive connection stays framed
+            if route not in _POST_FIELDS:
                 self._reply(404, {"error": f"no such route: POST {self.path}"})
+                return
+            unknown = sorted(body.keys() - set(_POST_FIELDS[route]))
+            if unknown:
+                raise ServiceError(
+                    f"POST {route}: unknown field(s) {', '.join(unknown)}; "
+                    f"expected {', '.join(_POST_FIELDS[route])}"
+                )
+            worker = body.get("worker")
+            if route == "/plans":
+                self._reply(200, coordinator.submit(
+                    _json_text(body.get("plan"), '"plan"'),
+                    body.get("shards", 1),
+                    body.get("priority", 0),
+                ))
+            elif route == "/shards/claim":
+                self._reply(200, {"shard": coordinator.claim(worker)})
+            elif parts[2] == "complete":
+                report_text = _json_text(body.get("report"), '"report"')
+                self._reply(200, coordinator.complete(
+                    self._shard_id(parts[1]), worker, report_text
+                ))
+            elif parts[2] == "fail":
+                error = str(body.get("error", "unspecified worker error"))
+                self._reply(200, coordinator.fail(
+                    self._shard_id(parts[1]), worker, error
+                ))
+            else:
+                self._reply(200, coordinator.heartbeat(
+                    self._shard_id(parts[1]),
+                    worker,
+                    body.get("completed"),
+                    body.get("total"),
+                ))
         except Exception as exc:
             self._reply_error(exc)
 
@@ -183,24 +171,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(body, dict):
             raise ServiceError("request body must be a JSON object")
         return body
-
-    @staticmethod
-    def _worker(body: Dict[str, Any]) -> str:
-        worker = body.get("worker")
-        if not worker or not isinstance(worker, str):
-            raise ServiceError('request needs a non-empty "worker" id')
-        return worker
-
-    @staticmethod
-    def _progress_field(body: Dict[str, Any], name: str) -> Optional[int]:
-        value = body.get(name)
-        if value is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ServiceError(
-                f'"{name}" must be a non-negative integer, got {value!r}'
-            )
-        return value
 
     @staticmethod
     def _shard_id(raw: str) -> int:

@@ -15,18 +15,20 @@ shard as an **explicit legal-transition matrix**:
 
 ``COMPLETED`` and ``FAILED`` are terminal and sealed — every transition out
 of them (and every other pair not listed) raises
-:class:`repro.errors.TransitionError`.  All mutators funnel through one
-:func:`check_transition` gate, so the matrix cannot be bypassed.
+:class:`repro.errors.TransitionError`.
+
+Every change to a shard row is one step, :meth:`JobStore._step`: under the
+store lock and in one transaction it reads the row, checks the transition
+(:func:`check_transition`) and the **lease rule** — the shard is ACTIVE
+and the caller holds its lease, else ``TransitionError`` — and writes one
+UPDATE.  So a worker whose lease was reaped, re-assigned or sealed writes
+nothing and can never corrupt a shard another worker owns, and the
+reaper's release re-checks, in that step, the expiry it read earlier.
 
 Durability is SQLite in WAL mode: every transition commits before the call
 returns, so a coordinator that dies mid-run restarts with the exact shard
 states it last acknowledged.  ``ACTIVE`` rows whose worker died simply keep
-their lease deadline; the reaper re-queues them once the deadline passes.
-
-Leases carry a ``worker_id``: ``complete``/``fail``/``heartbeat`` from a
-worker that no longer holds the lease (it expired and the shard was
-re-queued or re-claimed) are rejected, so a zombie worker can never corrupt
-a shard another worker owns.
+their lease deadline; the reaper releases them once the deadline passes.
 
 Concurrency model: the store is single-process (HTTP handler threads plus
 the reaper thread inside the coordinator), serialized by one lock around
@@ -42,9 +44,9 @@ import hashlib
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.errors import ServiceError, ServiceLookupError, TransitionError
+from repro.errors import ServiceLookupError, TransitionError
 
 
 class ShardState(enum.Enum):
@@ -167,6 +169,16 @@ CREATE TABLE IF NOT EXISTS shards (
 CREATE INDEX IF NOT EXISTS shards_by_state ON shards(state);
 """
 
+#: One shard row with its plan's fan-out; every shard read starts here.
+_SELECT_SHARD = (
+    "SELECT s.*, p.shard_count FROM shards s"
+    " JOIN plans p ON p.plan_id = s.plan_id"
+)
+
+#: What a step writes: the new state (``None`` keeps it) and the other
+#: columns, or ``None`` to leave the row alone.
+_Change = Optional[Tuple[Optional[ShardState], Dict[str, object]]]
+
 #: Columns added after the v1 schema shipped; an existing store file gains
 #: them in place on open (SQLite ``ALTER TABLE ADD COLUMN`` is metadata-only,
 #: so migration is cheap and idempotent).
@@ -225,14 +237,9 @@ class JobStore:
         Returns ``(row, created)`` — ``created`` is ``False`` when the very
         same (plan, shard count) was already submitted.  ``priority`` orders
         the claim queue (higher first) but is not part of the identity;
-        resubmitting an existing plan keeps its original priority.
+        resubmitting an existing plan keeps its original priority.  The
+        coordinator checks both numbers before they get here.
         """
-        if shard_count < 1:
-            raise ServiceError(
-                f"shard count must be a positive integer, got {shard_count!r}"
-            )
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise ServiceError(f"priority must be an integer, got {priority!r}")
         plan_id = plan_identity(plan_json, shard_count)
         with self._lock, self._conn:
             existing = self._conn.execute(
@@ -296,9 +303,7 @@ class JobStore:
         self.get_plan(plan_id)  # raises ServiceLookupError on unknown ids
         with self._lock:
             rows = self._conn.execute(
-                "SELECT s.*, p.shard_count FROM shards s"
-                " JOIN plans p ON p.plan_id = s.plan_id"
-                " WHERE s.plan_id = ? ORDER BY s.shard_index",
+                f"{_SELECT_SHARD} WHERE s.plan_id = ? ORDER BY s.shard_index",
                 (plan_id,),
             ).fetchall()
         return [_shard_row(row) for row in rows]
@@ -308,20 +313,19 @@ class JobStore:
             row = self._fetch_shard(shard_id)
         return _shard_row(row)
 
-    def state_counts(self, plan_id: str) -> Dict[ShardState, int]:
-        """``{state: shard count}`` with every state present (zeros kept)."""
-        counts = {state: 0 for state in ShardState}
-        for shard in self.shards(plan_id):
-            counts[shard.state] += 1
-        return counts
+    def check_lease(self, shard_id: int, worker_id: str) -> ShardRow:
+        """The shard's row if ``worker_id`` holds its ACTIVE lease, else
+        :class:`TransitionError` (the lease rule every step applies)."""
+        with self._lock:
+            row = self._fetch_shard(shard_id)
+        _check_lease(row, worker_id)
+        return _shard_row(row)
 
     def expired_shards(self, now: float) -> List[ShardRow]:
         """Every ACTIVE shard whose lease deadline has passed."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT s.*, p.shard_count FROM shards s"
-                " JOIN plans p ON p.plan_id = s.plan_id"
-                " WHERE s.state = ? AND s.lease_deadline < ?"
+                f"{_SELECT_SHARD} WHERE s.state = ? AND s.lease_deadline < ?"
                 " ORDER BY s.shard_id",
                 (ShardState.ACTIVE.value, now),
             ).fetchall()
@@ -339,27 +343,11 @@ class JobStore:
         first-come-first-served.  Returns ``None`` when nothing is pending
         (terminal and leased shards are never handed out).
         """
-        if not worker_id:
-            raise ServiceError("claim needs a non-empty worker id")
-        deadline = now + lease_seconds
-        with self._lock, self._conn:
-            row = self._conn.execute(
-                "SELECT s.*, p.shard_count FROM shards s"
-                " JOIN plans p ON p.plan_id = s.plan_id"
-                " WHERE s.state = ?"
-                " ORDER BY p.priority DESC, s.shard_id LIMIT 1",
-                (ShardState.PENDING.value,),
-            ).fetchone()
-            if row is None:
-                return None
-            check_transition(ShardState(row["state"]), ShardState.ACTIVE)
-            self._conn.execute(
-                "UPDATE shards SET state = ?, attempts = attempts + 1,"
-                " worker_id = ?, lease_deadline = ? WHERE shard_id = ?",
-                (ShardState.ACTIVE.value, worker_id, deadline, row["shard_id"]),
-            )
-            updated = self._fetch_shard(row["shard_id"])
-        return _shard_row(updated)
+        return self._step(None, lambda row: (ShardState.ACTIVE, {
+            "attempts": row["attempts"] + 1,
+            "worker_id": worker_id,
+            "lease_deadline": now + lease_seconds,
+        }))
 
     def heartbeat_shard(
         self,
@@ -370,100 +358,134 @@ class JobStore:
         completed: Optional[int] = None,
         total: Optional[int] = None,
     ) -> float:
-        """Extend an ACTIVE lease the worker still holds; returns the deadline.
+        """Extend the lease ``worker_id`` holds; returns the new deadline.
 
         When the worker reports progress (``completed`` distinct points out
         of ``total``) it is recorded on the shard row for ``repro status``;
         a heartbeat without progress leaves the last report in place.
         """
         deadline = now + lease_seconds
-        with self._lock, self._conn:
-            row = self._fetch_shard(shard_id)
-            self._check_lease(row, worker_id)
-            if completed is not None and total is not None:
-                self._conn.execute(
-                    "UPDATE shards SET lease_deadline = ?,"
-                    " progress_completed = ?, progress_total = ?"
-                    " WHERE shard_id = ?",
-                    (deadline, completed, total, shard_id),
-                )
-            else:
-                self._conn.execute(
-                    "UPDATE shards SET lease_deadline = ? WHERE shard_id = ?",
-                    (deadline, shard_id),
-                )
+        columns: Dict[str, object] = {"lease_deadline": deadline}
+        if completed is not None:
+            columns.update(progress_completed=completed, progress_total=total)
+        self._step(shard_id, lambda row: (None, columns), holder=worker_id)
         return deadline
 
     def complete_shard(
         self, shard_id: int, worker_id: str, report_json: str
     ) -> ShardRow:
         """ACTIVE → COMPLETED with the shard's report attached."""
-        with self._lock, self._conn:
-            row = self._fetch_shard(shard_id)
-            self._check_lease(row, worker_id)
-            check_transition(ShardState(row["state"]), ShardState.COMPLETED)
-            self._conn.execute(
-                "UPDATE shards SET state = ?, report_json = ?, last_error = NULL,"
-                " worker_id = NULL, lease_deadline = NULL WHERE shard_id = ?",
-                (ShardState.COMPLETED.value, report_json, shard_id),
-            )
-            updated = self._fetch_shard(shard_id)
-        return _shard_row(updated)
+        row = self._step(shard_id, lambda row: (ShardState.COMPLETED, {
+            "report_json": report_json,
+            "last_error": None,
+            "worker_id": None,
+            "lease_deadline": None,
+        }), holder=worker_id)
+        assert row is not None  # a holder's step writes or raises
+        return row
 
-    def requeue_shard(self, shard_id: int, error: Optional[str]) -> ShardRow:
-        """ACTIVE → PENDING (retry), releasing the lease and recording why."""
-        with self._lock, self._conn:
-            row = self._fetch_shard(shard_id)
-            check_transition(ShardState(row["state"]), ShardState.PENDING)
-            self._conn.execute(
-                "UPDATE shards SET state = ?, worker_id = NULL,"
-                " lease_deadline = NULL, last_error = ?,"
-                " progress_completed = NULL, progress_total = NULL"
-                " WHERE shard_id = ?",
-                (ShardState.PENDING.value, error, shard_id),
-            )
-            updated = self._fetch_shard(shard_id)
-        return _shard_row(updated)
+    def release_shard(
+        self,
+        shard_id: int,
+        error: str,
+        max_attempts: int,
+        worker_id: Optional[str] = None,
+        expired_before: Optional[float] = None,
+    ) -> Optional[ShardRow]:
+        """ACTIVE → PENDING, or → FAILED once claimed ``max_attempts`` times.
 
-    def fail_shard(self, shard_id: int, error: str) -> ShardRow:
-        """ACTIVE → FAILED (terminal): the retry budget is spent."""
-        with self._lock, self._conn:
-            row = self._fetch_shard(shard_id)
-            check_transition(ShardState(row["state"]), ShardState.FAILED)
-            self._conn.execute(
-                "UPDATE shards SET state = ?, worker_id = NULL,"
-                " lease_deadline = NULL, last_error = ? WHERE shard_id = ?",
-                (ShardState.FAILED.value, error, shard_id),
+        ``error`` is recorded with the outcome appended.  A worker's release
+        (``worker_id``) needs the lease rule; the reaper's (``expired_before``)
+        releases only a lease still past that time, else returns ``None``.
+        """
+
+        def change(row: sqlite3.Row) -> _Change:
+            if expired_before is not None and not (
+                row["state"] == ShardState.ACTIVE.value
+                and row["lease_deadline"] < expired_before
+            ):
+                return None
+            freed: Dict[str, object] = {"worker_id": None, "lease_deadline": None}
+            if row["attempts"] >= max_attempts:
+                return ShardState.FAILED, dict(freed, last_error=(
+                    f"{error}; retry budget exhausted "
+                    f"({row['attempts']}/{max_attempts} attempts)"
+                ))
+            return ShardState.PENDING, dict(
+                freed,
+                last_error=f"{error}; re-queued",
+                progress_completed=None,
+                progress_total=None,
             )
-            updated = self._fetch_shard(shard_id)
-        return _shard_row(updated)
+
+        return self._step(shard_id, change, holder=worker_id)
 
     # -- internals -----------------------------------------------------------------
+
+    def _step(
+        self,
+        shard_id: Optional[int],
+        change: Callable[[sqlite3.Row], _Change],
+        holder: Optional[str] = None,
+    ) -> Optional[ShardRow]:
+        """The one way a shard row changes, in one locked transaction.
+
+        Reads the row (``shard_id=None``: the best PENDING shard, for a
+        claim), asks ``change`` what to write, checks the transition and,
+        for a ``holder``, the lease rule, then writes one UPDATE.  Returns
+        the new row, or ``None`` if there is nothing to claim or ``change``
+        leaves the row alone.
+        """
+        with self._lock, self._conn:
+            if shard_id is None:
+                row = self._conn.execute(
+                    f"{_SELECT_SHARD} WHERE s.state = ?"
+                    " ORDER BY p.priority DESC, s.shard_id LIMIT 1",
+                    (ShardState.PENDING.value,),
+                ).fetchone()
+            else:
+                row = self._fetch_shard(shard_id)
+            step = None if row is None else change(row)
+            if step is None:
+                return None
+            new, columns = step
+            if new is not None:
+                check_transition(ShardState(row["state"]), new)
+                columns = dict(columns, state=new.value)
+            if holder is not None:
+                _check_lease(row, holder)
+            self._conn.execute(
+                f"UPDATE shards SET {', '.join(f'{name} = ?' for name in columns)}"
+                " WHERE shard_id = ?",
+                (*columns.values(), row["shard_id"]),
+            )
+            return _shard_row(self._fetch_shard(row["shard_id"]))
 
     def _fetch_shard(self, shard_id: int) -> sqlite3.Row:
         """Caller holds the lock (or tolerates a read-only race)."""
         row = self._conn.execute(
-            "SELECT s.*, p.shard_count FROM shards s"
-            " JOIN plans p ON p.plan_id = s.plan_id"
-            " WHERE s.shard_id = ?",
-            (shard_id,),
+            f"{_SELECT_SHARD} WHERE s.shard_id = ?", (shard_id,)
         ).fetchone()
         if row is None:
             raise ServiceLookupError(f"unknown shard {shard_id!r}")
         return row
 
-    @staticmethod
-    def _check_lease(row: sqlite3.Row, worker_id: str) -> None:
-        """Reject lease operations from a worker that no longer holds it."""
-        if (
-            ShardState(row["state"]) is ShardState.ACTIVE
-            and row["worker_id"] != worker_id
-        ):
-            raise TransitionError(
-                f"shard {row['shard_id']} lease is held by "
-                f"{row['worker_id']!r}, not {worker_id!r}; the lease expired "
-                "and was re-assigned"
-            )
+
+def _check_lease(row: sqlite3.Row, worker_id: str) -> None:
+    """The lease rule: the shard is ACTIVE and ``worker_id`` holds it."""
+    state = ShardState(row["state"])
+    if state is not ShardState.ACTIVE:
+        sealed = " (terminal states are sealed)" if state in TERMINAL_STATES else ""
+        raise TransitionError(
+            f"shard {row['shard_id']} is {state.value}{sealed}, so "
+            f"{worker_id!r} holds no lease on it"
+        )
+    if row["worker_id"] != worker_id:
+        raise TransitionError(
+            f"shard {row['shard_id']} lease is held by "
+            f"{row['worker_id']!r}, not {worker_id!r}; the lease expired "
+            "and was re-assigned"
+        )
 
 
 def _plan_row(row: sqlite3.Row) -> PlanRow:

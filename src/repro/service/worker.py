@@ -18,9 +18,11 @@ number of them (any host) at one coordinator and each loops
 Crash behavior is the whole point: a worker that dies (SIGKILL, OOM, host
 loss) simply stops heartbeating, the coordinator's reaper re-queues the
 shard at lease expiry, and any other worker picks it up — determinism
-makes the retried result identical.  A worker whose lease was re-assigned
-under it (it stalled past the deadline) gets a 409 on
-``complete``/``heartbeat`` and just moves on: the shard is someone else's.
+makes the retried result identical.  A worker that stalled past its
+deadline holds no lease once the reaper has released the shard: from then
+on its ``heartbeat``, ``complete`` or ``fail`` gets a 409 whether the shard
+is re-queued, re-claimed or sealed (the store checks the lease in the step
+that would move the shard), and the worker just moves on.
 
 Exceptions *inside* the simulation are reported via ``fail`` (consuming
 the shard's retry budget) and the worker keeps serving — one poisoned

@@ -15,7 +15,6 @@ from repro.runtime import (
     OoOCoreBackend,
     ShapeBackend,
     SimBackend,
-    register_backend,
     resolve_backend,
 )
 from repro.runtime.registry import FIDELITIES
@@ -52,10 +51,6 @@ class TestRegistry:
     def test_unknown_design(self):
         with pytest.raises(ConfigError, match="unknown design"):
             resolve_backend("bogus-design")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_backend("fast")(lambda engine, core: None)
 
     def test_engine_config_comes_from_design(self):
         backend = resolve_backend("rasa-dmdb-wls")

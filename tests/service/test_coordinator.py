@@ -94,8 +94,10 @@ class TestSubmit:
         assert listed == {low["plan_id"]: 0, high["plan_id"]: 9}
 
     def test_rejects_non_integer_priority(self, coordinator):
-        with pytest.raises(ServiceError, match="priority"):
-            coordinator.submit(tiny_plan().to_json(), 2, priority="urgent")
+        for priority in ("urgent", True):
+            with pytest.raises(ServiceError, match="priority"):
+                coordinator.submit(tiny_plan().to_json(), 2, priority=priority)
+        assert coordinator.list_plans() == []
 
 
 class TestProgressHeartbeats:
@@ -106,13 +108,29 @@ class TestProgressHeartbeats:
         shard = coordinator.plan_status(submitted["plan_id"])["shards"][0]
         assert (shard["progress_completed"], shard["progress_total"]) == (2, 4)
 
-    def test_rejects_malformed_progress(self, coordinator):
+    @pytest.mark.parametrize(
+        "completed,total,match",
+        [
+            (-1, 4, "completed"),
+            (1, "x", "total"),
+            (5, None, "both or neither"),
+            (None, 4, "both or neither"),
+            (9, 4, "completed <= total"),
+        ],
+    )
+    def test_rejects_malformed_progress(
+        self, coordinator, job_store, completed, total, match
+    ):
         coordinator.submit(tiny_plan(shapes=1).to_json(), 1)
         lease = coordinator.claim("w1")
-        with pytest.raises(ServiceError, match="completed"):
-            coordinator.heartbeat(lease["shard_id"], "w1", completed=-1, total=4)
-        with pytest.raises(ServiceError, match="total"):
-            coordinator.heartbeat(lease["shard_id"], "w1", completed=1, total="x")
+        with pytest.raises(ServiceError, match=match) as excinfo:
+            coordinator.heartbeat(
+                lease["shard_id"], "w1", completed=completed, total=total
+            )
+        assert not isinstance(excinfo.value, TransitionError)
+        row = job_store.get_shard(lease["shard_id"])
+        assert (row.progress_completed, row.progress_total) == (None, None)
+        assert row.lease_deadline == lease["lease_deadline"]
 
 
 class TestCompleteValidation:
@@ -224,6 +242,144 @@ class TestRetryBudget:
         lease = coordinator.claim("w1")
         with pytest.raises(TransitionError, match="held by 'w1', not 'w2'"):
             coordinator.fail(lease["shard_id"], "w2", "not mine")
+
+
+class TestPlanStatus:
+    def test_counts_every_state(self, coordinator):
+        response = coordinator.submit(tiny_plan(shapes=2).to_json(), 3)
+        coordinator.claim("w1")
+        assert coordinator.plan_status(response["plan_id"])["counts"] == {
+            "PENDING": 2,
+            "ACTIVE": 1,
+            "COMPLETED": 0,
+            "FAILED": 0,
+        }
+
+
+class TestWorkerIds:
+    @pytest.mark.parametrize("worker", ["", None, 7])
+    def test_every_lease_call_refuses_a_malformed_worker_id(
+        self, coordinator, job_store, worker
+    ):
+        coordinator.submit(tiny_plan(shapes=1).to_json(), 1)
+        with pytest.raises(ServiceError, match="worker id must be"):
+            coordinator.claim(worker)
+        lease = coordinator.claim("w1")
+        shard_id = lease["shard_id"]
+        for call in (
+            lambda: coordinator.heartbeat(shard_id, worker),
+            lambda: coordinator.complete(shard_id, worker, "{}"),
+            lambda: coordinator.fail(shard_id, worker, "boom"),
+        ):
+            with pytest.raises(ServiceError, match="worker id must be"):
+                call()
+        row = job_store.get_shard(shard_id)
+        assert (row.state, row.worker_id) == (ShardState.ACTIVE, "w1")
+
+
+def race_before_release(monkeypatch, store, race):
+    """Run ``race`` once, in the last window another thread has before a
+    release lands: after a row read outside the store's step
+    (``get_shard``), or else just before the step (``release_shard``)."""
+    pending = [race]
+
+    def run_race():
+        while pending:
+            pending.pop()()
+
+    get_shard, release_shard = store.get_shard, store.release_shard
+
+    def read_then_race(*args, **kwargs):
+        row = get_shard(*args, **kwargs)
+        run_race()
+        return row
+
+    def race_then_release(*args, **kwargs):
+        run_race()
+        return release_shard(*args, **kwargs)
+
+    monkeypatch.setattr(store, "get_shard", read_then_race)
+    monkeypatch.setattr(store, "release_shard", race_then_release)
+
+
+class TestLeaseRule:
+    """The store checks the lease in the step that moves the shard."""
+
+    def test_a_caller_without_the_lease_writes_nothing(
+        self, coordinator, job_store
+    ):
+        """A's heartbeat after the reaper re-queued its shard, and B's
+        after its own shard sealed, are refused and leave the rows as
+        they were."""
+        coordinator.submit(tiny_plan(shapes=1).to_json(), 2)
+        lease_a = coordinator.claim("A")
+        lease_b = coordinator.claim("B")
+        coordinator.complete(lease_b["shard_id"], "B", run_shard(lease_b))
+        assert coordinator.reap(now=lease_a["lease_deadline"] + 1.0) == [
+            (lease_a["shard_id"], "PENDING")
+        ]
+        for lease, worker, match in (
+            (lease_a, "A", "PENDING"),
+            (lease_b, "B", "sealed"),
+        ):
+            before = job_store.get_shard(lease["shard_id"])
+            with pytest.raises(TransitionError, match=match):
+                coordinator.heartbeat(lease["shard_id"], worker, 1, 4)
+            assert job_store.get_shard(lease["shard_id"]) == before
+        row = job_store.get_shard(lease_a["shard_id"])
+        assert row.state is ShardState.PENDING
+        assert (row.lease_deadline, row.progress_completed) == (None, None)
+        assert job_store.get_shard(lease_b["shard_id"]).lease_deadline is None
+
+    def test_a_late_fail_never_releases_the_next_holders_lease(
+        self, coordinator, job_store, monkeypatch
+    ):
+        """A's fail races its lease expiring and B claiming the shard."""
+        coordinator.submit(tiny_plan(shapes=1).to_json(), 1)
+        lease = coordinator.claim("A")
+        shard_id = lease["shard_id"]
+
+        def expire_and_reclaim():
+            assert coordinator.reap(now=lease["lease_deadline"] + 1.0) == [
+                (shard_id, "PENDING")
+            ]
+            assert coordinator.claim("B")["shard_id"] == shard_id
+
+        race_before_release(monkeypatch, job_store, expire_and_reclaim)
+        with pytest.raises(TransitionError, match="held by 'B', not 'A'"):
+            coordinator.fail(shard_id, "A", "boom")
+        row = job_store.get_shard(shard_id)
+        assert (row.state, row.worker_id, row.attempts) == (
+            ShardState.ACTIVE, "B", 2
+        )
+        assert coordinator.complete(shard_id, "B", run_shard(lease))["done"]
+        assert job_store.get_shard(shard_id).state is ShardState.COMPLETED
+
+    def test_a_heartbeat_during_the_reap_pass_keeps_the_shard(
+        self, coordinator, job_store, monkeypatch
+    ):
+        """A heartbeat lands after reap() read the expired list; the other
+        expired shard is still released in the same pass."""
+        coordinator.submit(tiny_plan(shapes=1).to_json(), 2)
+        lease_a = coordinator.claim("A")
+        lease_b = coordinator.claim("B")
+        now = max(lease_a["lease_deadline"], lease_b["lease_deadline"]) + 1.0
+        expired_shards = job_store.expired_shards
+
+        def read_then_heartbeat(when):
+            expired = expired_shards(when)
+            job_store.heartbeat_shard(lease_a["shard_id"], "A", 10.0, now=when)
+            return expired
+
+        monkeypatch.setattr(job_store, "expired_shards", read_then_heartbeat)
+        assert coordinator.reap(now=now) == [(lease_b["shard_id"], "PENDING")]
+        row = job_store.get_shard(lease_a["shard_id"])
+        assert (row.state, row.worker_id, row.lease_deadline) == (
+            ShardState.ACTIVE, "A", now + 10.0
+        )
+        assert job_store.get_shard(lease_b["shard_id"]).state is (
+            ShardState.PENDING
+        )
 
 
 class TestReaper:

@@ -130,6 +130,82 @@ class TestErrorMapping:
         assert live_service.coordinator.list_plans() == []
         assert live_service.client.claim("w1") is None
 
+    def test_unknown_claim_field_is_400_and_leases_nothing(self, live_service):
+        response = live_service.client.submit(tiny_plan(shapes=1), 1)
+        status, body = http(
+            f"{live_service.url}/shards/claim", method="POST",
+            payload={"worker": "w1", "wrker": "w1"},
+        )
+        assert status == 400
+        assert "unknown field(s) wrker" in body["error"]
+        (shard,) = live_service.client.plan_status(response["plan_id"])["shards"]
+        assert (shard["state"], shard["attempts"]) == ("PENDING", 0)
+
+    def test_unknown_heartbeat_field_is_400_and_records_nothing(
+        self, live_service
+    ):
+        # "complete" and "totl" for "completed" and "total".
+        client = live_service.client
+        response = client.submit(tiny_plan(shapes=1), 1)
+        lease = client.claim("w1")
+        status, body = http(
+            f"{live_service.url}/shards/{lease['shard_id']}/heartbeat",
+            method="POST",
+            payload={"worker": "w1", "complete": 5, "totl": 9},
+        )
+        assert status == 400
+        assert "unknown field(s) complete, totl" in body["error"]
+        (shard,) = client.plan_status(response["plan_id"])["shards"]
+        assert (shard["progress_completed"], shard["progress_total"]) == (
+            None, None
+        )
+        assert shard["lease_deadline"] == lease["lease_deadline"]
+
+    def test_unknown_complete_field_is_400_and_keeps_the_lease(
+        self, live_service
+    ):
+        client = live_service.client
+        response = client.submit(tiny_plan(shapes=1), 1)
+        lease = client.claim("w1")
+        status, body = http(
+            f"{live_service.url}/shards/{lease['shard_id']}/complete",
+            method="POST",
+            payload={"worker": "w1", "report": "{}", "reprot": "{}"},
+        )
+        assert status == 400
+        assert "unknown field(s) reprot" in body["error"]
+        (shard,) = client.plan_status(response["plan_id"])["shards"]
+        assert (shard["state"], shard["worker_id"]) == ("ACTIVE", "w1")
+
+    def test_unknown_fail_field_is_400_and_keeps_the_lease(self, live_service):
+        # An "eror" typo must not release the shard with a generic message.
+        client = live_service.client
+        response = client.submit(tiny_plan(shapes=1), 1)
+        lease = client.claim("w1")
+        status, body = http(
+            f"{live_service.url}/shards/{lease['shard_id']}/fail",
+            method="POST",
+            payload={"worker": "w1", "eror": "out of memory"},
+        )
+        assert status == 400
+        assert "unknown field(s) eror" in body["error"]
+        (shard,) = client.plan_status(response["plan_id"])["shards"]
+        assert (shard["state"], shard["worker_id"]) == ("ACTIVE", "w1")
+        assert shard["last_error"] is None
+
+    def test_heartbeat_without_the_lease_is_409(self, live_service):
+        client = live_service.client
+        client.submit(tiny_plan(shapes=1), 1)
+        lease = client.claim("w1")
+        live_service.store.release_shard(lease["shard_id"], "expired", max_attempts=3)
+        status, body = http(
+            f"{live_service.url}/shards/{lease['shard_id']}/heartbeat",
+            method="POST",
+            payload={"worker": "w1"},
+        )
+        assert status == 409
+        assert "holds no lease" in body["error"]
+
     def test_bad_priority_is_400(self, live_service):
         status, body = http(
             f"{live_service.url}/plans",
@@ -162,7 +238,7 @@ class TestErrorMapping:
         client = live_service.client
         client.submit(tiny_plan(shapes=1), 1)
         lease = client.claim("w1")
-        live_service.store.requeue_shard(lease["shard_id"], "expired")
+        live_service.store.release_shard(lease["shard_id"], "expired", max_attempts=3)
         client.claim("w2")
         with pytest.raises(TransitionError, match="held by 'w2'"):
             client.complete(lease["shard_id"], "w1", "{}")
